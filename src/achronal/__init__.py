@@ -6,6 +6,8 @@ and the causal-logic predicates tying localization to causally complete
 spacetime regions.
 """
 
+__version__ = "0.1.0"
+
 from .minkowski import (PoincareElement, boost_z, classify, fourvector,
                         minkowski_product, rotation)
 from .grids import MomentumGrid
@@ -27,5 +29,3 @@ from .causal_logic import (BallInPlane, Diamond, GraphPatch,
                            completion_equals_determinacy_check,
                            completion_member, determinacy_member,
                            rcl_well_defined_check)
-
-__version__ = "0.1.0"

@@ -21,11 +21,10 @@ counterexample re-verified against the exact predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .localization import BallMask, Mask, Region
+from .localization import BallMask, Region
 from .minkowski import PoincareElement, minkowski_square
 from .surfaces import AchronalSurface
 

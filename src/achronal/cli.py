@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import io as achio
 from .causal_logic import (BallInPlane, GraphPatch,
                            completion_equals_determinacy_check,
@@ -28,13 +30,11 @@ from .currents import CurrentSpec, build_fast, covariance_pair, eval_direct
 from .grids import MomentumGrid
 from .kernels import (CausalKernel, TensorKernel, gram_extreme_eigenvalues,
                       parse_kernel_spec)
-from .localization import (BallMask, FullMask, Region, covariance_check,
+from .localization import (BallMask, Region, covariance_check,
                            flux_invariance_report, probability)
-from .minkowski import PoincareElement, boost_z, fourvector, rotation
+from .minkowski import PoincareElement, boost_z, rotation
 from .surfaces import ConeSurface, FlatSurface, surface_from_descriptor
 from .wavepacket import make_packet
-
-VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -46,7 +46,6 @@ _COMMON_KEYS = {
     "grid": {"n": 32, "p_max": 4.0},
     "packet": {"kind": "mollified_gaussian", "params": {}, "margin": None},
     "kernel": "basic:r=1.5",
-    "backend": "fast",
     "factorization": {"tol": 1e-6, "landmarks": 3000},
     "window_half_nodes": None,
     "slice_dt": 0.2,
@@ -123,8 +122,9 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _build_state(cfg):
-    grid = MomentumGrid(int(cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
+def _build_state(cfg, n=None):
+    """Grid (of n nodes per axis if given), packet and kernel of the config."""
+    grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
     pk = cfg["packet"]
     packet = make_packet(grid, float(cfg["mass"]), pk.get("kind", "mollified_gaussian"),
                          margin=pk.get("margin"), **(pk.get("params") or {}))
@@ -152,7 +152,7 @@ def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
     chash = _config_hash(resolved)
     achio.write_json(outdir / "resolved_config.json", resolved)
     results = {"command": command, "config_hash": chash,
-               "artifact_version": VERSION, "checks": checks}
+               "artifact_version": __version__, "checks": checks}
     if extra:
         results.update(extra)
     achio.write_json(outdir / "results.json", results)
@@ -162,7 +162,7 @@ def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
             for row in csv_rows:
                 writer.writerow(row)
     manifest = {"command": command, "config_hash": chash,
-                "artifact_version": VERSION,
+                "artifact_version": __version__,
                 "pass": {c["name"]: c["pass"] for c in checks},
                 "timings_s": timings or {}}
     achio.write_json(outdir / "manifest.json", manifest)
@@ -180,27 +180,37 @@ def _check(name, value, tolerance, below=True):
 
 
 def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=False), help="JSON config file")(fn)
-    fn = click.option("--seed", type=int, default=None, help="override RNG seed")(fn)
-    fn = click.option("--out", "outdir", type=click.Path(), default="out",
-                      help="output directory")(fn)
-    fn = click.option("--backend", type=click.Choice(["fast", "direct"]),
-                      default=None, help="override evaluation backend")(fn)
-    fn = click.option("--tolerance-scale", type=float, default=1.0,
-                      help="multiply all pass/fail tolerances")(fn)
-    return fn
+    """Shared options and exit handling for a command body fn(cfg, outdir).
+
+    The config is loaded for the running command; a ConfigError anywhere
+    exits 2, otherwise the process exits with the body's return code.
+    """
+    @functools.wraps(fn)
+    def run(config_path, seed, outdir, tolerance_scale):
+        try:
+            cfg = _prepare(config_path, click.get_current_context().command.name,
+                           seed, tolerance_scale)
+            code = fn(cfg, Path(outdir))
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        sys.exit(code)
+
+    run = click.option("--config", "config_path", required=True,
+                       type=click.Path(exists=False), help="JSON config file")(run)
+    run = click.option("--seed", type=int, default=None, help="override RNG seed")(run)
+    run = click.option("--out", "outdir", type=click.Path(), default="out",
+                       help="output directory")(run)
+    run = click.option("--tolerance-scale", type=float, default=1.0,
+                       help="multiply all pass/fail tolerances")(run)
+    return run
 
 
-def _prepare(config_path, command, seed, backend, tolerance_scale):
+def _prepare(config_path, command, seed, tolerance_scale):
     cfg = load_config(config_path, command)
     if seed is not None:
         cfg["seed"] = int(seed)
-    if backend is not None:
-        cfg["backend"] = backend
-    cfg["tolerances"] = {k: v * tolerance_scale if k != "gram_min_eigenvalue"
-                         else v * tolerance_scale
-                         for k, v in cfg["tolerances"].items()}
+    cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
     return cfg
 
 
@@ -211,16 +221,11 @@ def main():
 
 @main.command()
 @_common_options
-def normalize(config_path, seed, outdir, backend, tolerance_scale):
+def normalize(cfg, outdir):
     """Full-surface normalization: flux through flat(0) equals the norm."""
-    try:
-        cfg = _prepare(config_path, "normalize", seed, backend, tolerance_scale)
-        grid, packet, kernel = _build_state(cfg)
-        if packet.norm_squared() == 0.0:
-            raise ConfigError("zero packet: normalization check needs a non-trivial state")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    grid, packet, kernel = _build_state(cfg)
+    if packet.norm_squared() == 0.0:
+        raise ConfigError("zero packet: normalization check needs a non-trivial state")
     t0 = time.perf_counter()
     spec = CurrentSpec(kernel, packet)
     fb = _make_backend(spec, cfg)
@@ -238,10 +243,7 @@ def normalize(config_path, seed, outdir, backend, tolerance_scale):
              "normalization_mode": mode, "meta": res.meta}
     if cfg["refined_grid_n"]:
         n2 = int(cfg["refined_grid_n"])
-        grid2 = MomentumGrid(n2, grid.p_max)
-        pk = cfg["packet"]
-        packet2 = make_packet(grid2, packet.mass, pk.get("kind", "mollified_gaussian"),
-                              margin=pk.get("margin"), **(pk.get("params") or {}))
+        _, packet2, _ = _build_state(cfg, n2)
         spec2 = CurrentSpec(kernel, packet2)
         fb2 = _make_backend(spec2, cfg)
         res2 = probability(spec2, Region(FlatSurface(0.0)), backend=fb2,
@@ -253,22 +255,16 @@ def normalize(config_path, seed, outdir, backend, tolerance_scale):
         rows.append([n2, res2.meta["window_half_nodes"], res2.probability, n2sq, resid2])
         extra["refined_residual"] = resid2
         checks.append(_check("refinement_reduces_residual", resid2, resid))
-    code = _emit(Path(outdir), cfg, "normalize", checks, extra,
+    return _emit(outdir, cfg, "normalize", checks, extra,
                  {"backend_build": t_build}, rows)
-    sys.exit(code)
 
 
 @main.command()
 @_common_options
-def invariance(config_path, seed, outdir, backend, tolerance_scale):
+def invariance(cfg, outdir):
     """Flux invariance across maximal achronal surfaces."""
-    try:
-        cfg = _prepare(config_path, "invariance", seed, backend, tolerance_scale)
-        grid, packet, kernel = _build_state(cfg)
-        surfaces = [surface_from_descriptor(d) for d in cfg["surfaces"]]
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    grid, packet, kernel = _build_state(cfg)
+    surfaces = [surface_from_descriptor(d) for d in cfg["surfaces"]]
     spec = CurrentSpec(kernel, packet)
     t0 = time.perf_counter()
     fb = _make_backend(spec, cfg)
@@ -296,9 +292,8 @@ def invariance(config_path, seed, outdir, backend, tolerance_scale):
             rows.append([gamma, r.probability, r.error_estimate])
             sweep.append({"gamma": gamma, "probability": r.probability})
         extra["flatten_sweep"] = sweep
-    code = _emit(Path(outdir), cfg, "invariance", checks, extra,
+    return _emit(outdir, cfg, "invariance", checks, extra,
                  {"sweep": t_run}, rows)
-    sys.exit(code)
 
 
 def _group_elements(gcfg):
@@ -318,17 +313,12 @@ def _group_elements(gcfg):
 
 @main.command()
 @_common_options
-def covariance(config_path, seed, outdir, backend, tolerance_scale):
+def covariance(cfg, outdir):
     """Flux covariance under Poincare transforms, plus current-level checks."""
-    try:
-        cfg = _prepare(config_path, "covariance", seed, backend, tolerance_scale)
-        grid, packet, kernel = _build_state(cfg)
-        elements = _group_elements(cfg["group"] or {})
-        if not elements:
-            raise ConfigError("covariance needs at least one group element")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    grid, packet, kernel = _build_state(cfg)
+    elements = _group_elements(cfg["group"] or {})
+    if not elements:
+        raise ConfigError("covariance needs at least one group element")
     spec = CurrentSpec(kernel, packet)
     norm2 = packet.norm_squared()
     checks, rows = [], [["element", "region", "lhs", "rhs", "relative"]]
@@ -365,24 +355,18 @@ def covariance(config_path, seed, outdir, backend, tolerance_scale):
                              cfg["tolerances"]["current_covariance"]))
         rows.append([f"current_{name}", "points", float(np.abs(lhsv).max()),
                      float(np.abs(rhsv).max()), rel])
-    code = _emit(Path(outdir), cfg, "covariance", checks, {},
+    return _emit(outdir, cfg, "covariance", checks, {},
                  {"total": time.perf_counter() - t0}, rows)
-    sys.exit(code)
 
 
 @main.command(name="kernel-pd")
 @_common_options
-def kernel_pd(config_path, seed, outdir, backend, tolerance_scale):
+def kernel_pd(cfg, outdir):
     """Gram positive-definiteness probe for the kernel's zeroth component."""
-    try:
-        cfg = _prepare(config_path, "kernel-pd", seed, backend, tolerance_scale)
-        mass = float(cfg["mass"])
-        kernel = parse_kernel_spec(cfg["kernel"], mass)
-        if not isinstance(kernel, CausalKernel):
-            raise ConfigError("gram test applies to scalar-profile kernels")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    mass = float(cfg["mass"])
+    kernel = parse_kernel_spec(cfg["kernel"], mass)
+    if not isinstance(kernel, CausalKernel):
+        raise ConfigError("gram test applies to scalar-profile kernels")
     gcfg = cfg["gram"]
     rng = np.random.default_rng(int(cfg["seed"]))
     n_pts = int(gcfg.get("points", 200))
@@ -396,22 +380,16 @@ def kernel_pd(config_path, seed, outdir, backend, tolerance_scale):
     phash = hashlib.sha256(pts.tobytes()).hexdigest()[:12]
     rows = [["points_hash", "size", "min_eigenvalue", "max_eigenvalue"],
             [phash, n_pts, lo, hi]]
-    code = _emit(Path(outdir), cfg, "kernel-pd", checks,
+    return _emit(outdir, cfg, "kernel-pd", checks,
                  {"min_eigenvalue": lo, "max_eigenvalue": hi,
                   "points_hash": phash}, None, rows, csv_name="gram.csv")
-    sys.exit(code)
 
 
 @main.command()
 @_common_options
-def logic(config_path, seed, outdir, backend, tolerance_scale):
+def logic(cfg, outdir):
     """Causal-logic predicates and RCL well-definedness."""
-    try:
-        cfg = _prepare(config_path, "logic", seed, backend, tolerance_scale)
-        grid, packet, kernel = _build_state(cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    grid, packet, kernel = _build_state(cfg)
     lcfg = cfg["logic"]
     r = float(lcfg["radius"])
     gamma = float(lcfg["gamma"])
@@ -436,16 +414,15 @@ def logic(config_path, seed, outdir, backend, tolerance_scale):
             ["shell_skipped", report.shell_skipped],
             ["p_flat_ball", p1.probability],
             ["p_cone_patch", p2.probability]]
-    code = _emit(Path(outdir), cfg, "logic", checks,
+    return _emit(outdir, cfg, "logic", checks,
                  {"agreement": report.agreement_ratio,
                   "counterexamples": report.counterexamples,
                   "p_flat": p1.probability, "p_cone": p2.probability}, None, rows)
-    sys.exit(code)
 
 
 @main.command(name="field-dump")
 @_common_options
-def field_dump(config_path, seed, outdir, backend, tolerance_scale):
+def field_dump(cfg, outdir):
     """Dump current slices to the binary container, with an oracle diff.
 
     The oracle figure is max|fast - direct| over the compared nodes of the
@@ -455,19 +432,13 @@ def field_dump(config_path, seed, outdir, backend, tolerance_scale):
     ``build_fast`` certifies its truncation relative to the top of the
     spectrum, not to the local field size at far-field nodes.
     """
-    try:
-        cfg = _prepare(config_path, "field-dump", seed, backend, tolerance_scale)
-        grid, packet, kernel = _build_state(cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    grid, packet, kernel = _build_state(cfg)
     spec = CurrentSpec(kernel, packet)
     fb = _make_backend(spec, cfg)
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)
     slices = [(float(t), fb.slice_fields(packet, float(t), refine=int(cfg["refine"])))
               for t in cfg["times"]]
-    achio.save_field_slices(out / "field.achr", slices)
+    achio.save_field_slices(outdir / "field.achr", slices)
     checks = []
     if packet.norm_squared() > 0 and cfg["compare_points"]:
         rng = np.random.default_rng(int(cfg["seed"]))
@@ -485,10 +456,9 @@ def field_dump(config_path, seed, outdir, backend, tolerance_scale):
         checks.append(_check("dump_direct_vs_fast", rel, cfg["tolerances"]["oracle"]))
     else:
         checks.append(_check("dump_written", 0.0, 1.0))
-    code = _emit(Path(outdir), cfg, "field-dump", checks,
+    return _emit(outdir, cfg, "field-dump", checks,
                  {"slices": [s[0] for s in slices]},
                  None, None)
-    sys.exit(code)
 
 
 if __name__ == "__main__":

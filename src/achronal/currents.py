@@ -40,7 +40,9 @@ from .wavepacket import WavePacket, apply_poincare
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
+# support-node rows per G-matrix block; eigenvectors per FFT batch in slices
 _CHUNK = 2048
+_RANK_BATCH = 24
 
 
 class FactorizationError(RuntimeError):
@@ -76,14 +78,6 @@ class CurrentSample:
     value: np.ndarray
     backend: str
     error_estimate: float
-
-    @property
-    def j0(self) -> float:
-        return float(self.value[0])
-
-    @property
-    def jvec(self) -> np.ndarray:
-        return self.value[1:]
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,13 @@ class SupportData:
             raise BackendMismatchError("packet support exceeds the factorized node set")
         return flat_amp[self.flat_idx]
 
+    def field_weights(self) -> np.ndarray:
+        """Weights (1/sqrt eps, sqrt eps, p_i/sqrt eps) of the five auxiliary
+        fields, shape (5, n_sup)."""
+        sq = np.sqrt(self.eps)
+        return np.stack([1.0 / sq, sq, self.points[:, 0] / sq,
+                         self.points[:, 1] / sq, self.points[:, 2] / sq])
+
     def embed(self, node_values: np.ndarray) -> np.ndarray:
         """Scatter per-node values (..., n_sup) into the full grid cube."""
         n = self.grid.n
@@ -154,7 +155,7 @@ def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice) -> np.
 # ---------------------------------------------------------------------------
 
 
-def eval_direct(spec: CurrentSpec, x, chunk: int = _CHUNK):
+def eval_direct(spec: CurrentSpec, x):
     """Literal double-sum evaluation at spacetime points x of shape (..., 4).
 
     Returns a CurrentSample for a single point, a list for a batch.  The
@@ -167,9 +168,9 @@ def eval_direct(spec: CurrentSpec, x, chunk: int = _CHUNK):
     support = SupportData.from_packets([spec.packet])
     values = support.values_of(spec.packet) * spec.packet.grid.weight
     if spec.is_stress_energy:
-        J = _direct_tensor(spec.kernel, support, values, X, chunk)
+        J = _direct_tensor(spec.kernel, support, values, X, _CHUNK)
     else:
-        J = _direct_causal(spec.kernel, support, values, X, chunk)
+        J = _direct_causal(spec.kernel, support, values, X)
     J /= TWO_PI_CUBED
     samples = []
     for i in range(len(X)):
@@ -178,36 +179,22 @@ def eval_direct(spec: CurrentSpec, x, chunk: int = _CHUNK):
     return samples[0] if single else samples
 
 
-def _direct_causal(kern, support, values, X, chunk):
+def _direct_causal(kern, support, values, X):
     n = len(support.eps)
-    Z = _phases(support, X)
-    base = values[:, None] * Z
-    sq = np.sqrt(support.eps)
-    stack = np.concatenate([
-        base / sq[:, None],
-        base * sq[:, None],
-        base * (support.points[:, 0] / sq)[:, None],
-        base * (support.points[:, 1] / sq)[:, None],
-        base * (support.points[:, 2] / sq)[:, None],
-    ], axis=1)
+    base = values[:, None] * _phases(support, X)
+    stack = np.concatenate([base * w[:, None] for w in support.field_weights()], axis=1)
     out = np.zeros_like(stack)
-    for i0 in range(0, n, chunk):
-        rows = slice(i0, min(i0 + chunk, n))
+    for i0 in range(0, n, _CHUNK):
+        rows = slice(i0, min(i0 + _CHUNK, n))
         out[rows] = _gmatrix_block(kern, support, rows) @ stack
-    m = X.shape[0]
-    Wv, Wu, W1, W2, W3 = (out[:, i * m:(i + 1) * m] for i in range(5))
-    Vv, Vu, V1, V2, V3 = (stack[:, i * m:(i + 1) * m] for i in range(5))
-    def sym(Va, Wa, Vb, Wb):
-        # 0.5 (diag(Va^H G Vb) + diag(Vb^H G Va)); real up to roundoff since
+    Vv, Vu, V1, V2, V3 = np.split(stack, 5, axis=1)
+    Wv, Wu, W1, W2, W3 = np.split(out, 5, axis=1)
+    def sym(Va, Wa):
+        # 0.5 (diag(Va^H G Vv) + diag(Vv^H G Va)); real up to roundoff since
         # the two diagonals are exact conjugates for symmetric G
-        return 0.5 * (np.sum(np.conj(Va) * Wb, axis=0)
-                      + np.sum(np.conj(Vb) * Wa, axis=0))
-    J = np.empty((m, 4), dtype=complex)
-    J[:, 0] = sym(Vu, Wu, Vv, Wv)
-    J[:, 1] = sym(V1, W1, Vv, Wv)
-    J[:, 2] = sym(V2, W2, Vv, Wv)
-    J[:, 3] = sym(V3, W3, Vv, Wv)
-    return J
+        return 0.5 * (np.sum(np.conj(Va) * Wv, axis=0)
+                      + np.sum(np.conj(Vv) * Wa, axis=0))
+    return np.stack([sym(Vu, Wu), sym(V1, W1), sym(V2, W2), sym(V3, W3)], axis=1)
 
 
 def _direct_tensor(kern, support, values, X, chunk):
@@ -268,17 +255,12 @@ class FastBackend:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = x.reshape(-1, 4)
-        values = self.support.values_of(packet) * packet.grid.weight
         Z = _phases(self.support, X)
-        base = values[:, None] * Z
-        if self.separable:
-            J = _tensor_from_fields(self.kernel, *_tensor_point_fields(self.support, base))
-        else:
-            J = _causal_from_point_fields(self, base, self.rank_for(tol))
-        J /= TWO_PI_CUBED
+        values = self.support.values_of(packet) * packet.grid.weight
+        J = self._current(values, lambda nodes: nodes @ Z, tol).T / TWO_PI_CUBED
         out = []
         for i in range(len(X)):
-            val = J[i].real.copy()
+            val = J[i].copy()
             # the rank sum symmetrizes exactly, so truncation dominates the error
             est = float(self.spectral_tail * np.abs(val).max())
             out.append(CurrentSample(X[i], val, "fast", est))
@@ -287,7 +269,7 @@ class FastBackend:
     # -- whole slices ------------------------------------------------------
 
     def slice_fields(self, packet: WavePacket, x0: float, refine: int = 1,
-                     tol: Optional[float] = None, rank_batch: int = 24) -> np.ndarray:
+                     tol: Optional[float] = None) -> np.ndarray:
         """Current components on the conjugate position grid at time x0.
 
         Returns a real array of shape (4, M, M, M) with M = refine * n.
@@ -295,60 +277,35 @@ class FastBackend:
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
-        sq = np.sqrt(sup.eps)
-        weights = [1.0 / sq, sq, sup.points[:, 0] / sq,
-                   sup.points[:, 1] / sq, sup.points[:, 2] / sq]
-        M = sup.grid.n * refine
-        if self.separable:
-            F = [momentum_to_position(sup.embed(w * load), sup.grid, refine)
-                 for w in weights]
-            J = _tensor_from_fields(self.kernel, F[1], F[2], F[3], F[4], F[0])
-            return np.moveaxis(J, -1, 0).real / TWO_PI_CUBED
-        R = self.rank_for(tol)
-        mu = self.eigvals[:R]
-        J = np.zeros((4, M, M, M))
-        for r0 in range(0, R, rank_batch):
-            rs = slice(r0, min(r0 + rank_batch, R))
-            V = self.eigvecs[:, rs].T
-            fields = [momentum_to_position(sup.embed(V * (w * load)[None, :]),
-                                           sup.grid, refine)
-                      for w in weights]
-            B, A, C1, C2, C3 = fields
-            mub = mu[rs][:, None, None, None]
-            J[0] += np.sum(mub * (np.conj(A) * B).real, axis=0)
-            J[1] += np.sum(mub * (np.conj(C1) * B).real, axis=0)
-            J[2] += np.sum(mub * (np.conj(C2) * B).real, axis=0)
-            J[3] += np.sum(mub * (np.conj(C3) * B).real, axis=0)
+        J = self._current(
+            load, lambda nodes: momentum_to_position(sup.embed(nodes), sup.grid, refine), tol)
         return J / TWO_PI_CUBED
 
+    def _current(self, load, transform, tol):
+        """Real current components (4, ...) at the points `transform` reaches.
 
-def _causal_from_point_fields(backend: FastBackend, base, R):
-    sup = backend.support
-    sq = np.sqrt(sup.eps)
-    V = backend.eigvecs[:, :R]
-    mu = backend.eigvals[:R]
-    B = (V / sq[:, None]).T @ base
-    A = (V * sq[:, None]).T @ base
-    C = [(V * (sup.points[:, i] / sq)[:, None]).T @ base for i in range(3)]
-    J = np.empty((base.shape[1], 4), dtype=complex)
-    J[:, 0] = (mu[:, None] * np.conj(A) * B).sum(axis=0)
-    for i in range(3):
-        J[:, i + 1] = (mu[:, None] * np.conj(C[i]) * B).sum(axis=0)
-    return J
-
-
-def _tensor_point_fields(support: SupportData, base):
-    sq = np.sqrt(support.eps)
-    F0 = (sq[:, None] * base).sum(axis=0)
-    F1 = ((support.points[:, 0] / sq)[:, None] * base).sum(axis=0)
-    F2 = ((support.points[:, 1] / sq)[:, None] * base).sum(axis=0)
-    F3 = ((support.points[:, 2] / sq)[:, None] * base).sum(axis=0)
-    Fv = (base / sq[:, None]).sum(axis=0)
-    return F0, F1, F2, F3, Fv
+        `load` holds the per-node packet values (quadrature weight and any
+        common time phase included); `transform` maps node arrays of shape
+        (..., n_sup) to fields (..., *points) at the evaluation points.
+        """
+        weights = self.support.field_weights()
+        if self.separable:
+            Fv, F0, F1, F2, F3 = (transform(w * load) for w in weights)
+            return _tensor_from_fields(self.kernel, F0, F1, F2, F3, Fv)
+        R = self.rank_for(tol)
+        J = 0.0
+        for r0 in range(0, R, _RANK_BATCH):
+            rs = slice(r0, min(r0 + _RANK_BATCH, R))
+            V = self.eigvecs[:, rs].T
+            B, A, C1, C2, C3 = (transform(V * (w * load)[None, :]) for w in weights)
+            mub = self.eigvals[rs].reshape((-1,) + (1,) * (B.ndim - 1))
+            J = J + np.stack([np.sum(mub * (np.conj(F) * B).real, axis=0)
+                              for F in (A, C1, C2, C3)])
+        return J
 
 
 def _tensor_from_fields(kern: TensorKernel, F0, F1, F2, F3, Fv):
-    """Assemble the stress-energy current from the five auxiliary fields."""
+    """Assemble the stress-energy current (4, ...) from the five auxiliary fields."""
     n = kern.n
     m2 = kern.mass ** 2
     nU = n[0] * F0 - n[1] * F1 - n[2] * F2 - n[3] * F3
@@ -357,16 +314,14 @@ def _tensor_from_fields(kern: TensorKernel, F0, F1, F2, F3, Fv):
         scalar = 0.5 * (m2 * np.abs(Fv) ** 2 - quad)
     else:
         scalar = -0.5 * (m2 * np.abs(Fv) ** 2 + quad)
-    comps = [np.conj(nU) * F + n_mu * scalar
-             for F, n_mu in zip((F0, F1, F2, F3), n)]
     # Re[conj(nU) F_mu] keeps the cross term Hermitian; scalar parts are real
-    out = np.stack([c.real + 0j for c in comps], axis=-1)
-    return out
+    return np.stack([(np.conj(nU) * F + n_mu * scalar).real
+                     for F, n_mu in zip((F0, F1, F2, F3), n)])
 
 
 def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
                seed: int = 0, support: Optional[SupportData] = None,
-               rank: Optional[int] = None, chunk: int = _CHUNK) -> FastBackend:
+               rank: Optional[int] = None) -> FastBackend:
     """Factorize the current for fast evaluation.
 
     Stress-energy currents are exactly separable and return immediately.
@@ -416,14 +371,14 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
         eig_res = np.zeros(len(mu))
     else:
         Psi = np.empty((n, len(lam0)))
-        for i0 in range(0, n, chunk):
-            rows = slice(i0, min(i0 + chunk, n))
+        for i0 in range(0, n, _CHUNK):
+            rows = slice(i0, min(i0 + _CHUNK, n))
             t = np.outer(support.eps[rows], sub.eps) - support.points[rows] @ sub.points.T
             Psi[rows] = kern.scalar(t) @ (U0 / lam0)
         Q, _ = np.linalg.qr(Psi)
-        Y = _apply_gmatrix(kern, support, Q, chunk)
+        Y = _apply_gmatrix(kern, support, Q)
         Q, _ = np.linalg.qr(Y)
-        Y = _apply_gmatrix(kern, support, Q, chunk)
+        Y = _apply_gmatrix(kern, support, Q)
         Msmall = Q.T @ Y
         Msmall = 0.5 * (Msmall + Msmall.T)
         mu, S = np.linalg.eigh(Msmall)
@@ -459,11 +414,11 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
     )
 
 
-def _apply_gmatrix(kern, support, B, chunk):
+def _apply_gmatrix(kern, support, B):
     n = len(support.eps)
     out = np.empty((n, B.shape[1]))
-    for i0 in range(0, n, chunk):
-        rows = slice(i0, min(i0 + chunk, n))
+    for i0 in range(0, n, _CHUNK):
+        rows = slice(i0, min(i0 + _CHUNK, n))
         out[rows] = _gmatrix_block(kern, support, rows) @ B
     return out
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import MomentumGrid
-from .wavepacket import WavePacket, make_packet
+from .wavepacket import WavePacket, _recompute_margin, make_packet
 
 MAGIC = b"ACHR"
 VERSION = 1
@@ -69,12 +69,7 @@ def load_packet(path) -> WavePacket:
         raise FormatError(f"payload holds {data.size} floats, expected {2 * n ** 3}")
     amp = (data[0::2] + 1j * data[1::2]).reshape(n, n, n)
     grid = MomentumGrid(n, p_max)
-    nz = np.nonzero(np.abs(amp) > 0)
-    margin = n // 2
-    if len(nz[0]):
-        lo = min(int(ix.min()) for ix in nz)
-        hi = min(int(n - 1 - ix.max()) for ix in nz)
-        margin = max(1, min(lo, hi))
+    margin = max(1, _recompute_margin(amp, grid))
     return WavePacket(grid, amp, mass, margin, {"kind": "loaded"})
 
 
@@ -153,7 +148,3 @@ def packet_from_descriptor(d: dict) -> WavePacket:
 
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

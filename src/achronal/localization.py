@@ -28,7 +28,7 @@ from .currents import CurrentSpec, FastBackend, build_fast
 from .grids import position_window_mask
 from .minkowski import PoincareElement
 from .surfaces import (AchronalSurface, FlatSurface, SurfaceTransformResult,
-                       transform_surface)
+                       transform_gradient_data, transform_surface)
 from .wavepacket import WavePacket, combine
 
 
@@ -213,8 +213,7 @@ def _cubic_rows(tvals, times, dt):
 
 def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
                      tvals, grads, grid, refine: int, weight: float,
-                     slice_dt: float, eval_tol: Optional[float],
-                     time_interp: str = "cubic"):
+                     slice_dt: float, eval_tol: Optional[float]):
     """Shared core: sum (J0 - J.grad) * weight over selected nodes.
 
     nodes_flat_sel indexes the (refined) full position cube; tvals and grads
@@ -238,21 +237,12 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
         n_slices = 1
     else:
         times = _slice_times(tmin, tmax, slice_dt)
-        rows = [gather(t) for t in times]
-        stackJ = np.stack(rows, axis=0)  # (n_t, 4, n_sel)
-        if time_interp == "cubic":
-            i1, wmat = _cubic_rows(tvals, times, slice_dt)
-            Jn = (wmat[0][None, :] * np.take_along_axis(stackJ, (i1 - 1)[None, None, :], axis=0)[0]
-                  + wmat[1][None, :] * np.take_along_axis(stackJ, i1[None, None, :], axis=0)[0]
-                  + wmat[2][None, :] * np.take_along_axis(stackJ, (i1 + 1)[None, None, :], axis=0)[0]
-                  + wmat[3][None, :] * np.take_along_axis(stackJ, (i1 + 2)[None, None, :], axis=0)[0])
-            interp_rel = (0.5 * omega * slice_dt) ** 4 / 24.0
-        elif time_interp == "nearest":
-            idx = np.clip(np.rint((tvals - times[0]) / slice_dt).astype(int), 0, len(times) - 1)
-            Jn = np.take_along_axis(stackJ, idx[None, None, :], axis=0)[0]
-            interp_rel = 0.5 * omega * slice_dt
-        else:
-            raise ValueError(f"unknown time_interp {time_interp!r}")
+        stackJ = np.stack([gather(t) for t in times], axis=0)  # (n_t, 4, n_sel)
+        i1, wmat = _cubic_rows(tvals, times, slice_dt)
+        Jn = sum(wmat[j][None, :]
+                 * np.take_along_axis(stackJ, (i1 + j - 1)[None, None, :], axis=0)[0]
+                 for j in range(4))
+        interp_rel = (0.5 * omega * slice_dt) ** 4 / 24.0
         n_slices = len(times)
 
     integrand = Jn[0] - np.sum(Jn[1:] * grads.T, axis=0)
@@ -264,11 +254,30 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
                        "max_j0": float(Jn[0].max(initial=0.0))}
 
 
+def _window_flux(spec: CurrentSpec, backend: Optional[FastBackend], surface_data,
+                 window_half: Optional[int], refine: int, slice_dt: float,
+                 eval_tol: Optional[float]):
+    """Flux through the window nodes that `surface_data` selects.
+
+    `surface_data(nodes)` returns (inside, tau, grad tau): the membership of
+    the window nodes and the surface data at the members.
+    """
+    backend = backend or build_fast(spec, tol=1e-6)
+    grid = spec.packet.grid
+    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
+    inside, tvals, grads = surface_data(nodes)
+    flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
+    prob, err, meta = _flux_quadrature(
+        spec, backend, flat_sel, tvals, grads, grid, refine, dx ** 3,
+        slice_dt, eval_tol)
+    meta.update({"window_half_nodes": half, "refine": refine})
+    return prob, err, meta
+
+
 def probability(spec: CurrentSpec, region: Region,
                 backend: Optional[FastBackend] = None,
                 window_half: Optional[int] = None, refine: int = 1,
                 slice_dt: float = 0.2, eval_tol: Optional[float] = None,
-                time_interp: str = "cubic",
                 normalization: str = "raw") -> LocalizationResult:
     """Localization probability of spec.packet in the region.
 
@@ -276,20 +285,15 @@ def probability(spec: CurrentSpec, region: Region,
     (divide by the per-state n-energy expectation so that the full-surface
     flux is the squared norm); the raw value is always kept in meta.
     """
-    backend = backend or build_fast(spec, tol=1e-6)
-    grid = spec.packet.grid
-    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
-    inside = region.mask.contains(nodes)
-    flat_all = np.flatnonzero(sel.reshape(-1))
-    flat_sel = flat_all[inside]
-    nodes_sel = nodes[inside]
-    tvals = region.surface.tau(nodes_sel)
-    grads = region.surface.gradient(nodes_sel)
-    prob, err, meta = _flux_quadrature(
-        spec, backend, flat_sel, tvals, grads, grid, refine, dx ** 3,
-        slice_dt, eval_tol, time_interp)
-    meta.update({"window_half_nodes": half, "refine": refine,
-                 "window_extent": float(half * grid.position_spacing),
+    def surface_data(nodes):
+        inside = region.mask.contains(nodes)
+        pts = nodes[inside]
+        return inside, region.surface.tau(pts), region.surface.gradient(pts)
+
+    prob, err, meta = _window_flux(spec, backend, surface_data, window_half,
+                                   refine, slice_dt, eval_tol)
+    meta.update({"window_extent": float(meta["window_half_nodes"]
+                                        * spec.packet.grid.position_spacing),
                  "raw_probability": prob,
                  "surface_offset_at_origin": float(region.surface.tau(np.zeros((1, 3)))[0])})
     prob, err = _apply_normalization(spec, prob, err, normalization, meta)
@@ -314,29 +318,25 @@ def _apply_normalization(spec, prob, err, normalization, meta):
 def probability_transformed(spec: CurrentSpec, transform: SurfaceTransformResult,
                             mask: Mask, backend: Optional[FastBackend] = None,
                             window_half: Optional[int] = None, refine: int = 1,
-                            slice_dt: float = 0.2, eval_tol: Optional[float] = None,
-                            time_interp: str = "cubic") -> LocalizationResult:
+                            slice_dt: float = 0.2,
+                            eval_tol: Optional[float] = None) -> LocalizationResult:
     """Probability over the Poincare image of a region.
 
     The image surface is evaluated through the graph-map machinery: mask
     membership of an image node y is decided by S^{-1}(y), tau and the
     gradient come from the transformed closed forms.
     """
-    backend = backend or build_fast(spec, tol=1e-6)
-    grid = spec.packet.grid
-    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
-    xs = transform.s_inverse(nodes)
-    inside = mask.contains(xs)
-    flat_all = np.flatnonzero(sel.reshape(-1))
-    flat_sel = flat_all[inside]
-    tvals = transform.tau_of_source(xs[inside])
-    src_grad = transform.surface.gradient(xs[inside])
-    from .surfaces import transform_gradient_data
-    grads, _ = transform_gradient_data(transform.g.L, src_grad)
-    prob, err, meta = _flux_quadrature(
-        spec, backend, flat_sel, tvals, grads, grid, refine, dx ** 3,
-        slice_dt, eval_tol, time_interp)
-    meta.update({"window_half_nodes": half, "refine": refine, "transformed": True})
+    def surface_data(nodes):
+        xs = transform.s_inverse(nodes)
+        inside = mask.contains(xs)
+        src = xs[inside]
+        tvals = transform.tau_of_source(src)
+        grads, _ = transform_gradient_data(transform.g.L, transform.surface.gradient(src))
+        return inside, tvals, grads
+
+    prob, err, meta = _window_flux(spec, backend, surface_data, window_half,
+                                   refine, slice_dt, eval_tol)
+    meta["transformed"] = True
     return LocalizationResult(prob, err, f"image({transform.surface.label()})",
                               mask.label(), "fast", meta)
 

@@ -193,7 +193,3 @@ class PoincareElement:
     @property
     def is_translation(self) -> bool:
         return bool(np.abs(self.L - np.eye(4)).max() <= LORENTZ_TOL)
-
-
-def act(g: PoincareElement, x):
-    return g.act(x)

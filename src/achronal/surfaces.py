@@ -22,11 +22,10 @@ machinery consumes directly; S^{-1} is solved by damped Newton iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .minkowski import PoincareElement, apply_lorentz
+from .minkowski import PoincareElement
 
 LIPSCHITZ_TOL = 1e-12
 
@@ -309,14 +308,6 @@ def surface_from_descriptor(d: dict) -> AchronalSurface:
         return ConeSurface(float(d["gamma"]), tuple(d.get("apex", (0, 0, 0))),
                            float(d.get("offset", 0.0)))
     raise ValueError(f"unknown surface descriptor {d!r}")
-
-
-def tau(surface: AchronalSurface, x):
-    return surface.tau(x)
-
-
-def gradient(surface: AchronalSurface, x, with_flags=False):
-    return surface.gradient(x, with_flags=with_flags)
 
 
 def flatten(surface: AchronalSurface, gamma: float) -> AchronalSurface:

@@ -108,9 +108,6 @@ class WavePacket:
     def support_values(self) -> np.ndarray:
         return self.amplitudes[self.support_mask()]
 
-    def support_energies(self) -> np.ndarray:
-        return energy(self.support_points(), self.mass)
-
     # -- scalars ---------------------------------------------------------
 
     def norm_squared(self) -> float:
@@ -125,12 +122,6 @@ class WavePacket:
             return float(np.sum(eps * dens))
         n = np.asarray(n, dtype=float)
         return float(np.sum((n[0] * eps - pts @ n[1:]) * dens))
-
-    def position_density(self, refine: int = 1) -> np.ndarray:
-        """|psi(x)|^2-style diagnostic field from the plain Fourier transform."""
-        f = momentum_to_position(self.amplitudes, self.grid, refine=refine)
-        w = self.grid.weight / (2 * np.pi) ** 3
-        return np.abs(f) ** 2 * w * self.grid.weight
 
     def with_amplitudes(self, amp, margin=None, **meta) -> "WavePacket":
         merged = dict(self.meta)

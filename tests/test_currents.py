@@ -93,12 +93,20 @@ def test_fast_matches_direct_tensor(tspec16, tfast16):
     assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-6
 
 
-def test_slice_fields_match_points(spec16, fast16):
-    grid = spec16.packet.grid
-    J = fast16.slice_fields(spec16.packet, 0.35)
-    ax = grid.position_axis()
+@pytest.mark.parametrize("spec_name, fast_name, tol", [
+    ("spec16", "fast16", None),
+    ("spec16", "fast16", 1e-5),
+    ("tspec16", "tfast16", None),
+], ids=["causal_full_rank", "causal_tol_1e-5", "stress_energy"])
+def test_slice_fields_match_points(request, spec_name, fast_name, tol):
+    # slices and points share one evaluator but reach the points through
+    # different transforms (FFT versus phase matrix)
+    spec = request.getfixturevalue(spec_name)
+    fast = request.getfixturevalue(fast_name)
+    ax = spec.packet.grid.position_axis()
+    J = fast.slice_fields(spec.packet, 0.35, tol=tol)
     pt = np.array([0.35, ax[4], ax[9], ax[11]])
-    s = fast16.eval_points(spec16.packet, pt)
+    s = fast.eval_points(spec.packet, pt, tol=tol)
     assert np.abs(J[:, 4, 9, 11] - s.value).max() < 1e-12 * np.abs(s.value).max() + 1e-15
 
 

@@ -139,9 +139,10 @@ def test_cli_deterministic_results(cfg_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("key", ["mystery", "backend"])
+def test_cli_rejects_unknown_keys(tmp_path, key):
     cfg = dict(BASE_CONFIG)
-    cfg["mystery"] = 1
+    cfg[key] = 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     r = run_cli(["normalize", "--config", str(path), "--out", str(tmp_path / "o")],

@@ -96,15 +96,6 @@ def test_flatten_sweep_converges(spec16, fast16):
     assert gaps[2] <= gaps[0] + 1e-3
 
 
-def test_nearest_interp_mode(spec16, fast16):
-    cubic = probability(spec16, Region(TiltedSurface((0, 0, 0.4))),
-                        backend=fast16, **WPAR)
-    nearest = probability(spec16, Region(TiltedSurface((0, 0, 0.4))),
-                          backend=fast16, time_interp="nearest",
-                          slice_dt=0.05, **WPAR)
-    assert abs(nearest.probability - cubic.probability) / cubic.probability < 1e-2
-
-
 def test_covariance_identity(spec16, fast16):
     region = Region(FlatSurface(0.0), BallMask((0, 0, 0), 3.0))
     lhs, rhs = covariance_check(spec16, PoincareElement.identity(), region, **WPAR)
