@@ -48,7 +48,6 @@ _COMMON_KEYS = {
     "kernel": "basic:r=1.5",
     "factorization": {"tol": 1e-6, "landmarks": 3000},
     "window_half_nodes": None,
-    "slice_dt": 0.2,
     "refine": 1,
     "eval_tol": None,
     "seed": 0,
@@ -141,7 +140,6 @@ def _make_backend(spec, cfg):
 
 def _quad_for_probability(cfg):
     return {"window_half": cfg["window_half_nodes"],
-            "slice_dt": float(cfg["slice_dt"]),
             "refine": int(cfg["refine"]), "eval_tol": cfg["eval_tol"]}
 
 
@@ -248,8 +246,7 @@ def normalize(cfg, outdir):
         fb2 = _make_backend(spec2, cfg)
         res2 = probability(spec2, Region(FlatSurface(0.0)), backend=fb2,
                            normalization=mode,
-                           window_half=res.meta["window_half_nodes"],
-                           slice_dt=float(cfg["slice_dt"]))
+                           window_half=res.meta["window_half_nodes"])
         n2sq = packet2.norm_squared()
         resid2 = abs(res2.probability - n2sq) / n2sq
         rows.append([n2, res2.meta["window_half_nodes"], res2.probability, n2sq, resid2])

@@ -40,9 +40,11 @@ from .wavepacket import WavePacket, apply_poincare
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# support-node rows per G-matrix block; eigenvectors per FFT batch in slices
+# support-node rows per G-matrix block; eigenvectors per transform batch;
+# complex entries per phase block (support nodes x points) of current_at
 _CHUNK = 2048
 _RANK_BATCH = 24
+_PHASE_ENTRIES = 1 << 18
 
 
 class FactorizationError(RuntimeError):
@@ -249,15 +251,36 @@ class FastBackend:
         rel = np.abs(self.eigvals) / np.abs(self.eigvals[0])
         return max(1, int(np.searchsorted(-rel, -tol)))
 
+    def dropped_weight(self, tol: Optional[float]) -> float:
+        """Sum of |mu_r| / |mu_0| over the stored eigenpairs that
+        rank_for(tol) leaves out; 0 at full rank and for separable kernels."""
+        if self.separable:
+            return 0.0
+        rel = np.abs(self.eigvals) / np.abs(self.eigvals[0])
+        return float(rel[self.rank_for(tol):].sum())
+
     # -- pointwise -------------------------------------------------------
+
+    def current_at(self, packet: WavePacket, x, tol: Optional[float] = None) -> np.ndarray:
+        """Real current components (4, m) at spacetime points x of shape (m, 4).
+
+        The points go through the phase-matrix product in chunks that keep
+        the phase block at _PHASE_ENTRIES complex entries.
+        """
+        X = np.asarray(x, dtype=float).reshape(-1, 4)
+        values = self.support.values_of(packet) * packet.grid.weight
+        step = max(1, _PHASE_ENTRIES // max(len(values), 1))
+        J = np.empty((4, len(X)))
+        for i0 in range(0, len(X), step):
+            Z = _phases(self.support, X[i0:i0 + step])
+            J[:, i0:i0 + step] = self._current(values, lambda nodes: nodes @ Z, tol)
+        return J / TWO_PI_CUBED
 
     def eval_points(self, packet: WavePacket, x, tol: Optional[float] = None):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = x.reshape(-1, 4)
-        Z = _phases(self.support, X)
-        values = self.support.values_of(packet) * packet.grid.weight
-        J = self._current(values, lambda nodes: nodes @ Z, tol).T / TWO_PI_CUBED
+        J = self.current_at(packet, X, tol).T
         out = []
         for i in range(len(X)):
             val = J[i].copy()

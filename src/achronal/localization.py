@@ -5,11 +5,23 @@ to a spatial mask) is the flux
 
     p = integral over mask of (J0(tau(x), x) - J(tau(x), x).grad tau(x)) d^3x,
 
-realized as a Riemann sum over the conjugate position grid.  Quadrature
-nodes are grouped by surface time: the current is evaluated on uniformly
-spaced time slices (FFT fast path) and interpolated cubically in time at
-each node's tau, which exploits that the current's time spectrum is bounded
-by max |eps(k) - eps(p)| over the packet support.
+realized as a Riemann sum over the window nodes of the conjugate position
+grid.  The flux needs the current only at the surface nodes (tau(x), x).
+When tau is constant on the selected nodes (flat surfaces and the flat
+images of rotations and translations), one FFT slice at that time covers
+every node; otherwise the current is evaluated at the nodes themselves with
+the phase-matrix product of FastBackend.current_at.
+
+The reported error is the sum of three terms, each kept in the result's
+meta:
+
+* err_spectral: the absolute flux times the relative eigenvalue weight the
+  evaluation leaves out (the eigenpairs dropped at eval_tol plus the
+  factorization's spectral tail);
+* err_window: the absolute flux through the window's outermost node layer,
+  which stands for what the window cuts off;
+* err_region: the absolute flux through the nodes whose cell the region
+  boundary crosses, where the 0/1 node membership is a staircase.
 
 Masks are exact predicates evaluated at nodes; because the position grid is
 cell-centered, strict half-space and octant predicates partition nodes
@@ -18,6 +30,7 @@ without boundary ties.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -193,83 +206,80 @@ def _window_nodes(grid, window_half: Optional[int], refine: int):
     return sel, nodes, ax[1] - ax[0], half
 
 
-def _slice_times(tmin: float, tmax: float, dt: float):
-    k0 = int(np.floor(tmin / dt)) - 1
-    k1 = int(np.ceil(tmax / dt)) + 2
-    return k0 * dt + dt * np.arange(k1 - k0 + 1)
+# cell corners relative to the node, in units of the node spacing; pulled in
+# by 1e-9 so that region edges on cell faces leave the cell's corners agreeing
+_CORNERS = 0.5 * (1.0 - 1e-9) * np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+
+_BUDGET = ("err_spectral", "err_window", "err_region")
 
 
-def _cubic_rows(tvals, times, dt):
-    """4-point Lagrange interpolation stencil: indices and weights."""
-    pos = (tvals - times[0]) / dt
-    i1 = np.clip(np.floor(pos).astype(int), 1, len(times) - 3)
-    s = pos - i1
-    wm1 = -s * (s - 1) * (s - 2) / 6.0
-    w0 = (s + 1) * (s - 1) * (s - 2) / 2.0
-    w1 = -(s + 1) * s * (s - 2) / 2.0
-    w2 = (s + 1) * s * (s - 1) / 6.0
-    return i1, np.stack([wm1, w0, w1, w2], axis=0)
+def _straddles(mask, to_source, pts, dx):
+    """Nodes whose cell the region boundary crosses: the mask membership of
+    the cell's 8 corners, taken at their source points, disagrees."""
+    corners = pts[:, None, :] + dx * _CORNERS[None, :, :]
+    inside = mask.contains(to_source(corners.reshape(-1, 3))).reshape(len(pts), 8)
+    return inside.any(axis=1) & ~inside.all(axis=1)
 
 
 def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
-                     tvals, grads, grid, refine: int, weight: float,
-                     slice_dt: float, eval_tol: Optional[float]):
+                     points, tvals, grads, refine: int, weight: float,
+                     eval_tol: Optional[float], outer, straddle):
     """Shared core: sum (J0 - J.grad) * weight over selected nodes.
 
-    nodes_flat_sel indexes the (refined) full position cube; tvals and grads
-    give the surface data at those nodes.
+    nodes_flat_sel indexes the (refined) full position cube and `points`
+    holds the same nodes' coordinates; tvals and grads give the surface data
+    there.  `outer` flags the nodes in the window's outermost layer and
+    `straddle` those whose cell the region boundary crosses.
     """
-    packet = spec.packet
-    n_sel = len(nodes_flat_sel)
-    if n_sel == 0:
-        return 0.0, 0.0, {"slices": 0}
     tmin, tmax = float(np.min(tvals)), float(np.max(tvals))
-    flat_nodes = np.asarray(nodes_flat_sel)
-
-    def gather(x0):
-        J = backend.slice_fields(packet, x0, refine=refine, tol=eval_tol)
-        return J.reshape(4, -1)[:, flat_nodes]
-
-    omega = float(backend.support.eps.max() - backend.support.eps.min())
     if tmax - tmin < 1e-12:
-        Jn = gather(0.5 * (tmin + tmax))
-        interp_rel = 0.0
+        J = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
+                                 tol=eval_tol)
+        Jn = J.reshape(4, -1)[:, nodes_flat_sel]
         n_slices = 1
     else:
-        times = _slice_times(tmin, tmax, slice_dt)
-        stackJ = np.stack([gather(t) for t in times], axis=0)  # (n_t, 4, n_sel)
-        i1, wmat = _cubic_rows(tvals, times, slice_dt)
-        Jn = sum(wmat[j][None, :]
-                 * np.take_along_axis(stackJ, (i1 + j - 1)[None, None, :], axis=0)[0]
-                 for j in range(4))
-        interp_rel = (0.5 * omega * slice_dt) ** 4 / 24.0
-        n_slices = len(times)
+        Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]),
+                                tol=eval_tol)
+        n_slices = 0
 
     integrand = Jn[0] - np.sum(Jn[1:] * grads.T, axis=0)
     prob = float(np.sum(integrand) * weight)
     abs_flux = float(np.sum(np.abs(integrand)) * weight)
-    err = abs_flux * (interp_rel + backend.spectral_tail)
-    return prob, err, {"slices": n_slices, "interp_rel": interp_rel,
+    budget = {
+        "err_spectral": abs_flux * (backend.dropped_weight(eval_tol)
+                                    + backend.spectral_tail),
+        "err_window": float(np.sum(np.abs(integrand[outer])) * weight),
+        "err_region": float(np.sum(np.abs(integrand[straddle])) * weight),
+    }
+    return prob, sum(budget.values()), {"slices": n_slices, **budget,
                        "min_integrand": float(integrand.min(initial=0.0)),
                        "max_j0": float(Jn[0].max(initial=0.0))}
 
 
-def _window_flux(spec: CurrentSpec, backend: Optional[FastBackend], surface_data,
-                 window_half: Optional[int], refine: int, slice_dt: float,
+def _window_flux(spec: CurrentSpec, backend: Optional[FastBackend], mask: Mask,
+                 to_source, geometry, window_half: Optional[int], refine: int,
                  eval_tol: Optional[float]):
-    """Flux through the window nodes that `surface_data` selects.
+    """Flux through the window nodes whose source points lie in `mask`.
 
-    `surface_data(nodes)` returns (inside, tau, grad tau): the membership of
-    the window nodes and the surface data at the members.
+    `to_source(points)` maps spatial points (m, 3) to the points where the
+    mask and the surface are defined, for the nodes and for their cell
+    corners; `geometry(sources)` returns (tau, grad tau) at the nodes.
     """
     backend = backend or build_fast(spec, tol=1e-6)
     grid = spec.packet.grid
     sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
-    inside, tvals, grads = surface_data(nodes)
-    flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
-    prob, err, meta = _flux_quadrature(
-        spec, backend, flat_sel, tvals, grads, grid, refine, dx ** 3,
-        slice_dt, eval_tol)
+    sources = to_source(nodes)
+    inside = mask.contains(sources)
+    pts = nodes[inside]
+    if len(pts) == 0:
+        prob, err, meta = 0.0, 0.0, {"slices": 0, **dict.fromkeys(_BUDGET, 0.0)}
+    else:
+        tvals, grads = geometry(sources[inside])
+        outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
+        flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
+        prob, err, meta = _flux_quadrature(
+            spec, backend, flat_sel, pts, tvals, grads, refine, dx ** 3, eval_tol,
+            outer, _straddles(mask, to_source, pts, dx))
     meta.update({"window_half_nodes": half, "refine": refine})
     return prob, err, meta
 
@@ -277,7 +287,7 @@ def _window_flux(spec: CurrentSpec, backend: Optional[FastBackend], surface_data
 def probability(spec: CurrentSpec, region: Region,
                 backend: Optional[FastBackend] = None,
                 window_half: Optional[int] = None, refine: int = 1,
-                slice_dt: float = 0.2, eval_tol: Optional[float] = None,
+                eval_tol: Optional[float] = None,
                 normalization: str = "raw") -> LocalizationResult:
     """Localization probability of spec.packet in the region.
 
@@ -285,13 +295,11 @@ def probability(spec: CurrentSpec, region: Region,
     (divide by the per-state n-energy expectation so that the full-surface
     flux is the squared norm); the raw value is always kept in meta.
     """
-    def surface_data(nodes):
-        inside = region.mask.contains(nodes)
-        pts = nodes[inside]
-        return inside, region.surface.tau(pts), region.surface.gradient(pts)
+    def geometry(pts):
+        return region.surface.tau(pts), region.surface.gradient(pts)
 
-    prob, err, meta = _window_flux(spec, backend, surface_data, window_half,
-                                   refine, slice_dt, eval_tol)
+    prob, err, meta = _window_flux(spec, backend, region.mask, lambda pts: pts,
+                                   geometry, window_half, refine, eval_tol)
     meta.update({"window_extent": float(meta["window_half_nodes"]
                                         * spec.packet.grid.position_spacing),
                  "raw_probability": prob,
@@ -311,6 +319,8 @@ def _apply_normalization(spec, prob, err, normalization, meta):
         scale = spec.packet.energy_expectation(spec.kernel.n)
         meta["energy_expectation"] = scale
         norm2 = spec.packet.norm_squared()
+        for key in _BUDGET:
+            meta[key] = meta[key] * norm2 / scale
         return prob * norm2 / scale, err * norm2 / scale
     raise ValueError(f"unknown normalization {normalization!r}")
 
@@ -318,24 +328,19 @@ def _apply_normalization(spec, prob, err, normalization, meta):
 def probability_transformed(spec: CurrentSpec, transform: SurfaceTransformResult,
                             mask: Mask, backend: Optional[FastBackend] = None,
                             window_half: Optional[int] = None, refine: int = 1,
-                            slice_dt: float = 0.2,
                             eval_tol: Optional[float] = None) -> LocalizationResult:
     """Probability over the Poincare image of a region.
 
     The image surface is evaluated through the graph-map machinery: mask
-    membership of an image node y is decided by S^{-1}(y), tau and the
-    gradient come from the transformed closed forms.
+    membership of an image point y (node or cell corner) is decided by
+    S^{-1}(y), tau and the gradient come from the transformed closed forms.
     """
-    def surface_data(nodes):
-        xs = transform.s_inverse(nodes)
-        inside = mask.contains(xs)
-        src = xs[inside]
-        tvals = transform.tau_of_source(src)
+    def geometry(src):
         grads, _ = transform_gradient_data(transform.g.L, transform.surface.gradient(src))
-        return inside, tvals, grads
+        return transform.tau_of_source(src), grads
 
-    prob, err, meta = _window_flux(spec, backend, surface_data, window_half,
-                                   refine, slice_dt, eval_tol)
+    prob, err, meta = _window_flux(spec, backend, mask, transform.s_inverse, geometry,
+                                   window_half, refine, eval_tol)
     meta["transformed"] = True
     return LocalizationResult(prob, err, f"image({transform.surface.label()})",
                               mask.label(), "fast", meta)

@@ -139,7 +139,7 @@ def test_cli_deterministic_results(cfg_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("key", ["mystery", "backend"])
+@pytest.mark.parametrize("key", ["mystery", "backend", "slice_dt"])
 def test_cli_rejects_unknown_keys(tmp_path, key):
     cfg = dict(BASE_CONFIG)
     cfg[key] = 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from achronal.currents import CurrentSpec, build_fast
+from achronal.currents import CurrentSpec, build_fast, eval_direct
 from achronal.grids import MomentumGrid
 from achronal.kernels import TensorKernel
 from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
@@ -10,10 +10,11 @@ from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
                                    UnsupportedGeometryError, additivity_check,
                                    causal_monotonicity_check, covariance_check,
                                    flux_invariance_report, mask_from_descriptor,
-                                   matrix_element, probability)
+                                   matrix_element, probability,
+                                   probability_transformed)
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.surfaces import (BumpSurface, ConeSurface, FlatSurface,
-                               TiltedSurface)
+                               TiltedSurface, transform_surface)
 from achronal.wavepacket import make_packet
 
 M = 1.0
@@ -81,7 +82,7 @@ def test_flux_invariance_duplicates(spec16, fast16):
 def test_flux_invariance_small_sweep(spec16, fast16):
     surfaces = [FlatSurface(0.0), TiltedSurface((0, 0, 0.4)), BumpSurface(0.5, 2.0)]
     rep = flux_invariance_report(spec16, surfaces, backend=fast16,
-                                 window_half=7, slice_dt=0.2, eval_tol=1e-5)
+                                 window_half=7, eval_tol=1e-5)
     assert rep["max_pairwise_relative_deviation"] < 2e-2
 
 
@@ -223,3 +224,58 @@ def test_result_range_invariant(spec16, fast16):
                           backend=fast16, **WPAR)
         norm2 = spec16.packet.norm_squared()
         assert -1e-9 * norm2 <= res.probability <= norm2 * 1.02
+
+
+CURVED = [TiltedSurface((0, 0, 0.4)), BumpSurface(0.5), ConeSurface(0.5)]
+FULL_SURFACES = [FlatSurface(0.0)] + CURVED
+BUDGET = ("err_spectral", "err_window", "err_region")
+
+
+@pytest.mark.parametrize("surface", CURVED, ids=lambda s: s.kind)
+def test_point_route_matches_direct_riemann_sum(spec16, fast16, surface):
+    # the same window nodes as window_half=7, summed with the direct current
+    ax = spec16.packet.grid.position_axis()
+    dx = ax[1] - ax[0]
+    win = ax[np.abs(ax) < 7 * dx]
+    X, Y, Z = np.meshgrid(win, win, win, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    pts = np.column_stack([surface.tau(nodes), nodes])
+    J = np.array([s.value for s in eval_direct(spec16, pts)])
+    ref = float(np.sum(J[:, 0] - np.sum(J[:, 1:] * surface.gradient(nodes), axis=1))) * dx ** 3
+    res = probability(spec16, Region(surface), backend=fast16, **WPAR)
+    assert res.meta["slices"] == 0
+    assert abs(res.probability - ref) / abs(ref) <= 1e-6
+
+
+@pytest.mark.parametrize("surface", FULL_SURFACES, ids=lambda s: s.kind)
+def test_error_budget_covers_norm_deviation(spec16, fast16, surface):
+    res = probability(spec16, Region(surface), backend=fast16, **WPAR)
+    assert res.meta["slices"] == (1 if surface.kind == "flat" else 0)
+    assert res.error_estimate == pytest.approx(sum(res.meta[k] for k in BUDGET), rel=1e-12)
+    assert abs(res.probability - spec16.packet.norm_squared()) <= res.error_estimate
+
+
+def test_region_term_only_for_boundaries_inside_cells(spec16, fast16):
+    flat = FlatSurface(0.0)
+    face_aligned = [FullMask(), HalfSpaceMask((0, 0, 1)),
+                    ComplementMask(HalfSpaceMask((0, 0, 1)))] + octant_masks()
+    for mask in face_aligned:
+        res = probability(spec16, Region(flat, mask), backend=fast16, **WPAR)
+        assert res.meta["err_region"] == 0.0, mask.label()
+    ball = BallMask((0, 0, 0), 4.0)
+    res = probability(spec16, Region(flat, ball), backend=fast16, **WPAR)
+    assert res.meta["err_region"] > 0.0
+    # image regions decide the corners' membership through S^-1
+    image = probability_transformed(
+        spec16, transform_surface(PoincareElement.identity(), flat), ball,
+        backend=fast16, **WPAR)
+    assert image.meta["err_region"] == pytest.approx(res.meta["err_region"], rel=1e-12)
+
+
+@pytest.mark.parametrize("surface", FULL_SURFACES, ids=lambda s: s.kind)
+def test_spectral_term_covers_rank_truncation(spec16, fast16, surface):
+    full = probability(spec16, Region(surface), backend=fast16, **WPAR)
+    for tol in (1e-5, 1e-3):
+        cut = probability(spec16, Region(surface), backend=fast16, eval_tol=tol, **WPAR)
+        assert abs(cut.probability - full.probability) <= cut.meta["err_spectral"]
+        assert cut.meta["err_spectral"] > full.meta["err_spectral"]

@@ -1,12 +1,16 @@
 """The benchmark's per-layer tracer wraps names in the package by string.
 
-Renaming or removing one of those names breaks only a traced benchmark run,
-so this test resolves every entry of ``perfbench/tracing.py`` ``TARGETS``.
+Renaming or removing one of those names, or a value an observer reads,
+breaks only a traced benchmark run.  So one test resolves every entry of
+``perfbench/tracing.py`` ``TARGETS`` and another runs traced fluxes.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import achronal.localization as loc
+from achronal.surfaces import FlatSurface, TiltedSurface
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +32,19 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{owner_path}.{attr}")
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
+    # the tracer reads the "slices" entry of the flux quadrature's meta: one
+    # per flat flux, none for a curved flux evaluated at its nodes
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for surface in (FlatSurface(0.0), TiltedSurface((0.0, 0.0, 0.4))):
+            loc.probability(spec16, loc.Region(surface), backend=fast16, window_half=4)
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
