@@ -77,6 +77,11 @@ class SpacetimeRegion:
         """
         raise NotImplementedError
 
+    def witness_frame(self):
+        """(anchor four-vector, length scale, seed points) of the witness
+        scan: the scan's first directions point away from the seeds."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class BallInPlane(SpacetimeRegion):
@@ -129,6 +134,10 @@ class BallInPlane(SpacetimeRegion):
             return z
         return _scan_witness(self, x)
 
+    def witness_frame(self):
+        anchor = np.array([self.t0, *self.center])
+        return anchor, self.radius, [anchor]
+
     def transformed(self, g: PoincareElement) -> "BallInPlane":
         L = g.L
         if np.abs(L[0] - [1, 0, 0, 0]).max() > 1e-12 or np.abs(L[1:, 0]).max() > 1e-12:
@@ -180,6 +189,11 @@ class Diamond(SpacetimeRegion):
     def complement_witness(self, x):
         return _scan_witness(self, x)
 
+    def witness_frame(self):
+        b, t = np.asarray(self.bottom), np.asarray(self.top)
+        anchor = 0.5 * (b + t)
+        return anchor, 0.5 * (t[0] - b[0]), [anchor, t, b]
+
     def transformed(self, g: PoincareElement) -> "Diamond":
         return Diamond(tuple(g.act(np.asarray(self.bottom))),
                        tuple(g.act(np.asarray(self.top))))
@@ -215,21 +229,12 @@ def _scan_witness(region: SpacetimeRegion, x):
     both time branches; every candidate verified against the exact
     complement predicate and the timelike condition."""
     x = np.asarray(x, dtype=float)
-    d = region.descriptor()
-    if d["type"] == "ball_in_plane":
-        anchor = np.array([d["t0"], *d["center"]])
-        scale = d["radius"]
-    else:
-        b, t = np.asarray(d["bottom"]), np.asarray(d["top"])
-        anchor = 0.5 * (b + t)
-        scale = 0.5 * (t[0] - b[0])
-    rel = x[1:] - anchor[1:]
-    base_dirs = [rel / np.linalg.norm(rel)] if np.linalg.norm(rel) > 1e-12 else []
-    if d["type"] == "diamond":
-        for v in (np.asarray(d["top"]), np.asarray(d["bottom"])):
-            w = x[1:] - v[1:]
-            if np.linalg.norm(w) > 1e-12:
-                base_dirs.append(w / np.linalg.norm(w))
+    anchor, scale, seeds = region.witness_frame()
+    base_dirs = []
+    for v in seeds:
+        w = x[1:] - v[1:]
+        if np.linalg.norm(w) > 1e-12:
+            base_dirs.append(w / np.linalg.norm(w))
     base_dirs += [e for e in np.concatenate([np.eye(3), -np.eye(3)])]
     reach = scale + np.abs(x - anchor).max()
     for s in reach * np.geomspace(0.25, 16.0, 14):
@@ -248,30 +253,10 @@ def _scan_witness(region: SpacetimeRegion, x):
 # ---------------------------------------------------------------------------
 
 
-def causal_complement_member(M: SpacetimeRegion, x, sampler=None,
-                             n_samples: int = 2048, rng=None,
-                             margin_resolution: float = 1e-9) -> bool:
-    """Is x achronally separated from every point of M?
-
-    Closed form when the region provides one; otherwise Monte-Carlo
-    certification against `sampler(rng, n)` draws from M, raising
-    InconclusiveError when the observed margin is below resolution.
-    """
-    x = np.asarray(x, dtype=float)
-    try:
-        return bool(M.complement_member(x))
-    except NotImplementedError:
-        pass
-    if sampler is None:
-        raise ValueError("region has no closed form and no sampler was given")
-    rng = rng or np.random.default_rng(0)
-    pts = sampler(rng, n_samples)
-    margins = separation_margin(x[None, :], pts)
-    worst = float(margins.min())
-    if abs(worst) < margin_resolution:
-        raise InconclusiveError(
-            f"separation margin {worst:.2e} below resolution on {n_samples} samples")
-    return worst > 0
+def causal_complement_member(M: SpacetimeRegion, x) -> bool:
+    """Is x achronally separated from every point of M?  Decided by the
+    region's closed form."""
+    return bool(M.complement_member(np.asarray(x, dtype=float)))
 
 
 def completion_member(M: SpacetimeRegion, x) -> bool:
@@ -299,26 +284,33 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
-def determinacy_member(delta, x, n_directions: int = 96,
-                       shells=(0.5, 0.9, 0.99), escalate: bool = True,
-                       granularity: float = 1e-9):
+# line sampling of determinacy_member: Fibonacci directions per slowness
+# shell, escalated 8-fold (plus one shell) below the margin _ESCALATE_BELOW;
+# margins below _GRANULARITY after escalation are inconclusive
+_N_DIRECTIONS = 96
+_SHELLS = (0.5, 0.9, 0.99)
+_ESCALATE_BELOW = 1e-3
+_GRANULARITY = 1e-9
+
+
+def determinacy_member(delta, x):
     """Does every timelike line through x meet the patch delta?
 
     BallInPlane uses the exact diamond formula.  Graph patches over ball
     masks intersect each sampled line with the mask chord and test the
     monotone crossing of t - tau along it; direction sampling escalates
-    near the boundary and raises InconclusiveError below `granularity`.
+    near the boundary and raises InconclusiveError below _GRANULARITY.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(delta, BallInPlane):
         return bool(delta.determinacy_member(x))
     if not isinstance(delta, GraphPatch) or not isinstance(delta.mask, BallMask):
         raise ValueError("determinacy needs a BallInPlane or a ball-mask GraphPatch")
-    ok, margin = _determinacy_sampled(delta, x, n_directions, shells)
-    if escalate and margin < 1e-3:
-        ok, margin = _determinacy_sampled(delta, x, 8 * n_directions,
-                                          tuple(shells) + (0.999,))
-        if margin < granularity:
+    ok, margin = _determinacy_sampled(delta, x, _N_DIRECTIONS, _SHELLS)
+    if margin < _ESCALATE_BELOW:
+        ok, margin = _determinacy_sampled(delta, x, 8 * _N_DIRECTIONS,
+                                          _SHELLS + (0.999,))
+        if margin < _GRANULARITY:
             raise InconclusiveError(
                 f"determinacy margin {margin:.2e} below granularity")
     return ok
@@ -366,10 +358,11 @@ class LogicReport:
 
 
 def completion_equals_determinacy_check(delta: BallInPlane, n_samples: int = 10000,
-                                        seed: int = 0, box_pad: float = 1.5,
+                                        seed: int = 0,
                                         eps_shell: float = 1e-3) -> LogicReport:
     """Sampled agreement of the determinacy set with the double complement.
 
+    Points are drawn from the box of half-width 1.5 radius around the ball.
     Points within eps_shell * radius of the diamond boundary are skipped
     (both predicates are discontinuous there); counterexamples outside the
     shell are re-verified before reporting.
@@ -377,8 +370,8 @@ def completion_equals_determinacy_check(delta: BallInPlane, n_samples: int = 100
     rng = np.random.default_rng(seed)
     r = delta.radius
     c = np.asarray(delta.center)
-    lo = np.array([delta.t0 - box_pad * r, *(c - box_pad * r)])
-    hi = np.array([delta.t0 + box_pad * r, *(c + box_pad * r)])
+    lo = np.array([delta.t0 - 1.5 * r, *(c - 1.5 * r)])
+    hi = np.array([delta.t0 + 1.5 * r, *(c + 1.5 * r)])
     pts = rng.uniform(lo, hi, size=(n_samples, 4))
     d = np.abs(pts[:, 0] - delta.t0) + np.linalg.norm(pts[:, 1:] - c, axis=1)
     shell = np.abs(d - r) < eps_shell * r

@@ -27,7 +27,6 @@ reproduces the current's phase exactly.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -133,13 +132,6 @@ class SupportData:
         out[..., self.flat_idx] = node_values
         return out.reshape(node_values.shape[:-1] + (n, n, n))
 
-    def checksum(self, kernel) -> str:
-        hasher = hashlib.sha256()
-        hasher.update(f"{self.grid.n}:{self.grid.p_max}:{self.mass}".encode())
-        hasher.update(kernel.label.encode())
-        hasher.update(self.flat_idx.astype(np.int64).tobytes())
-        return hasher.hexdigest()[:16]
-
 
 def _phases(support: SupportData, x: np.ndarray) -> np.ndarray:
     """exp(-i (eps x0 - p.x)) for points x of shape (m, 4): (n_sup, m)."""
@@ -230,11 +222,9 @@ class FastBackend:
     kernel: Union[CausalKernel, TensorKernel]
     eigvals: Optional[np.ndarray]
     eigvecs: Optional[np.ndarray]
-    truncation: float
     spectral_tail: float
     entry_residual_rms: float
     entry_residual_max: float
-    checksum: str
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -357,14 +347,13 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
     """
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
-        return FastBackend(support, spec.kernel, None, None, 0.0, 0.0, 0.0, 0.0,
-                           support.checksum(spec.kernel), {"separable": True})
+        return FastBackend(support, spec.kernel, None, None, 0.0, 0.0, 0.0,
+                           {"separable": True})
     kern = spec.kernel
     n = len(support.eps)
     if n == 0:
         return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)),
-                           tol, 0.0, 0.0, 0.0, support.checksum(kern),
-                           {"empty_support": True})
+                           0.0, 0.0, 0.0, {"empty_support": True})
     rng = np.random.default_rng(seed)
     n_lm = min(n_landmarks, n)
     lm = np.sort(rng.choice(n, size=n_lm, replace=False))
@@ -430,9 +419,8 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
     approx = np.sum(V[ii] * (mu * V[jj]), axis=1)
     err = np.abs(approx - exact)
     return FastBackend(
-        support, kern, mu, V, tol, tail,
+        support, kern, mu, V, tail,
         float(np.sqrt(np.mean(err ** 2))), float(err.max()),
-        support.checksum(kern),
         {"n_landmarks": n_lm, "eig_residual_max": float(eig_res.max(initial=0.0))},
     )
 
@@ -517,8 +505,7 @@ def decay_scan(spec: CurrentSpec, x0: float, radii,
             "radii": radii, "mean_j0": mean}
 
 
-def covariance_pair(spec: CurrentSpec, g: PoincareElement, x,
-                    resample_method: str = "tricubic"):
+def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
     """Both sides of J(W(g) phi, x) = Lambda . J(phi, g^{-1} x).
 
     For stress-energy currents the right side carries the transformed index
@@ -527,7 +514,7 @@ def covariance_pair(spec: CurrentSpec, g: PoincareElement, x,
     """
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, 4)
-    moved = apply_poincare(g, spec.packet, method=resample_method)
+    moved = apply_poincare(g, spec.packet)
     lhs_samples = eval_direct(spec.with_packet(moved), X)
     lhs = np.array([s.value for s in lhs_samples])
     ginv = g.inverse()

@@ -26,6 +26,11 @@ meta:
 Masks are exact predicates evaluated at nodes; because the position grid is
 cell-centered, strict half-space and octant predicates partition nodes
 without boundary ties.
+
+The Poincare image of a region is an ordinary region: its surface is the
+image graph (SurfaceTransformResult) and its mask is ImageMask, which
+decides membership of a point y by S^{-1}(y).  `probability` is the one
+flux driver for both.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .currents import CurrentSpec, FastBackend, build_fast
 from .grids import position_window_mask
 from .minkowski import PoincareElement
 from .surfaces import (AchronalSurface, FlatSurface, SurfaceTransformResult,
-                       transform_gradient_data, transform_surface)
+                       transform_surface)
 from .wavepacket import WavePacket, combine
 
 
@@ -157,6 +162,21 @@ class IntersectionMask(Mask):
         return {"type": "intersection", "parts": [p.descriptor() for p in self.parts]}
 
 
+@dataclass(frozen=True)
+class ImageMask(Mask):
+    """The image of `inner` under a surface transform: y is inside when its
+    source point S^{-1}(y) is."""
+
+    inner: Mask
+    transform: SurfaceTransformResult
+
+    def contains(self, pts):
+        return self.inner.contains(self.transform.s_inverse(pts))
+
+    def descriptor(self):
+        return {"type": "image", "of": self.inner.descriptor()}
+
+
 def mask_from_descriptor(d: dict) -> Mask:
     kind = d["type"]
     if kind == "full":
@@ -213,11 +233,11 @@ _CORNERS = 0.5 * (1.0 - 1e-9) * np.array(list(itertools.product((-1.0, 1.0), rep
 _BUDGET = ("err_spectral", "err_window", "err_region")
 
 
-def _straddles(mask, to_source, pts, dx):
+def _straddles(mask, pts, dx):
     """Nodes whose cell the region boundary crosses: the mask membership of
-    the cell's 8 corners, taken at their source points, disagrees."""
+    the cell's 8 corners disagrees."""
     corners = pts[:, None, :] + dx * _CORNERS[None, :, :]
-    inside = mask.contains(to_source(corners.reshape(-1, 3))).reshape(len(pts), 8)
+    inside = mask.contains(corners.reshape(-1, 3)).reshape(len(pts), 8)
     return inside.any(axis=1) & ~inside.all(axis=1)
 
 
@@ -256,34 +276,6 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
                        "max_j0": float(Jn[0].max(initial=0.0))}
 
 
-def _window_flux(spec: CurrentSpec, backend: Optional[FastBackend], mask: Mask,
-                 to_source, geometry, window_half: Optional[int], refine: int,
-                 eval_tol: Optional[float]):
-    """Flux through the window nodes whose source points lie in `mask`.
-
-    `to_source(points)` maps spatial points (m, 3) to the points where the
-    mask and the surface are defined, for the nodes and for their cell
-    corners; `geometry(sources)` returns (tau, grad tau) at the nodes.
-    """
-    backend = backend or build_fast(spec, tol=1e-6)
-    grid = spec.packet.grid
-    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
-    sources = to_source(nodes)
-    inside = mask.contains(sources)
-    pts = nodes[inside]
-    if len(pts) == 0:
-        prob, err, meta = 0.0, 0.0, {"slices": 0, **dict.fromkeys(_BUDGET, 0.0)}
-    else:
-        tvals, grads = geometry(sources[inside])
-        outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
-        flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
-        prob, err, meta = _flux_quadrature(
-            spec, backend, flat_sel, pts, tvals, grads, refine, dx ** 3, eval_tol,
-            outer, _straddles(mask, to_source, pts, dx))
-    meta.update({"window_half_nodes": half, "refine": refine})
-    return prob, err, meta
-
-
 def probability(spec: CurrentSpec, region: Region,
                 backend: Optional[FastBackend] = None,
                 window_half: Optional[int] = None, refine: int = 1,
@@ -291,22 +283,31 @@ def probability(spec: CurrentSpec, region: Region,
                 normalization: str = "raw") -> LocalizationResult:
     """Localization probability of spec.packet in the region.
 
+    The flux runs over the window nodes that lie in the region's mask.
     `normalization` is "raw" or, for stress-energy currents, "energy"
     (divide by the per-state n-energy expectation so that the full-surface
     flux is the squared norm); the raw value is always kept in meta.
     """
-    def geometry(pts):
-        return region.surface.tau(pts), region.surface.gradient(pts)
-
-    prob, err, meta = _window_flux(spec, backend, region.mask, lambda pts: pts,
-                                   geometry, window_half, refine, eval_tol)
-    meta.update({"window_extent": float(meta["window_half_nodes"]
-                                        * spec.packet.grid.position_spacing),
+    backend = backend or build_fast(spec, tol=1e-6)
+    grid = spec.packet.grid
+    surface, mask = region.surface, region.mask
+    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
+    inside = mask.contains(nodes)
+    pts = nodes[inside]
+    if len(pts) == 0:
+        prob, err, meta = 0.0, 0.0, {"slices": 0, **dict.fromkeys(_BUDGET, 0.0)}
+    else:
+        outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
+        flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
+        prob, err, meta = _flux_quadrature(
+            spec, backend, flat_sel, pts, surface.tau(pts), surface.gradient(pts),
+            refine, dx ** 3, eval_tol, outer, _straddles(mask, pts, dx))
+    meta.update({"window_half_nodes": half, "refine": refine,
+                 "window_extent": float(half * grid.position_spacing),
                  "raw_probability": prob,
-                 "surface_offset_at_origin": float(region.surface.tau(np.zeros((1, 3)))[0])})
+                 "surface_offset_at_origin": float(surface.tau(np.zeros((1, 3)))[0])})
     prob, err = _apply_normalization(spec, prob, err, normalization, meta)
-    return LocalizationResult(prob, err, region.surface.label(),
-                              region.mask.label(), "fast", meta)
+    return LocalizationResult(prob, err, surface.label(), mask.label(), "fast", meta)
 
 
 def _apply_normalization(spec, prob, err, normalization, meta):
@@ -329,21 +330,11 @@ def probability_transformed(spec: CurrentSpec, transform: SurfaceTransformResult
                             mask: Mask, backend: Optional[FastBackend] = None,
                             window_half: Optional[int] = None, refine: int = 1,
                             eval_tol: Optional[float] = None) -> LocalizationResult:
-    """Probability over the Poincare image of a region.
-
-    The image surface is evaluated through the graph-map machinery: mask
-    membership of an image point y (node or cell corner) is decided by
-    S^{-1}(y), tau and the gradient come from the transformed closed forms.
-    """
-    def geometry(src):
-        grads, _ = transform_gradient_data(transform.g.L, transform.surface.gradient(src))
-        return transform.tau_of_source(src), grads
-
-    prob, err, meta = _window_flux(spec, backend, mask, transform.s_inverse, geometry,
-                                   window_half, refine, eval_tol)
-    meta["transformed"] = True
-    return LocalizationResult(prob, err, f"image({transform.surface.label()})",
-                              mask.label(), "fast", meta)
+    """Probability over the Poincare image of the region (transform.surface,
+    mask)."""
+    return probability(spec, Region(transform, ImageMask(mask, transform)),
+                       backend=backend, window_half=window_half, refine=refine,
+                       eval_tol=eval_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +384,11 @@ def _window_tail_fraction(spec, backend, window_half=None, refine=1, **_):
 
 
 def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
-                     backend_tol: float = 1e-6, resample_method: str = "tricubic",
-                     **quad):
+                     backend_tol: float = 1e-6, **quad):
     """Both sides of the flux covariance: the W(g)^{-1}-moved state on the
     original region versus the original state on the g-image region."""
     from .wavepacket import apply_poincare
-    moved = apply_poincare(g.inverse(), spec.packet, method=resample_method)
+    moved = apply_poincare(g.inverse(), spec.packet)
     lhs_spec = spec.with_packet(moved)
     lhs = probability(lhs_spec, region, backend=build_fast(lhs_spec, tol=backend_tol), **quad)
     transform = transform_surface(g, region.surface)

@@ -5,18 +5,20 @@ and closed-form gradients; sampled surfaces live on a position grid with
 centered-difference gradients and a discrete Lipschitz validation over the
 full 26-neighborhood.
 
-Poincare transforms of surfaces follow the graph map
+The Poincare image of a graph is again an achronal graph, and
+SurfaceTransformResult is an ordinary AchronalSurface: its tau and gradient
+follow the graph map
 
-    S(x) = spatial(g . (tau(x), x)),    tau_g(y) = time(g . (tau(x), x)),
+    S(x) = spatial(g . (tau(x), x)),    tau^g(y) = time(g . (tau(x), x)),
     x = S^{-1}(y),
 
 with S bijective for achronal graphs and proper orthochronous g.  The
 transformed gradient obeys
 
-    (1, grad tau_g(y)) = |det DS(x)|^{-1} Lambda . (1, grad tau(x)),
+    (1, grad tau^g(y)) = |det DS(x)|^{-1} Lambda . (1, grad tau(x)),
 
-which `transform_gradient_data` evaluates in closed form and the flux
-machinery consumes directly; S^{-1} is solved by damped Newton iteration.
+which `transform_gradient_data` evaluates in closed form; S^{-1} is solved
+by damped Newton iteration.
 """
 
 from __future__ import annotations
@@ -353,9 +355,9 @@ def transform_gradient_data(L, z):
     """Closed-form transformed slope and Jacobian at a point with slope z.
 
     Given the source gradient z = grad tau(x) (|z| <= 1) and a proper
-    orthochronous L, returns (grad_g, det) with grad_g = grad tau_g at
+    orthochronous L, returns (grad_g, det) with grad_g = grad tau^g at
     y = S(x) and det = det DS(x), via DS = L_sp0 (x) z + L_spsp and
-    grad tau_g = DS^{-T} (L00 z + L0_sp).
+    grad tau^g = DS^{-T} (L00 z + L0_sp).
 
     The pair satisfies (1, grad_g) = L (1, z) / |det|.
     """
@@ -372,14 +374,18 @@ def transform_gradient_data(L, z):
     return grad, det
 
 
+# damped-Newton settings of SurfaceTransformResult.s_inverse
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+
 @dataclass(frozen=True)
-class SurfaceTransformResult:
-    """Transformed graph data: tau_g, its gradient, S, S^{-1}, |det DS|."""
+class SurfaceTransformResult(AchronalSurface):
+    """The g-image of a graph surface: tau, gradient, S, S^{-1}, |det DS|."""
 
     g: PoincareElement
     surface: AchronalSurface
-    newton_tol: float = 1e-12
-    max_iter: int = 50
+    kind = "image"
 
     def s_forward(self, x):
         x = np.asarray(x, dtype=float)
@@ -396,7 +402,6 @@ class SurfaceTransformResult:
     def s_inverse(self, y):
         """Solve S(x) = y by damped Newton; FoldOverError on failure."""
         y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
         Y = y.reshape(-1, 3)
         L, a = self.g.L, self.g.a
         A = L[1:, 1:]
@@ -408,9 +413,9 @@ class SurfaceTransformResult:
             t = self.surface.tau(x)
             x = (Y - a[1:][None, :] - t[:, None] * b[None, :]) @ Ainv.T
         resid = self.s_forward(x) - Y
-        for _ in range(self.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             norm = np.linalg.norm(resid, axis=1)
-            if norm.max() < self.newton_tol:
+            if norm.max(initial=0.0) < NEWTON_TOL:
                 break
             grad = self.surface.gradient(x)
             DS = A[None, :, :] + b[None, :, None] * grad[:, None, :]
@@ -431,21 +436,29 @@ class SurfaceTransformResult:
             raise FoldOverError(
                 "graph-map inversion did not converge; surface not achronal?"
             )
-        return x[0] if single else x
+        return x.reshape(y.shape)
 
-    def tau_g(self, y):
+    def tau(self, y):
         return self.tau_of_source(self.s_inverse(y))
 
-    def gradient_g(self, y):
-        x = self.s_inverse(y)
-        z = self.surface.gradient(np.atleast_2d(x))
-        grad, _ = transform_gradient_data(self.g.L, z)
-        return grad[0] if np.asarray(y).ndim == 1 else grad
+    def gradient(self, y, with_flags=False):
+        y = np.asarray(y, dtype=float)
+        z, flags = self.surface.gradient(self.s_inverse(y), with_flags=True)
+        grad, _ = transform_gradient_data(self.g.L, z.reshape(-1, 3))
+        grad = grad.reshape(y.shape)
+        return (grad, flags) if with_flags else grad
 
     def jacobian_det(self, x):
         z = self.surface.gradient(np.atleast_2d(x))
         _, det = transform_gradient_data(self.g.L, z)
         return det if np.asarray(x).ndim > 1 else float(det[0])
+
+    def descriptor(self):
+        return {"type": "image", "g": {"a": self.g.a.tolist(), "L": self.g.L.tolist()},
+                "of": self.surface.descriptor()}
+
+    def label(self):
+        return f"image({self.surface.label()})"
 
 
 def transform_surface(g: PoincareElement, surface: AchronalSurface,

@@ -12,8 +12,7 @@ The mass-shell unitary representation acts as
 with eps(p) = sqrt(m^2 + p^2), p_on_shell = (eps(p), p) and q the spatial
 part of A^{-1} p_on_shell.  Translations are exact phase multiplications,
 axis rotations by multiples of pi/2 are exact index permutations, generic
-Lorentz parts resample the amplitudes by tricubic spline (or Fourier-refined)
-interpolation.
+Lorentz parts resample the amplitudes by tricubic spline interpolation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .grids import MomentumGrid, momentum_to_position
+from .grids import MomentumGrid
 from .minkowski import PoincareElement, apply_lorentz
 
 PERMUTATION_TOL = 1e-12
@@ -241,15 +240,14 @@ def _mollified_gaussian(grid, mass, margin, boost, sigma=1.0, center=(0.0, 0.0, 
 # -- Poincare action -------------------------------------------------------
 
 
-def apply_poincare(g: PoincareElement, phi: WavePacket, method: str = "tricubic") -> WavePacket:
+def apply_poincare(g: PoincareElement, phi: WavePacket) -> WavePacket:
     """Act with W(g) on the packet.
 
     Pure translations multiply by exp(i (a0 eps(p) - a.p)) and are exactly
     unitary.  Axis rotations by multiples of pi/2 permute grid nodes.  Other
     Lorentz parts resample phi at q = spatial(A^{-1} p_on_shell) with the
-    sqrt(eps(q)/eps(p)) weight; `method` picks "tricubic" (spline on real and
-    imaginary parts) or "fourier" (zero-padded trigonometric refinement
-    followed by the spline on the refined grid).
+    sqrt(eps(q)/eps(p)) weight by a tricubic spline on the real and imaginary
+    parts.
     """
     amp = phi.amplitudes
     margin = phi.margin
@@ -260,8 +258,8 @@ def apply_poincare(g: PoincareElement, phi: WavePacket, method: str = "tricubic"
             amp = _permute_amplitudes(amp, phi.grid, perm)
             applied["resample_method"] = "permutation"
         else:
-            amp, margin = _lorentz_resample(phi, g.L, method)
-            applied["resample_method"] = method
+            amp, margin = _lorentz_resample(phi, g.L)
+            applied["resample_method"] = "tricubic"
     if np.any(g.a != 0):
         X, Y, Z = phi.grid.meshgrid()
         pts = np.stack([X, Y, Z], axis=-1)
@@ -296,7 +294,7 @@ def _permute_amplitudes(amp, grid: MomentumGrid, R3):
     return amp.reshape(-1)[flat].reshape(n, n, n)
 
 
-def _lorentz_resample(phi: WavePacket, L, method: str):
+def _lorentz_resample(phi: WavePacket, L):
     grid, m = phi.grid, phi.mass
     n, h = grid.n, grid.spacing
     X, Y, Z = grid.meshgrid()
@@ -319,56 +317,21 @@ def _lorentz_resample(phi: WavePacket, L, method: str):
             f"{grid.p_max - 1.5 * h:.3f}"
         )
 
-    if method == "tricubic":
-        coords = np.moveaxis(q / h - 0.5 + n / 2, -1, 0)
-        re = map_coordinates(phi.amplitudes.real, coords, order=3, mode="constant")
-        im = map_coordinates(phi.amplitudes.imag, coords, order=3, mode="constant")
-        resampled = re + 1j * im
-    elif method == "fourier":
-        refine = 3
-        fine = _fourier_refined(phi.amplitudes, grid, refine)
-        nf = n * refine
-        hf = h / refine
-        coords = np.moveaxis(q / hf - 0.5 + nf / 2, -1, 0)
-        re = map_coordinates(fine.real, coords, order=3, mode="constant")
-        im = map_coordinates(fine.imag, coords, order=3, mode="constant")
-        resampled = re + 1j * im
-    else:
-        raise ValueError(f"unknown resample method {method!r}")
-
-    amp = np.sqrt(np.maximum(qfour[..., 0], 0.0) / eps) * resampled
+    coords = np.moveaxis(q / h - 0.5 + n / 2, -1, 0)
+    re = map_coordinates(phi.amplitudes.real, coords, order=3, mode="constant")
+    im = map_coordinates(phi.amplitudes.imag, coords, order=3, mode="constant")
+    amp = np.sqrt(np.maximum(qfour[..., 0], 0.0) / eps) * (re + 1j * im)
     # kill the spline halo outside the mapped support so compactness survives:
     # the resampled value is genuinely nonzero only when q lands inside the
     # support, so keep nodes whose nearest source node carries amplitude
     # (half-node jitter only clips shell values at the window's zero tail)
-    coords0 = np.moveaxis(q / h - 0.5 + n / 2, -1, 0)
-    inside = map_coordinates(phi.support_mask().astype(np.uint8), coords0,
+    inside = map_coordinates(phi.support_mask().astype(np.uint8), coords,
                              order=0, mode="constant", cval=0) > 0
     amp = np.where(inside, amp, 0.0)
     margin = _recompute_margin(amp, grid)
     if margin < 1:
         raise SupportEscapeError("transformed support reaches the grid boundary")
     return amp, margin
-
-
-def _fourier_refined(amp, grid: MomentumGrid, refine: int):
-    """Trigonometric interpolation of the momentum samples on a finer grid.
-
-    The packet is smooth and supported strictly inside the box, so its
-    position-space transform F(x) = sum_p phi(p) exp(i p.x) decays fast
-    within the period; resampling F back at momentum nodes refine times
-    denser evaluates the band-limited interpolant, which converges
-    spectrally.  Exact at the original nodes.
-    """
-    n = grid.n
-    F = momentum_to_position(amp, grid, refine=1)
-    ax_x = grid.position_axis()
-    ax_fine = (np.arange(n * refine) + 0.5 - n * refine / 2) * (grid.spacing / refine)
-    kernel = np.exp(-1j * np.outer(ax_fine, ax_x)) / n
-    out = np.tensordot(kernel, F, axes=(1, 0))
-    out = np.tensordot(kernel, out, axes=(1, 1)).transpose(1, 0, 2)
-    out = np.tensordot(kernel, out, axes=(1, 2)).transpose(1, 2, 0)
-    return out
 
 
 def _recompute_margin(amp, grid: MomentumGrid) -> int:

@@ -5,7 +5,7 @@ from achronal.currents import CurrentSpec, build_fast, eval_direct
 from achronal.grids import MomentumGrid
 from achronal.kernels import TensorKernel
 from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
-                                   HalfSpaceMask, IntersectionMask,
+                                   HalfSpaceMask, ImageMask, IntersectionMask,
                                    MaskOverlapError, Region, UnionMask,
                                    UnsupportedGeometryError, additivity_check,
                                    causal_monotonicity_check, covariance_check,
@@ -279,3 +279,31 @@ def test_spectral_term_covers_rank_truncation(spec16, fast16, surface):
         cut = probability(spec16, Region(surface), backend=fast16, eval_tol=tol, **WPAR)
         assert abs(cut.probability - full.probability) <= cut.meta["err_spectral"]
         assert cut.meta["err_spectral"] > full.meta["err_spectral"]
+
+
+def test_image_of_flat_surface_is_the_tilted_plane(spec16, fast16):
+    # the boost_z(0.3) image of t = 0 is the plane t = tanh(0.3) z
+    image = transform_surface(PoincareElement.from_lorentz(boost_z(0.3)), FlatSurface(0.0))
+    tilted = TiltedSurface((0, 0, np.tanh(0.3)))
+    for mask in (FullMask(), BallMask((0, 0, 0), 3.0)):
+        a = probability(spec16, Region(image, mask), backend=fast16, **WPAR)
+        b = probability(spec16, Region(tilted, mask), backend=fast16, **WPAR)
+        assert a.surface == "image(flat(t0=0.0))"
+        assert a.probability == pytest.approx(b.probability, rel=1e-12)
+
+
+def test_flux_invariance_report_takes_image_surfaces(spec16, fast16):
+    g = PoincareElement.from_lorentz(boost_z(0.3))
+    surfaces = [FlatSurface(0.0), transform_surface(g, FlatSurface(0.0)),
+                transform_surface(g, BumpSurface(0.5))]
+    rep = flux_invariance_report(spec16, surfaces, backend=fast16, **WPAR)
+    assert rep["max_pairwise_relative_deviation"] < 2e-2
+
+
+def test_image_region_of_no_points_is_empty():
+    g = PoincareElement.from_lorentz(boost_z(0.3))
+    image = transform_surface(g, FlatSurface(0.0))
+    none = np.zeros((0, 3))
+    assert image.s_inverse(none).shape == (0, 3)
+    assert image.tau(none).shape == (0,)
+    assert ImageMask(BallMask((0, 0, 0), 1.0), image).contains(none).shape == (0,)
