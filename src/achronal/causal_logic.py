@@ -395,12 +395,14 @@ def completion_equals_determinacy_check(delta: BallInPlane, n_samples: int = 100
                        {"radius": r, "eps_shell": eps_shell})
 
 
+_N_CHECK = 400  # sampled points of rcl_well_defined_check's precondition
+
+
 def rcl_well_defined_check(spec, delta1: GraphPatch, delta2: GraphPatch,
-                           backend=None, n_check: int = 400, seed: int = 0,
-                           **quad):
+                           backend=None, seed: int = 0, **quad):
     """Probabilities of two patches sharing a determinacy set.
 
-    The shared-determinacy precondition is verified on sampled points
+    The shared-determinacy precondition is verified on _N_CHECK sampled points
     (DeterminacyMismatchError on failure); the flux probabilities are then
     computed for both and returned for the caller's tolerance check.
     """
@@ -409,7 +411,7 @@ def rcl_well_defined_check(spec, delta1: GraphPatch, delta2: GraphPatch,
     r = delta1.mask.radius
     lo = np.array([-1.4 * r + float(delta1.surface.tau(c[None, :])[0]), *(c - 1.4 * r)])
     hi = lo + 2.8 * r
-    pts = rng.uniform(lo, hi, size=(n_check, 4))
+    pts = rng.uniform(lo, hi, size=(_N_CHECK, 4))
     mism = 0
     for p in pts:
         try:
@@ -421,7 +423,7 @@ def rcl_well_defined_check(spec, delta1: GraphPatch, delta2: GraphPatch,
             mism += 1
     if mism > 0:
         raise DeterminacyMismatchError(
-            f"{mism}/{n_check} sampled points distinguish the patches")
+            f"{mism}/{_N_CHECK} sampled points distinguish the patches")
     from .localization import probability
     p1 = probability(spec, delta1.region(), backend=backend, **quad)
     p2 = probability(spec, delta2.region(), backend=backend, **quad)

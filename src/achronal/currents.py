@@ -15,10 +15,12 @@ independent:
   the support nodes as sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then
   block power + Rayleigh-Ritz against the full support matrix), after which
   every current component becomes a rank sum of products of momentum sums
-  that evaluate either pointwise (dot products) or on whole position-grid
-  slices (FFTs).  Stress-energy kernels are exactly separable and need no
-  factorization: four auxiliary fields with weights p_mu/sqrt(eps) plus one
-  with 1/sqrt(eps) rebuild the current algebraically.
+  that evaluate either at given spacetime points (FastBackend.current_at, a
+  phase-matrix product) or on whole position-grid slices
+  (FastBackend.slice_fields, FFTs).  Stress-energy kernels are exactly
+  separable and need no factorization: four auxiliary fields with weights
+  p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
+  algebraically.
 
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
@@ -33,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .grids import MomentumGrid, momentum_to_position
-from .kernels import CausalKernel, TensorKernel
+from .kernels import CausalKernel, TensorKernel, scalar_block
 from .minkowski import ETA, PoincareElement, apply_lorentz
 from .wavepacket import WavePacket, apply_poincare
 
@@ -44,6 +46,9 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 _CHUNK = 2048
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 18
+
+# the decay scan's rays: the six coordinate half-axes
+_AXES = np.concatenate([np.eye(3), -np.eye(3)])
 
 
 class FactorizationError(RuntimeError):
@@ -77,7 +82,6 @@ class CurrentSpec:
 class CurrentSample:
     point: np.ndarray
     value: np.ndarray
-    backend: str
     error_estimate: float
 
 
@@ -139,9 +143,8 @@ def _phases(support: SupportData, x: np.ndarray) -> np.ndarray:
 
 
 def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice) -> np.ndarray:
-    eps, pts = support.eps, support.points
-    t = np.outer(eps[rows], eps) - pts[rows] @ pts.T
-    return kern.scalar(t)
+    return scalar_block(kern, support.points[rows], support.eps[rows],
+                        support.points, support.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +172,7 @@ def eval_direct(spec: CurrentSpec, x):
     samples = []
     for i in range(len(X)):
         imag = float(np.abs(J[i].imag).max())
-        samples.append(CurrentSample(X[i], J[i].real.copy(), "direct", imag))
+        samples.append(CurrentSample(X[i], J[i].real.copy(), imag))
     return samples[0] if single else samples
 
 
@@ -265,19 +268,6 @@ class FastBackend:
             Z = _phases(self.support, X[i0:i0 + step])
             J[:, i0:i0 + step] = self._current(values, lambda nodes: nodes @ Z, tol)
         return J / TWO_PI_CUBED
-
-    def eval_points(self, packet: WavePacket, x, tol: Optional[float] = None):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x.reshape(-1, 4)
-        J = self.current_at(packet, X, tol).T
-        out = []
-        for i in range(len(X)):
-            val = J[i].copy()
-            # the rank sum symmetrizes exactly, so truncation dominates the error
-            est = float(self.spectral_tail * np.abs(val).max())
-            out.append(CurrentSample(X[i], val, "fast", est))
-        return out[0] if single else out
 
     # -- whole slices ------------------------------------------------------
 
@@ -385,8 +375,8 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
         Psi = np.empty((n, len(lam0)))
         for i0 in range(0, n, _CHUNK):
             rows = slice(i0, min(i0 + _CHUNK, n))
-            t = np.outer(support.eps[rows], sub.eps) - support.points[rows] @ sub.points.T
-            Psi[rows] = kern.scalar(t) @ (U0 / lam0)
+            Psi[rows] = scalar_block(kern, support.points[rows], support.eps[rows],
+                                     sub.points, sub.eps) @ (U0 / lam0)
         Q, _ = np.linalg.qr(Psi)
         Y = _apply_gmatrix(kern, support, Q)
         Q, _ = np.linalg.qr(Y)
@@ -415,7 +405,7 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
     ii = rng.integers(0, n, size=min(4000, n * 4))
     jj = rng.integers(0, n, size=ii.size)
     t = support.eps[ii] * support.eps[jj] - np.sum(support.points[ii] * support.points[jj], axis=1)
-    exact = kern.scalar(t)
+    exact = kern.scalar(np.maximum(t, kern.mass ** 2, out=t))
     approx = np.sum(V[ii] * (mu * V[jj]), axis=1)
     err = np.abs(approx - exact)
     return FastBackend(
@@ -439,16 +429,7 @@ def _apply_gmatrix(kern, support, B):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(spec: CurrentSpec, x, backend: Optional[FastBackend] = None,
-             tol: Optional[float] = None):
-    """Route point evaluation through the chosen backend."""
-    if backend is None:
-        return eval_direct(spec, x)
-    return backend.eval_points(spec.packet, x, tol=tol)
-
-
-def check_continuity(spec: CurrentSpec, x, step: float,
-                     backend: Optional[FastBackend] = None) -> dict:
+def check_continuity(spec: CurrentSpec, x, step: float) -> dict:
     """Fourth-order central-difference divergence residual at a point.
 
     Returns the raw |div J| and the residual normalized by the largest
@@ -460,7 +441,7 @@ def check_continuity(spec: CurrentSpec, x, step: float,
         e = np.zeros(4)
         e[mu] = step
         offsets += [x + e, x - e, x + 2 * e, x - 2 * e]
-    samples = evaluate(spec, np.array(offsets), backend=backend)
+    samples = eval_direct(spec, np.array(offsets))
     derivs = np.empty(4)
     for mu in range(4):
         f1, f_1, f2, f_2 = (samples[4 * mu + i].value[mu] for i in range(4))
@@ -476,10 +457,9 @@ def check_causal_pointwise(sample: CurrentSample) -> float:
     return float(sample.value[0] - np.linalg.norm(sample.value[1:]))
 
 
-def decay_scan(spec: CurrentSpec, x0: float, radii,
-               directions: Optional[np.ndarray] = None,
-               backend: Optional[FastBackend] = None) -> dict:
-    """Fit J0 ~ (1 + |x|)^(-N) along rays in the region |x| >= |x0|.
+def decay_scan(spec: CurrentSpec, x0: float, radii) -> dict:
+    """Fit J0 ~ (1 + |x|)^(-N) along the six coordinate half-axes in the
+    region |x| >= |x0|.
 
     Returns the fitted exponent N_hat, the fit residual, and the sampled
     (radius, mean J0) table.
@@ -487,11 +467,9 @@ def decay_scan(spec: CurrentSpec, x0: float, radii,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < abs(x0)):
         raise ValueError("radii must satisfy |x| >= |x0|")
-    if directions is None:
-        directions = np.concatenate([np.eye(3), -np.eye(3)])
-    pts = np.array([[x0, *(r * d)] for r in radii for d in directions])
-    samples = evaluate(spec, pts, backend=backend)
-    j0 = np.array([s.value[0] for s in samples]).reshape(len(radii), len(directions))
+    pts = np.array([[x0, *(r * d)] for r in radii for d in _AXES])
+    samples = eval_direct(spec, pts)
+    j0 = np.array([s.value[0] for s in samples]).reshape(len(radii), len(_AXES))
     mean = j0.mean(axis=1)
     if np.any(mean <= 0) or np.any(mean < 1e-280):
         raise ValueError("J0 underflowed along the scan; fit degenerate")

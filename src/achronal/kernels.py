@@ -5,7 +5,10 @@ The causal-kernel family is
     K(k, p) = (eps(k) + eps(p), k + p) / (2 sqrt(eps(k) eps(p))) * g(t),
     t = eps(k) eps(p) - k.p   (the on-shell Minkowski product k_mu p^mu),
 
-with g continuous on [m^2, inf), g(m^2) = 1.  K is a causal kernel when its
+with g continuous on [m^2, inf), g(m^2) = 1.  On shell t >= m^2, but the
+computed product cancels terms of order |p|^2 and can fall below m^2, so
+every pairwise t is clamped to m^2 (scalar_block, kernel_K); its error stays
+about 2^-52 eps(k) eps(p) / m^2 relative.  K is a causal kernel when its
 zeroth component is positive definite on R^3; the basic series
 
     g_r(t) = (2 m^2)^r (m^2 + t)^(-r),   r >= 3/2,
@@ -123,8 +126,7 @@ def kernel_K(k, p, kern: CausalKernel):
     p = np.asarray(p, dtype=float)
     m = kern.mass
     ek, ep = energy(k, m), energy(p, m)
-    t = ek * ep - np.sum(k * p, axis=-1)
-    g = kern.scalar(t)
+    g = kern.scalar(np.maximum(ek * ep - np.sum(k * p, axis=-1), m * m))
     pref = g / (2.0 * np.sqrt(ek) * np.sqrt(ep))
     out = np.empty(np.broadcast_shapes(k.shape, p.shape)[:-1] + (4,))
     out[..., 0] = (ek + ep) * pref
@@ -191,6 +193,15 @@ def continuity_contraction(kern, k, p):
     return minkowski_product(diff, K)
 
 
+def scalar_block(kern: CausalKernel, k, ek, p, ep):
+    """g(t) for every pair of rows of k (n, 3) and p (m, 3), shape (n, m),
+    with their energies ek, ep and t clamped to m^2 in place."""
+    t = np.outer(ek, ep)
+    t -= k @ p.T
+    np.maximum(t, kern.mass ** 2, out=t)
+    return kern.scalar(t)
+
+
 def gram_matrix(points, kern: CausalKernel):
     """Hermitian Gram matrix [K0(k_i, k_j)] on a list of momenta."""
     pts = np.asarray(points, dtype=float)
@@ -198,10 +209,8 @@ def gram_matrix(points, kern: CausalKernel):
         raise ValueError("points must have shape (n, 3)")
     if len(pts) < 1:
         raise ValueError("need at least one point")
-    m = kern.mass
-    eps = energy(pts, m)
-    t = np.outer(eps, eps) - pts @ pts.T
-    g = kern.scalar(t)
+    eps = energy(pts, kern.mass)
+    g = scalar_block(kern, pts, eps, pts, eps)
     K0 = (eps[:, None] + eps[None, :]) / (2.0 * np.sqrt(np.outer(eps, eps))) * g
     return 0.5 * (K0 + K0.T)
 

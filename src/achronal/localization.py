@@ -6,11 +6,14 @@ to a spatial mask) is the flux
     p = integral over mask of (J0(tau(x), x) - J(tau(x), x).grad tau(x)) d^3x,
 
 realized as a Riemann sum over the window nodes of the conjugate position
-grid.  The flux needs the current only at the surface nodes (tau(x), x).
-When tau is constant on the selected nodes (flat surfaces and the flat
-images of rotations and translations), one FFT slice at that time covers
-every node; otherwise the current is evaluated at the nodes themselves with
-the phase-matrix product of FastBackend.current_at.
+grid.  The flux needs the current only at the surface nodes (tau(x), x),
+and it is evaluated once per state and surface: a list of masks on one
+surface (a partition, say) shares that evaluation, on the union of their
+nodes, and the integrand is then summed per mask.  When tau is constant on
+those nodes (flat surfaces and the flat images of rotations and
+translations), one FFT slice at that time covers every node; otherwise the
+current is evaluated at the nodes themselves with the phase-matrix product
+of FastBackend.current_at.
 
 The reported error is the sum of three terms, each kept in the result's
 meta:
@@ -19,7 +22,8 @@ meta:
   evaluation leaves out (the eigenpairs dropped at eval_tol plus the
   factorization's spectral tail);
 * err_window: the absolute flux through the window's outermost node layer,
-  which stands for what the window cuts off;
+  which stands for what the window cuts off (flux_invariance_report's
+  boundary_flux_fraction is the largest err_window / |probability|);
 * err_region: the absolute flux through the nodes whose cell the region
   boundary crosses, where the 0/1 node membership is a staircase.
 
@@ -29,8 +33,8 @@ without boundary ties.
 
 The Poincare image of a region is an ordinary region: its surface is the
 image graph (SurfaceTransformResult) and its mask is ImageMask, which
-decides membership of a point y by S^{-1}(y).  `probability` is the one
-flux driver for both.
+decides membership of a point y by S^{-1}(y), so `probability` serves
+both.
 """
 
 from __future__ import annotations
@@ -208,7 +212,6 @@ class LocalizationResult:
     error_estimate: float
     surface: str
     mask: str
-    backend: str
     meta: dict = field(default_factory=dict, compare=False)
 
 
@@ -242,14 +245,12 @@ def _straddles(mask, pts, dx):
 
 
 def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
-                     points, tvals, grads, refine: int, weight: float,
-                     eval_tol: Optional[float], outer, straddle):
-    """Shared core: sum (J0 - J.grad) * weight over selected nodes.
+                     points, tvals, grads, refine: int, eval_tol: Optional[float]):
+    """Flux integrand J0 - J.grad tau and J0 at the selected nodes.
 
     nodes_flat_sel indexes the (refined) full position cube and `points`
     holds the same nodes' coordinates; tvals and grads give the surface data
-    there.  `outer` flags the nodes in the window's outermost layer and
-    `straddle` those whose cell the region boundary crosses.
+    there.  Returns (integrand, J0, {"slices": FFT slices used}).
     """
     tmin, tmax = float(np.min(tvals)), float(np.max(tvals))
     if tmax - tmin < 1e-12:
@@ -261,19 +262,54 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
         Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]),
                                 tol=eval_tol)
         n_slices = 0
+    return Jn[0] - np.sum(Jn[1:] * grads.T, axis=0), Jn[0], {"slices": n_slices}
 
-    integrand = Jn[0] - np.sum(Jn[1:] * grads.T, axis=0)
-    prob = float(np.sum(integrand) * weight)
-    abs_flux = float(np.sum(np.abs(integrand)) * weight)
-    budget = {
-        "err_spectral": abs_flux * (backend.dropped_weight(eval_tol)
-                                    + backend.spectral_tail),
-        "err_window": float(np.sum(np.abs(integrand[outer])) * weight),
-        "err_region": float(np.sum(np.abs(integrand[straddle])) * weight),
-    }
-    return prob, sum(budget.values()), {"slices": n_slices, **budget,
-                       "min_integrand": float(integrand.min(initial=0.0)),
-                       "max_j0": float(Jn[0].max(initial=0.0))}
+
+def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[Mask],
+                   backend: Optional[FastBackend] = None,
+                   window_half: Optional[int] = None, refine: int = 1,
+                   eval_tol: Optional[float] = None, normalization: str = "raw"):
+    """Probabilities of the surface regions cut out by each mask.
+
+    The current is evaluated once, on the union of the masks' window nodes,
+    and the integrand is then summed per mask, each with its own error
+    budget.  Returns the results and the masks' membership of the window
+    nodes, shape (len(masks), nodes).
+    """
+    backend = backend or build_fast(spec, tol=1e-6)
+    grid = spec.packet.grid
+    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
+    members = np.array([m.contains(nodes) for m in masks]).reshape(len(masks), len(nodes))
+    union = members.any(axis=0)
+    pts = nodes[union]
+    integrand = j0 = np.zeros(0)
+    quad = {"slices": 0}
+    if len(pts):
+        integrand, j0, quad = _flux_quadrature(
+            spec, backend, np.flatnonzero(sel.reshape(-1))[union], pts,
+            surface.tau(pts), surface.gradient(pts), refine, eval_tol)
+    outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
+    weight, offset = dx ** 3, float(surface.tau(np.zeros((1, 3)))[0])
+    rel_dropped = backend.dropped_weight(eval_tol) + backend.spectral_tail
+    results = []
+    for mask, member in zip(masks, members):
+        part = member[union]
+        f = integrand[part]
+        prob = float(np.sum(f) * weight)
+        meta = {"slices": quad["slices"],
+                "err_spectral": float(np.sum(np.abs(f)) * weight) * rel_dropped,
+                "err_window": float(np.sum(np.abs(f[outer[part]])) * weight),
+                "err_region": float(np.sum(np.abs(
+                    f[_straddles(mask, pts[part], dx)])) * weight),
+                "min_integrand": float(f.min(initial=0.0)),
+                "max_j0": float(j0[part].max(initial=0.0)),
+                "window_half_nodes": half, "refine": refine,
+                "window_extent": float(half * grid.position_spacing),
+                "raw_probability": prob, "surface_offset_at_origin": offset}
+        err = sum(meta[key] for key in _BUDGET)
+        prob, err = _apply_normalization(spec, prob, err, normalization, meta)
+        results.append(LocalizationResult(prob, err, surface.label(), mask.label(), meta))
+    return results, members
 
 
 def probability(spec: CurrentSpec, region: Region,
@@ -288,26 +324,10 @@ def probability(spec: CurrentSpec, region: Region,
     (divide by the per-state n-energy expectation so that the full-surface
     flux is the squared norm); the raw value is always kept in meta.
     """
-    backend = backend or build_fast(spec, tol=1e-6)
-    grid = spec.packet.grid
-    surface, mask = region.surface, region.mask
-    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
-    inside = mask.contains(nodes)
-    pts = nodes[inside]
-    if len(pts) == 0:
-        prob, err, meta = 0.0, 0.0, {"slices": 0, **dict.fromkeys(_BUDGET, 0.0)}
-    else:
-        outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
-        flat_sel = np.flatnonzero(sel.reshape(-1))[inside]
-        prob, err, meta = _flux_quadrature(
-            spec, backend, flat_sel, pts, surface.tau(pts), surface.gradient(pts),
-            refine, dx ** 3, eval_tol, outer, _straddles(mask, pts, dx))
-    meta.update({"window_half_nodes": half, "refine": refine,
-                 "window_extent": float(half * grid.position_spacing),
-                 "raw_probability": prob,
-                 "surface_offset_at_origin": float(surface.tau(np.zeros((1, 3)))[0])})
-    prob, err = _apply_normalization(spec, prob, err, normalization, meta)
-    return LocalizationResult(prob, err, surface.label(), mask.label(), "fast", meta)
+    results, _ = _region_fluxes(spec, region.surface, [region.mask], backend=backend,
+                                window_half=window_half, refine=refine,
+                                eval_tol=eval_tol, normalization=normalization)
+    return results[0]
 
 
 def _apply_normalization(spec, prob, err, normalization, meta):
@@ -347,8 +367,8 @@ def flux_invariance_report(spec: CurrentSpec, surfaces: Sequence[AchronalSurface
                            tolerance_budget: float = 2e-2, **quad) -> dict:
     """Full-surface probabilities across maximal surfaces, with deviations.
 
-    Warns (in the report) when the boundary-shell flux estimate suggests the
-    window misses more than a tenth of the tolerance budget.
+    Warns (in the report) when the largest share of a flux that crosses the
+    window's outermost node layer exceeds a tenth of the tolerance budget.
     """
     backend = backend or build_fast(spec, tol=1e-6)
     results = [probability(spec, Region(s, FullMask()), backend=backend, **quad)
@@ -359,7 +379,7 @@ def flux_invariance_report(spec: CurrentSpec, surfaces: Sequence[AchronalSurface
     if len(probs) > 1:
         dev = float(np.abs(probs[:, None] - probs[None, :]).max() / scale)
     warnings = []
-    tail = _window_tail_fraction(spec, backend, **quad)
+    tail = _window_tail_fraction(results)
     if tail > 0.1 * tolerance_budget:
         warnings.append(
             f"boundary flux fraction {tail:.2e} exceeds a tenth of the "
@@ -369,18 +389,11 @@ def flux_invariance_report(spec: CurrentSpec, surfaces: Sequence[AchronalSurface
             "boundary_flux_fraction": tail, "warnings": warnings}
 
 
-def _window_tail_fraction(spec, backend, window_half=None, refine=1, **_):
-    """Fraction of the t = 0 slice's J0 mass on the window's boundary shell."""
-    grid = spec.packet.grid
-    half = grid.n // 3 if window_half is None else int(window_half)
-    J = backend.slice_fields(spec.packet, 0.0, refine=1)
-    sel = position_window_mask(grid, half, 1)
-    inner = position_window_mask(grid, half - 1, 1)
-    shell = sel & ~inner
-    total = float(J[0][sel].sum())
-    if total <= 0:
-        return 0.0
-    return float(J[0][shell].sum()) / total
+def _window_tail_fraction(results) -> float:
+    """Largest err_window / |probability| over the results: the share of a
+    flux that crosses the window's outermost node layer."""
+    return max((r.meta["err_window"] / abs(r.probability)
+                for r in results if r.probability != 0), default=0.0)
 
 
 def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
@@ -399,22 +412,17 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
 
 def additivity_check(spec: CurrentSpec, surface: AchronalSurface,
                      masks: Sequence[Mask], backend: Optional[FastBackend] = None,
-                     window_half: Optional[int] = None, **quad) -> dict:
+                     **quad) -> dict:
     """|sum of partition probabilities - norm^2| / norm^2.
 
-    The masks must partition the window nodes exactly: overlapping nodes
+    One evaluation of the current serves every mask.  The masks must
+    partition the window nodes the flux uses exactly: overlapping nodes
     raise, uncovered nodes count toward the reported gap.
     """
-    backend = backend or build_fast(spec, tol=1e-6)
-    grid = spec.packet.grid
-    sel, nodes, dx, half = _window_nodes(grid, window_half, 1)
-    counts = np.zeros(len(nodes), dtype=int)
-    for m in masks:
-        counts += m.contains(nodes).astype(int)
+    results, members = _region_fluxes(spec, surface, masks, backend=backend, **quad)
+    counts = members.sum(axis=0)
     if np.any(counts > 1):
         raise MaskOverlapError(f"{int((counts > 1).sum())} nodes in multiple masks")
-    results = [probability(spec, Region(surface, m), backend=backend,
-                           window_half=half, **quad) for m in masks]
     total = float(sum(r.probability for r in results))
     norm2 = spec.packet.norm_squared()
     return {"results": results, "sum": total, "norm_squared": norm2,

@@ -49,7 +49,7 @@ class AchronalSurface:
     def tau(self, x):
         raise NotImplementedError
 
-    def gradient(self, x, with_flags: bool = False):
+    def gradient(self, x):
         raise NotImplementedError
 
     @property
@@ -77,10 +77,8 @@ class FlatSurface(AchronalSurface):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape[:-1], self.t0)
 
-    def gradient(self, x, with_flags=False):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros_like(x)
-        return (g, np.zeros(x.shape[:-1], dtype=bool)) if with_flags else g
+    def gradient(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
 
     @property
     def lipschitz_bound(self):
@@ -111,10 +109,9 @@ class TiltedSurface(AchronalSurface):
         x = np.asarray(x, dtype=float)
         return x @ np.asarray(self.e) + self.offset
 
-    def gradient(self, x, with_flags=False):
+    def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        g = np.broadcast_to(np.asarray(self.e), x.shape).copy()
-        return (g, np.zeros(x.shape[:-1], dtype=bool)) if with_flags else g
+        return np.broadcast_to(np.asarray(self.e), x.shape).copy()
 
     @property
     def lipschitz_bound(self):
@@ -146,12 +143,11 @@ class BumpSurface(AchronalSurface):
         r2 = np.sum(x * x, axis=-1)
         return self.amplitude * self.scale * (np.sqrt(1.0 + r2 / self.scale ** 2) - 1.0)
 
-    def gradient(self, x, with_flags=False):
+    def gradient(self, x):
         x = np.asarray(x, dtype=float)
         r2 = np.sum(x * x, axis=-1)
         denom = self.scale * np.sqrt(1.0 + r2 / self.scale ** 2)
-        g = self.amplitude * x / denom[..., None]
-        return (g, np.zeros(x.shape[:-1], dtype=bool)) if with_flags else g
+        return self.amplitude * x / denom[..., None]
 
     @property
     def lipschitz_bound(self):
@@ -168,8 +164,8 @@ class BumpSurface(AchronalSurface):
 class ConeSurface(AchronalSurface):
     """tau(x) = offset + gamma |x - apex|; gradient undefined at the apex.
 
-    The apex reports the one-sided gradient along +x1 with a flag; its
-    quadrature contribution is O(h^3) and the integrand is defined almost
+    The apex reports the one-sided gradient gamma e_1; its quadrature
+    contribution is O(h^3) and the integrand is defined almost
     everywhere.  A negative gamma with positive offset gives the downward
     cone patches spanning a causal diamond.
     """
@@ -188,15 +184,14 @@ class ConeSurface(AchronalSurface):
         x = np.asarray(x, dtype=float)
         return self.offset + self.gamma * np.linalg.norm(x - np.asarray(self.apex), axis=-1)
 
-    def gradient(self, x, with_flags=False):
+    def gradient(self, x):
         x = np.asarray(x, dtype=float)
         d = x - np.asarray(self.apex)
         r = np.linalg.norm(d, axis=-1)
         at_apex = r < 1e-12
         safe = np.where(at_apex[..., None], 1.0, r[..., None])
         g = self.gamma * d / safe
-        g = np.where(at_apex[..., None], self.gamma * np.array([1.0, 0.0, 0.0]), g)
-        return (g, at_apex) if with_flags else g
+        return np.where(at_apex[..., None], self.gamma * np.array([1.0, 0.0, 0.0]), g)
 
     @property
     def lipschitz_bound(self):
@@ -276,14 +271,13 @@ class SampledSurface(AchronalSurface):
         out = map_coordinates(self.values, idx.T, order=1, mode="nearest")
         return out.reshape(x.shape[:-1])
 
-    def gradient(self, x, with_flags=False):
+    def gradient(self, x):
         from scipy.ndimage import map_coordinates
         x = np.asarray(x, dtype=float)
         grads = np.gradient(self.values, self.spacing, edge_order=2)
         idx = self._indices(x.reshape(-1, 3))
-        g = np.stack([map_coordinates(gi, idx.T, order=1, mode="nearest")
-                      for gi in grads], axis=-1).reshape(x.shape)
-        return (g, np.zeros(x.shape[:-1], dtype=bool)) if with_flags else g
+        return np.stack([map_coordinates(gi, idx.T, order=1, mode="nearest")
+                         for gi in grads], axis=-1).reshape(x.shape)
 
     @property
     def lipschitz_bound(self):
@@ -441,12 +435,11 @@ class SurfaceTransformResult(AchronalSurface):
     def tau(self, y):
         return self.tau_of_source(self.s_inverse(y))
 
-    def gradient(self, y, with_flags=False):
+    def gradient(self, y):
         y = np.asarray(y, dtype=float)
-        z, flags = self.surface.gradient(self.s_inverse(y), with_flags=True)
+        z = self.surface.gradient(self.s_inverse(y))
         grad, _ = transform_gradient_data(self.g.L, z.reshape(-1, 3))
-        grad = grad.reshape(y.shape)
-        return (grad, flags) if with_flags else grad
+        return grad.reshape(y.shape)
 
     def jacobian_det(self, x):
         z = self.surface.gradient(np.atleast_2d(x))

@@ -162,12 +162,12 @@ def test_rcl_well_defined(spec16, fast16):
     flat = GraphPatch(FlatSurface(0.0), BallMask((0, 0, 0), r))
     cone = GraphPatch(ConeSurface(-0.5, (0, 0, 0), 0.5 * r), BallMask((0, 0, 0), r))
     p1, p2 = rcl_well_defined_check(spec16, flat, cone, backend=fast16,
-                                    n_check=120, window_half=7, eval_tol=1e-5)
+                                    window_half=7, eval_tol=1e-5)
     norm2 = spec16.packet.norm_squared()
     assert abs(p1.probability - p2.probability) / norm2 <= 2e-2
     # identical patches agree exactly
     q1, q2 = rcl_well_defined_check(spec16, flat, flat, backend=fast16,
-                                    n_check=40, window_half=7, eval_tol=1e-5)
+                                    window_half=7, eval_tol=1e-5)
     assert q1.probability == q2.probability
 
 
@@ -180,7 +180,7 @@ def test_rcl_gamma_sweep_band(spec16, fast16):
         cone = GraphPatch(ConeSurface(-gamma, (0, 0, 0), gamma * r),
                           BallMask((0, 0, 0), r))
         p1, p2 = rcl_well_defined_check(spec16, flat, cone, backend=fast16,
-                                        n_check=60, window_half=7, eval_tol=1e-5)
+                                        window_half=7, eval_tol=1e-5)
         base = p1.probability if base is None else base
         assert abs(p2.probability - base) / norm2 <= 2e-2
 
@@ -190,7 +190,7 @@ def test_rcl_detects_mismatch(spec16, fast16):
     smaller = GraphPatch(FlatSurface(0.0), BallMask((0, 0, 0), 2.0))
     with pytest.raises(DeterminacyMismatchError):
         rcl_well_defined_check(spec16, flat, smaller, backend=fast16,
-                               n_check=200, window_half=7)
+                               window_half=7)
 
 
 def test_separation_margin_broadcast():

@@ -69,7 +69,7 @@ def test_fast_matches_direct_causal(spec16, fast16):
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-2, 2, (20, 3))])
     direct = np.array([s.value for s in eval_direct(spec16, pts)])
-    fast = np.array([s.value for s in fast16.eval_points(spec16.packet, pts)])
+    fast = fast16.current_at(spec16.packet, pts).T
     scale = np.abs(direct).max()
     assert np.abs(fast - direct).max() / scale < 1e-6
 
@@ -81,15 +81,15 @@ def test_fast_full_rank_equals_direct(grid16, kern_basic):
     fb = build_fast(spec, rank=n_sup, n_landmarks=n_sup)
     x = np.array([0.4, 0.3, -0.1, 0.2])
     d = eval_direct(spec, x)
-    f = fb.eval_points(pkt, x)
-    assert np.abs(f.value - d.value).max() / np.abs(d.value).max() < 1e-12
+    f = fb.current_at(pkt, x).T[0]
+    assert np.abs(f - d.value).max() / np.abs(d.value).max() < 1e-12
 
 
 def test_fast_matches_direct_tensor(tspec16, tfast16):
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-2, 2, (20, 3))])
     direct = np.array([s.value for s in eval_direct(tspec16, pts)])
-    fast = np.array([s.value for s in tfast16.eval_points(tspec16.packet, pts)])
+    fast = tfast16.current_at(tspec16.packet, pts).T
     assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-6
 
 
@@ -106,8 +106,8 @@ def test_slice_fields_match_points(request, spec_name, fast_name, tol):
     ax = spec.packet.grid.position_axis()
     J = fast.slice_fields(spec.packet, 0.35, tol=tol)
     pt = np.array([0.35, ax[4], ax[9], ax[11]])
-    s = fast.eval_points(spec.packet, pt, tol=tol)
-    assert np.abs(J[:, 4, 9, 11] - s.value).max() < 1e-12 * np.abs(s.value).max() + 1e-15
+    s = fast.current_at(spec.packet, pt, tol=tol).T[0]
+    assert np.abs(J[:, 4, 9, 11] - s).max() < 1e-12 * np.abs(s).max() + 1e-15
 
 
 def test_slice_refine_matches_direct(spec16, fast16):
@@ -130,7 +130,7 @@ def test_backend_rejects_foreign_packet(fast16, grid16):
     other = make_packet(grid16, M, sigma=0.5, center=(0, 0, 1.4),
                         core_radius=0.4, support_radius=0.8, margin=1)
     with pytest.raises(BackendMismatchError):
-        fast16.eval_points(other, fourvector(0, 0, 0, 0))
+        fast16.current_at(other, fourvector(0, 0, 0, 0))
 
 
 def test_continuity_fourth_order(spec16):
@@ -171,7 +171,7 @@ def test_causal_margin_on_slices(spec16, fast16):
 
 def test_causal_margin_zero_current():
     from achronal.currents import CurrentSample
-    s = CurrentSample(np.zeros(4), np.zeros(4), "direct", 0.0)
+    s = CurrentSample(np.zeros(4), np.zeros(4), 0.0)
     assert check_causal_pointwise(s) == 0.0
 
 

@@ -223,6 +223,18 @@ def test_cli_kernel_pd_and_oscillatory(tmp_path):
     assert not check["pass"] and check["value"] < 0
 
 
+def test_cli_kernel_pd_at_large_momenta(tmp_path):
+    # momenta up to 300 m: the on-shell products cancel below m^2 unless clamped
+    path = tmp_path / "pd.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG,
+                                    gram={"points": 200, "ball_radius_over_mass": 300})))
+    out = tmp_path / "pd"
+    r = run_cli(["kernel-pd", "--config", str(path), "--out", str(out)], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    check, = json.loads((out / "results.json").read_text())["checks"]
+    assert check["name"] == "gram_min_eigenvalue" and check["pass"]
+
+
 def test_cli_logic(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["eval_tol"] = 1e-5

@@ -1,10 +1,12 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from achronal.kernels import (CausalKernel, GFunction, KernelDomainError,
                               TensorKernel, continuity_contraction, g_basic,
-                              gram_min_eigenvalue, kernel_K, kernel_Kn,
-                              parse_kernel_spec)
+                              gram_matrix, gram_min_eigenvalue, kernel_K,
+                              kernel_Kn, parse_kernel_spec)
 from achronal.minkowski import rotation
 from achronal.wavepacket import energy
 
@@ -152,6 +154,41 @@ def test_gram_oscillatory_profile_indefinite():
 def test_gram_input_validation(kern_basic):
     with pytest.raises(ValueError):
         gram_min_eigenvalue(np.zeros((0, 3)), kern_basic)
+
+
+def _decimal_K(k, p, r=1.5):
+    """K(k, p) and eps(k) eps(p) at 60 digits from the float momenta (m = 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        kd = [Decimal(float(v)) for v in k]
+        pd = [Decimal(float(v)) for v in p]
+        ek = (1 + sum(v * v for v in kd)).sqrt()
+        ep = (1 + sum(v * v for v in pd)).sqrt()
+        t = ek * ep - sum(a * b for a, b in zip(kd, pd))
+        g = (Decimal(2) / (1 + t)) ** Decimal(r)
+        pref = g / (2 * (ek * ep).sqrt())
+        K = [(ek + ep) * pref] + [(a + b) * pref for a, b in zip(kd, pd)]
+        return np.array([float(v) for v in K]), float(ek * ep)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_onshell_products_at_large_momenta(kern_basic, scale):
+    # eps(k) eps(p) - k.p cancels terms of order |p|^2: near-diagonal and
+    # collinear pairs put the computed t below m^2 unless it is clamped
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    p = scale * u
+    pts = np.array([p, p + 1e-3 * rng.normal(size=3), p + 0.3 * rng.normal(size=3),
+                    p * (1 + 1e-12), p * 0.5, p * 2.0, -p, scale * rng.normal(size=3)])
+    G = gram_matrix(pts, kern_basic)
+    K = kernel_K(pts[:, None, :], pts[None, :, :], kern_basic)
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            ref, ee = _decimal_K(pts[i], pts[j])
+            bound = 4 * 2.0 ** -52 * ee * np.abs(ref).max()
+            assert abs(G[i, j] - ref[0]) <= bound, (i, j)
+            assert np.abs(K[i, j] - ref).max() <= bound, (i, j)
 
 
 def test_parse_kernel_spec():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from achronal.currents import CurrentSpec, build_fast, eval_direct
-from achronal.grids import MomentumGrid
+from achronal.grids import MomentumGrid, position_window_mask
 from achronal.kernels import TensorKernel
 from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
                                    HalfSpaceMask, ImageMask, IntersectionMask,
@@ -307,3 +309,54 @@ def test_image_region_of_no_points_is_empty():
     assert image.s_inverse(none).shape == (0, 3)
     assert image.tau(none).shape == (0,)
     assert ImageMask(BallMask((0, 0, 0), 1.0), image).contains(none).shape == (0,)
+
+
+def test_boundary_flux_fraction_is_the_largest_window_share(spec16, fast16):
+    rep = flux_invariance_report(spec16, [FlatSurface(0.0)], backend=fast16, **WPAR)
+    # on t = 0 it is the slice's J0 share on the window's boundary shell
+    grid = spec16.packet.grid
+    J0 = fast16.slice_fields(spec16.packet, 0.0)[0]
+    window = position_window_mask(grid, 7, 1)
+    shell = window & ~position_window_mask(grid, 6, 1)
+    ref = J0[shell].sum() / J0[window].sum()
+    assert rep["boundary_flux_fraction"] == pytest.approx(ref, rel=1e-14)
+    # a cone reaches further out in time, so it sets the largest share
+    rep = flux_invariance_report(spec16, [FlatSurface(0.0), ConeSurface(0.5)],
+                                 backend=fast16, **WPAR)
+    shares = [r.meta["err_window"] / abs(r.probability) for r in rep["results"]]
+    assert shares[1] > shares[0]
+    assert rep["boundary_flux_fraction"] == max(shares)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return tuple(v / np.linalg.norm(v))
+
+
+_coord = st.floats(-2.0, 2.0)
+_half_spaces = st.builds(
+    lambda n, off: HalfSpaceMask(_unit(n), off),
+    st.tuples(_coord, _coord, _coord).filter(lambda n: np.linalg.norm(n) > 0.1),
+    st.floats(-1.5, 1.5))
+_balls = st.builds(lambda c, r: BallMask(c, r), st.tuples(_coord, _coord, _coord),
+                   st.floats(0.5, 4.0))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(st.sampled_from([FlatSurface(0.0), TiltedSurface((0, 0.2, 0.4)), BumpSurface(0.5)]),
+       st.one_of(_half_spaces, _balls))
+def test_partition_parts_match_their_own_fluxes(spec16, fast16, surface, mask):
+    # a smaller window than WPAR keeps the ten examples quick
+    parts = [mask, ComplementMask(mask)]
+    out = additivity_check(spec16, surface, parts, backend=fast16, window_half=5)
+    full = probability(spec16, Region(surface), backend=fast16, window_half=5)
+    assert out["sum"] == pytest.approx(full.probability, rel=1e-12)
+    for m, part in zip(parts, out["results"]):
+        own = probability(spec16, Region(surface, m), backend=fast16, window_half=5)
+        if surface.kind == "flat":
+            # one FFT slice on both routes: the same values summed in order
+            assert (part.probability, part.error_estimate) == (own.probability,
+                                                             own.error_estimate)
+        else:
+            assert part.probability == pytest.approx(own.probability, rel=1e-12)
+            assert part.error_estimate == pytest.approx(own.error_estimate, rel=1e-12)

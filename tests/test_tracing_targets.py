@@ -48,3 +48,20 @@ def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
     finally:
         tracer.uninstall()
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
+
+
+def test_partition_takes_one_time_slice(spec16, fast16):
+    # both halves of the flat surface share one evaluation of the current
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        loc.additivity_check(spec16, FlatSurface(0.0),
+                             [loc.HalfSpaceMask((1.0, 0.0, 0.0)),
+                              loc.HalfSpaceMask((-1.0, 0.0, 0.0))],
+                             backend=fast16, window_half=4)
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
