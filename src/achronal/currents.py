@@ -22,6 +22,13 @@ independent:
   p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
   algebraically.
 
+The five auxiliary fields of a batch of eigenvectors go through one
+transform call (one stacked FFT or one GEMM).  Component mu of the causal
+current pairs the 1/sqrt(eps) field with the mu-th of (sqrt(eps), p_i /
+sqrt(eps)), so a slice asked for its first `components` components
+transforms only the fields those need: J0 alone takes two fields per
+eigenvector instead of five.
+
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
 reproduces the current's phase exactly.
@@ -41,8 +48,10 @@ from .wavepacket import WavePacket, apply_poincare
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# support-node rows per G-matrix block; eigenvectors per transform batch;
-# complex entries per phase block (support nodes x points) of current_at
+# support-node rows per G-matrix block; eigenvectors per transform batch (a
+# refined slice takes _RANK_BATCH // refine^3 of them, so that no batch holds
+# more cube entries than at refine 1); complex entries per phase block
+# (support nodes x points) of current_at
 _CHUNK = 2048
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 18
@@ -272,39 +281,52 @@ class FastBackend:
     # -- whole slices ------------------------------------------------------
 
     def slice_fields(self, packet: WavePacket, x0: float, refine: int = 1,
-                     tol: Optional[float] = None) -> np.ndarray:
+                     tol: Optional[float] = None, components: int = 4) -> np.ndarray:
         """Current components on the conjugate position grid at time x0.
 
-        Returns a real array of shape (4, M, M, M) with M = refine * n.
+        Returns a real array of shape (components, M, M, M) with
+        M = refine * n: the first `components` of (J0, J1, J2, J3).
         """
+        if not 1 <= components <= 4:
+            raise ValueError(f"components must be 1 to 4, got {components}")
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
         J = self._current(
-            load, lambda nodes: momentum_to_position(sup.embed(nodes), sup.grid, refine), tol)
+            load, lambda nodes: momentum_to_position(sup.embed(nodes), sup.grid, refine),
+            tol, components, batch=max(1, _RANK_BATCH // refine ** 3))
         return J / TWO_PI_CUBED
 
-    def _current(self, load, transform, tol):
-        """Real current components (4, ...) at the points `transform` reaches.
+    def _current(self, load, transform, tol, components=4, batch=_RANK_BATCH):
+        """Real current components (components, ...) at the points `transform`
+        reaches.
 
         `load` holds the per-node packet values (quadrature weight and any
         common time phase included); `transform` maps node arrays of shape
-        (..., n_sup) to fields (..., *points) at the evaluation points.
+        (..., n_sup) to fields (..., *points) at the evaluation points.  Each
+        batch of `batch` eigenvectors makes one transform call.
         """
         weights = self.support.field_weights()
         if self.separable:
-            Fv, F0, F1, F2, F3 = (transform(w * load) for w in weights)
-            return _tensor_from_fields(self.kernel, F0, F1, F2, F3, Fv)
+            # every stress-energy component needs all five fields
+            Fv, F0, F1, F2, F3 = transform(weights * load)
+            return _tensor_from_fields(self.kernel, F0, F1, F2, F3, Fv)[:components]
+        # B = 1/sqrt(eps) first, then the partners (A, C1, C2, C3)[:components]
+        wl = (weights[:components + 1] * load)[:, None, :]
         R = self.rank_for(tol)
         J = 0.0
-        for r0 in range(0, R, _RANK_BATCH):
-            rs = slice(r0, min(r0 + _RANK_BATCH, R))
-            V = self.eigvecs[:, rs].T
-            B, A, C1, C2, C3 = (transform(V * (w * load)[None, :]) for w in weights)
-            mub = self.eigvals[rs].reshape((-1,) + (1,) * (B.ndim - 1))
-            J = J + np.stack([np.sum(mub * (np.conj(F) * B).real, axis=0)
-                              for F in (A, C1, C2, C3)])
+        for r0 in range(0, R, batch):
+            rs = slice(r0, min(r0 + batch, R))
+            J = J + _rank_sum(self.eigvals[rs], transform(self.eigvecs[:, rs].T * wl))
         return J
+
+
+def _rank_sum(mu, fields):
+    """sum_r mu_r Re(conj(F) B) for each partner F of B = fields[0]; the
+    batch's fields are released on return, before the next batch is made."""
+    B, *partners = fields
+    mub = mu.reshape((-1,) + (1,) * (B.ndim - 1))
+    return np.stack([np.sum(mub * (np.conj(F) * B).real, axis=0) for F in partners])
 
 
 def _tensor_from_fields(kern: TensorKernel, F0, F1, F2, F3, Fv):

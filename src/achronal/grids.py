@@ -9,7 +9,9 @@ partition quadrature nodes cleanly.
 The core transform realizes F(x) = sum_p f(p) exp(i p.x) on the conjugate
 grid via a phase-dressed FFT; `refine` evaluates the same trigonometric sum
 on a grid `refine` times finer by zero-padded embedding (exact, since the
-embedded nodes carry zero amplitude).
+embedded nodes carry zero amplitude).  The inverse FFT runs with
+norm="forward", which leaves the sum unscaled (no 1/M^3), and the pre- and
+post-phases are applied as one separable cube each.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ def _axis_phases(n: int, m: int):
     return pre, post
 
 
+def _outer3(v: np.ndarray) -> np.ndarray:
+    """The separable cube v_i v_j v_k."""
+    return v[:, None, None] * v[None, :, None] * v[None, None, :]
+
+
 def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1) -> np.ndarray:
     """Evaluate F(x) = sum_p f(p) exp(i p.x) on the conjugate position grid.
 
@@ -96,21 +103,22 @@ def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1
     """
     n = grid.n
     m = n * refine
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     if values.shape[-3:] != (n, n, n):
         raise ValueError(f"values shape {values.shape} does not end in ({n},{n},{n})")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if refine > 1:
-        off = (m - n) // 2
-        padded = np.zeros(values.shape[:-3] + (m, m, m), dtype=complex)
-        padded[..., off:off + n, off:off + n, off:off + n] = values
-        values = padded
     pre, post = _axis_phases(n, m)
-    work = values * pre[:, None, None] * pre[None, :, None] * pre[None, None, :]
-    out = scipy.fft.ifftn(work, axes=(-3, -2, -1), workers=-1)
-    out *= m ** 3
-    out *= post[:, None, None] * post[None, :, None] * post[None, None, :]
+    if refine > 1:
+        # zero-padded embedding: only the embedded block needs the pre-phase
+        inner = slice((m - n) // 2, (m - n) // 2 + n)
+        work = np.zeros(values.shape[:-3] + (m, m, m), dtype=complex)
+        work[..., inner, inner, inner] = values * _outer3(pre[inner])
+    else:
+        work = np.multiply(values, _outer3(pre), dtype=complex)
+    out = scipy.fft.ifftn(work, axes=(-3, -2, -1), norm="forward",
+                          overwrite_x=True, workers=-1)
+    out *= _outer3(post)
     return out
 
 

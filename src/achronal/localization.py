@@ -11,9 +11,11 @@ and it is evaluated once per state and surface: a list of masks on one
 surface (a partition, say) shares that evaluation, on the union of their
 nodes, and the integrand is then summed per mask.  When tau is constant on
 those nodes (flat surfaces and the flat images of rotations and
-translations), one FFT slice at that time covers every node; otherwise the
-current is evaluated at the nodes themselves with the phase-matrix product
-of FastBackend.current_at.
+translations), one FFT slice at that time covers every node; where grad tau
+is also exactly zero (flat surfaces) the integrand is J0, and the slice
+transforms only J0's two auxiliary fields.  Otherwise the current is
+evaluated at the nodes themselves with the phase-matrix product of
+FastBackend.current_at.
 
 The reported error is the sum of three terms, each kept in the result's
 meta:
@@ -254,9 +256,13 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
     """
     tmin, tmax = float(np.min(tvals)), float(np.max(tvals))
     if tmax - tmin < 1e-12:
+        # with grad tau exactly zero the integrand is J0: transform only its fields
+        flat = not np.any(grads)
         J = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
-                                 tol=eval_tol)
-        Jn = J.reshape(4, -1)[:, nodes_flat_sel]
+                                 tol=eval_tol, components=1 if flat else 4)
+        Jn = J.reshape(len(J), -1)[:, nodes_flat_sel]
+        if flat:
+            return Jn[0], Jn[0], {"slices": 1}
         n_slices = 1
     else:
         Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]),

@@ -110,6 +110,31 @@ def test_slice_fields_match_points(request, spec_name, fast_name, tol):
     assert np.abs(J[:, 4, 9, 11] - s).max() < 1e-12 * np.abs(s).max() + 1e-15
 
 
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("spec_name, fast_name, tol", [
+    ("spec16", "fast16", None),
+    ("spec16", "fast16", 1e-5),
+    ("tspec16", "tfast16", None),
+], ids=["causal_full_rank", "causal_tol_1e-5", "stress_energy"])
+def test_slice_components_are_a_prefix(request, spec_name, fast_name, tol, refine):
+    # a slice asked for fewer components transforms fewer fields but
+    # returns the same leading components
+    spec = request.getfixturevalue(spec_name)
+    fast = request.getfixturevalue(fast_name)
+    full = fast.slice_fields(spec.packet, 0.35, refine=refine, tol=tol)
+    scale = np.abs(full).max()
+    for k in range(1, 5):
+        part = fast.slice_fields(spec.packet, 0.35, refine=refine, tol=tol, components=k)
+        assert part.shape == full[:k].shape
+        assert np.abs(part - full[:k]).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("components", [0, 5])
+def test_slice_components_out_of_range(spec16, fast16, components):
+    with pytest.raises(ValueError):
+        fast16.slice_fields(spec16.packet, 0.0, components=components)
+
+
 def test_slice_refine_matches_direct(spec16, fast16):
     grid = spec16.packet.grid
     J = fast16.slice_fields(spec16.packet, 0.1, refine=2)

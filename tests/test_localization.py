@@ -283,6 +283,32 @@ def test_spectral_term_covers_rank_truncation(spec16, fast16, surface):
         assert cut.meta["err_spectral"] > full.meta["err_spectral"]
 
 
+class _ConstantTauSloped(FlatSurface):
+    """tau constant on every node, yet a nonzero gradient: the flux route must
+    still take the full current and subtract J.grad tau."""
+
+    kind = "stub"
+
+    def gradient(self, x):
+        return np.broadcast_to(np.array([0.0, 0.0, 0.4]), np.shape(x))
+
+
+def test_constant_tau_with_slope_subtracts_j_dot_grad(spec16, fast16):
+    # at t = 1 the packet spreads, so J3 is positive on the upper half space
+    surface, upper = _ConstantTauSloped(1.0), HalfSpaceMask((0, 0, 1))
+    res = probability(spec16, Region(surface, upper), backend=fast16, **WPAR)
+    assert res.meta["slices"] == 1
+    ax = spec16.packet.grid.position_axis()
+    dx = ax[1] - ax[0]
+    win = np.flatnonzero(np.abs(ax) < 7 * dx)
+    up = win[ax[win] > 0]
+    J = fast16.slice_fields(spec16.packet, 1.0)[:, win][:, :, win][:, :, :, up]
+    ref = float(np.sum(J[0] - 0.4 * J[3])) * dx ** 3
+    flat = probability(spec16, Region(FlatSurface(1.0), upper), backend=fast16, **WPAR)
+    assert res.probability == pytest.approx(ref, rel=1e-12)
+    assert flat.probability - res.probability > 1e-3 * flat.probability
+
+
 def test_image_of_flat_surface_is_the_tilted_plane(spec16, fast16):
     # the boost_z(0.3) image of t = 0 is the plane t = tanh(0.3) z
     image = transform_surface(PoincareElement.from_lorentz(boost_z(0.3)), FlatSurface(0.0))

@@ -9,6 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import achronal.currents as currents
 import achronal.localization as loc
 from achronal.surfaces import FlatSurface, TiltedSurface
 
@@ -65,3 +68,40 @@ def test_partition_takes_one_time_slice(spec16, fast16):
     finally:
         tracer.uninstall()
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
+    # J0 pairs the 1/sqrt(eps) field with the sqrt(eps) field: two transforms
+    # per eigenvector, not five
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        loc.probability(spec16, loc.Region(FlatSurface(0.0)), backend=fast16, window_half=4)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["grids.m2p_transforms"] == 2 * fast16.rank
+
+
+def test_refined_slice_batches_fewer_eigenvectors(spec16, fast16):
+    # a refine-2 cube holds 8 times the entries, so a call takes 24 // 8
+    # eigenvectors of five fields each
+    tracer = _load_tracing().Tracer()
+    per_call = []
+    tracer.wrap(currents, "momentum_to_position", "grids.m2p",
+                lambda tr, args, kwargs, out: per_call.append(
+                    int(np.prod(np.shape(args[0])[:-3]))))
+    try:
+        fast16.slice_fields(spec16.packet, 0.0, refine=2)
+    finally:
+        tracer.uninstall()
+    assert sum(per_call) == 5 * fast16.rank
+    assert max(per_call) <= 5 * (24 // 8)

@@ -45,6 +45,20 @@ def test_fft_transform_matches_direct_modes(grid16):
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-13
 
 
+def test_fft_transform_refined_matches_direct_modes(grid16):
+    # refine 2 takes the zero-padded path; a leading axis stacks two transforms
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal((2,) + (16,) * 3) + 1j * rng.standard_normal((2,) + (16,) * 3)
+    F = momentum_to_position(vals, grid16, refine=2)
+    assert F.shape == (2,) + (32,) * 3
+    ax = grid16.position_axis(refine=2)
+    idx = [(3, 7, 12), (0, 31, 8), (16, 15, 27)]
+    pts = np.array([[ax[i], ax[j], ax[k]] for i, j, k in idx])
+    ref = momentum_to_position_direct(vals.reshape(2, -1), grid16.node_coordinates(), pts)
+    got = np.array([[F[b][i, j, k] for i, j, k in idx] for b in range(2)])
+    assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-13
+
+
 def test_fft_two_node_packet_analytic(grid16):
     # two-node test pins the phase convention: F(x) = sum exp(i p.x)
     vals = np.zeros((16,) * 3, dtype=complex)
