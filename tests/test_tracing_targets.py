@@ -2,7 +2,8 @@
 
 Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
-``perfbench/tracing.py`` ``TARGETS`` and another runs traced fluxes.
+``perfbench/tracing.py`` ``TARGETS`` and the others run traced fluxes and
+slices.
 """
 
 import importlib
@@ -18,10 +19,15 @@ from achronal.surfaces import FlatSurface, TiltedSurface
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_targets_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_resolve():
+    tracing = _load_tracing()
     missing = []
     for owner_path, attr, *_ in tracing.TARGETS:
         module_name, _, cls = owner_path.partition(":")
@@ -40,9 +46,7 @@ def test_tracer_targets_resolve():
 def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
     # the tracer reads the "slices" entry of the flux quadrature's meta: one
     # per flat flux, none for a curved flux evaluated at its nodes
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -55,9 +59,7 @@ def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
 
 def test_partition_takes_one_time_slice(spec16, fast16):
     # both halves of the flat surface share one evaluation of the current
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -68,13 +70,6 @@ def test_partition_takes_one_time_slice(spec16, fast16):
     finally:
         tracer.uninstall()
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
 
 
 def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
