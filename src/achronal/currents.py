@@ -22,12 +22,12 @@ independent:
   p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
   algebraically.
 
-The five auxiliary fields of a batch of eigenvectors go through one
-transform call (one stacked FFT or one GEMM).  Component mu of the causal
-current pairs the 1/sqrt(eps) field with the mu-th of (sqrt(eps), p_i /
-sqrt(eps)), so a slice asked for its first `components` components
-transforms only the fields those need: J0 alone takes two fields per
-eigenvector instead of five.
+The auxiliary fields of a batch of eigenvectors go through one transform
+call (one stacked FFT for slices, one matmul for points).  Component mu of
+the causal current pairs the 1/sqrt(eps) field with the mu-th of
+(sqrt(eps), p_i / sqrt(eps)), so a slice asked for its first `components`
+components transforms only the fields those need: J0 alone takes two
+fields per eigenvector instead of five.
 
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
