@@ -253,12 +253,6 @@ def _scan_witness(region: SpacetimeRegion, x):
 # ---------------------------------------------------------------------------
 
 
-def causal_complement_member(M: SpacetimeRegion, x) -> bool:
-    """Is x achronally separated from every point of M?  Decided by the
-    region's closed form."""
-    return bool(M.complement_member(np.asarray(x, dtype=float)))
-
-
 def completion_member(M: SpacetimeRegion, x) -> bool:
     """Is x in the causal completion (M-perp)-perp?
 
@@ -424,7 +418,8 @@ def rcl_well_defined_check(spec, delta1: GraphPatch, delta2: GraphPatch,
     if mism > 0:
         raise DeterminacyMismatchError(
             f"{mism}/{_N_CHECK} sampled points distinguish the patches")
-    from .localization import probability
+    from .localization import build_fast, probability
+    backend = backend or build_fast(spec)
     p1 = probability(spec, delta1.region(), backend=backend, **quad)
     p2 = probability(spec, delta2.region(), backend=backend, **quad)
     return p1, p2

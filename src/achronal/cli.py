@@ -49,7 +49,6 @@ _COMMON_KEYS = {
     "factorization": {"tol": 1e-6, "landmarks": 3000},
     "window_half_nodes": None,
     "refine": 1,
-    "eval_tol": None,
     "seed": 0,
     "normalization_mode": "raw",
     "tolerances": {},
@@ -110,7 +109,7 @@ def load_config(path, command: str) -> dict:
     defaults.update(_COMMAND_KEYS[command])
     cfg = _merge_defaults(defaults, raw)
     tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances") or {})
+    tol.update(cfg["tolerances"] or {})
     cfg["tolerances"] = tol
     return cfg
 
@@ -125,22 +124,20 @@ def _build_state(cfg, n=None):
     """Grid (of n nodes per axis if given), packet and kernel of the config."""
     grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
     pk = cfg["packet"]
-    packet = make_packet(grid, float(cfg["mass"]), pk.get("kind", "mollified_gaussian"),
-                         margin=pk.get("margin"), **(pk.get("params") or {}))
+    packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
+                         **(pk["params"] or {}))
     kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
     return grid, packet, kernel
 
 
 def _make_backend(spec, cfg):
     fac = cfg["factorization"]
-    return build_fast(spec, tol=float(fac.get("tol", 1e-6)),
-                      n_landmarks=int(fac.get("landmarks", 3000)),
+    return build_fast(spec, tol=float(fac["tol"]), n_landmarks=int(fac["landmarks"]),
                       seed=int(cfg["seed"]))
 
 
 def _quad_for_probability(cfg):
-    return {"window_half": cfg["window_half_nodes"],
-            "refine": int(cfg["refine"]), "eval_tol": cfg["eval_tol"]}
+    return {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"])}
 
 
 def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
@@ -325,8 +322,7 @@ def covariance(cfg, outdir):
     from .localization import mask_from_descriptor
     t0 = time.perf_counter()
     for name, g in elements:
-        tol = cfg["tolerances"].get(f"covariance_{name}",
-                                    cfg["tolerances"]["covariance_boost"])
+        tol = cfg["tolerances"][f"covariance_{name}"]
         for rd in regions:
             region = Region(surface_from_descriptor(rd["surface"]),
                             mask_from_descriptor(rd["mask"]))
@@ -366,8 +362,8 @@ def kernel_pd(cfg, outdir):
         raise ConfigError("gram test applies to scalar-profile kernels")
     gcfg = cfg["gram"]
     rng = np.random.default_rng(int(cfg["seed"]))
-    n_pts = int(gcfg.get("points", 200))
-    radius = float(gcfg.get("ball_radius_over_mass", 3.0)) * mass
+    n_pts = int(gcfg["points"])
+    radius = float(gcfg["ball_radius_over_mass"]) * mass
     pts = rng.normal(size=(n_pts, 3))
     pts *= (radius * rng.uniform(0, 1, n_pts) ** (1 / 3) /
             np.linalg.norm(pts, axis=1))[:, None]

@@ -228,7 +228,13 @@ def _direct_tensor(kern, support, values, X, chunk):
 
 @dataclass(frozen=True)
 class FastBackend:
-    """Stored factorization enabling pointwise and whole-slice evaluation."""
+    """Stored factorization enabling pointwise and whole-slice evaluation.
+
+    Every evaluation uses all `rank` stored eigenpairs.  `spectral_tail` is
+    the relative eigenvalue weight the build dropped: sum of |mu_r| / |mu_0|
+    over the refined eigenpairs it left out, or the smallest refined
+    |mu| / |mu_0| when it kept them all; 0 for separable kernels.
+    """
 
     support: SupportData
     kernel: Union[CausalKernel, TensorKernel]
@@ -247,23 +253,9 @@ class FastBackend:
     def separable(self) -> bool:
         return self.eigvals is None
 
-    def rank_for(self, tol: Optional[float]) -> Optional[int]:
-        if self.separable or tol is None:
-            return self.rank
-        rel = np.abs(self.eigvals) / np.abs(self.eigvals[0])
-        return max(1, int(np.searchsorted(-rel, -tol)))
-
-    def dropped_weight(self, tol: Optional[float]) -> float:
-        """Sum of |mu_r| / |mu_0| over the stored eigenpairs that
-        rank_for(tol) leaves out; 0 at full rank and for separable kernels."""
-        if self.separable:
-            return 0.0
-        rel = np.abs(self.eigvals) / np.abs(self.eigvals[0])
-        return float(rel[self.rank_for(tol):].sum())
-
     # -- pointwise -------------------------------------------------------
 
-    def current_at(self, packet: WavePacket, x, tol: Optional[float] = None) -> np.ndarray:
+    def current_at(self, packet: WavePacket, x) -> np.ndarray:
         """Real current components (4, m) at spacetime points x of shape (m, 4).
 
         The points go through the phase-matrix product in chunks that keep
@@ -275,13 +267,13 @@ class FastBackend:
         J = np.empty((4, len(X)))
         for i0 in range(0, len(X), step):
             Z = _phases(self.support, X[i0:i0 + step])
-            J[:, i0:i0 + step] = self._current(values, lambda nodes: nodes @ Z, tol)
+            J[:, i0:i0 + step] = self._current(values, lambda nodes: nodes @ Z)
         return J / TWO_PI_CUBED
 
     # -- whole slices ------------------------------------------------------
 
     def slice_fields(self, packet: WavePacket, x0: float, refine: int = 1,
-                     tol: Optional[float] = None, components: int = 4) -> np.ndarray:
+                     components: int = 4) -> np.ndarray:
         """Current components on the conjugate position grid at time x0.
 
         Returns a real array of shape (components, M, M, M) with
@@ -294,10 +286,10 @@ class FastBackend:
         load = values * np.exp(-1j * sup.eps * x0)
         J = self._current(
             load, lambda nodes: momentum_to_position(sup.embed(nodes), sup.grid, refine),
-            tol, components, batch=max(1, _RANK_BATCH // refine ** 3))
+            components, batch=max(1, _RANK_BATCH // refine ** 3))
         return J / TWO_PI_CUBED
 
-    def _current(self, load, transform, tol, components=4, batch=_RANK_BATCH):
+    def _current(self, load, transform, components=4, batch=_RANK_BATCH):
         """Real current components (components, ...) at the points `transform`
         reaches.
 
@@ -313,7 +305,7 @@ class FastBackend:
             return _tensor_from_fields(self.kernel, F0, F1, F2, F3, Fv)[:components]
         # B = 1/sqrt(eps) first, then the partners (A, C1, C2, C3)[:components]
         wl = (weights[:components + 1] * load)[:, None, :]
-        R = self.rank_for(tol)
+        R = self.rank
         J = 0.0
         for r0 in range(0, R, batch):
             rs = slice(r0, min(r0 + batch, R))
@@ -344,7 +336,7 @@ def _tensor_from_fields(kern: TensorKernel, F0, F1, F2, F3, Fv):
                      for F, n_mu in zip((F0, F1, F2, F3), n)])
 
 
-def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
+def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
                seed: int = 0, support: Optional[SupportData] = None,
                rank: Optional[int] = None) -> FastBackend:
     """Factorize the current for fast evaluation.
@@ -355,7 +347,10 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
     step against the full matrix sharpens it, and Rayleigh-Ritz yields
     eigenpairs whose exact residuals certify the truncation.  Raises
     FactorizationError when the spectrum does not reach `tol` (relative),
-    as happens for oscillatory profiles.
+    as happens for oscillatory profiles.  The refined eigenpairs below `tol`
+    are dropped, and their summed relative weight becomes `spectral_tail`:
+    for a positive semi-definite profile that sum, not the first dropped
+    eigenvalue, governs the truncation error.
     """
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
@@ -420,7 +415,7 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-8, n_landmarks: int = 3000,
         if R >= len(mu) and relmu[-1] > tol:
             raise FactorizationError(
                 f"refined spectrum tail {relmu[-1]:.2e} exceeds {tol:g}")
-    tail = float(relmu[R]) if R < len(mu) else float(relmu[-1])
+    tail = float(relmu[R:].sum()) if R < len(mu) else float(relmu[-1])
     eig_res = eig_res[:R]
     mu, V = mu[:R], np.ascontiguousarray(V[:, :R])
 

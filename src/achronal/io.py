@@ -32,6 +32,20 @@ class FormatError(ValueError):
     """Malformed or mismatched container."""
 
 
+def _payload(raw: bytes, offset: int, count: int) -> np.ndarray:
+    """`count` little-endian f64 values of `raw` from `offset`; FormatError
+    when the buffer holds fewer."""
+    if offset + 8 * count > len(raw):
+        raise FormatError(f"payload holds {max(len(raw) - offset, 0)} bytes at offset "
+                          f"{offset}, expected {8 * count}")
+    return np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
+
+
+def _check_consumed(raw: bytes, offset: int) -> None:
+    if offset != len(raw):
+        raise FormatError(f"{len(raw) - offset} trailing bytes after the payload")
+
+
 def save_packet(path, packet: WavePacket) -> None:
     n = packet.grid.n
     with open(path, "wb") as fh:
@@ -97,12 +111,15 @@ def load_field_slices(path):
     off = 12
     out = []
     for _ in range(count):
+        if off + 20 > len(raw):
+            raise FormatError(f"slice header at offset {off} is cut off")
         x0, n1, n2, n3 = struct.unpack_from("<dIII", raw, off)
         off += 20
         k = n1 * n2 * n3 * 4
-        data = np.frombuffer(raw, dtype="<f8", offset=off, count=k)
+        data = _payload(raw, off, k)
         off += 8 * k
         out.append((x0, np.moveaxis(data.reshape(n1, n2, n3, 4), -1, 0).copy()))
+    _check_consumed(raw, off)
     return out
 
 
@@ -127,7 +144,9 @@ def load_scalar_field(path):
     dims = struct.unpack_from("<III", raw, 8)
     origin = struct.unpack_from("<ddd", raw, 20)
     (spacing,) = struct.unpack_from("<d", raw, 44)
-    values = np.frombuffer(raw, dtype="<f8", offset=52).reshape(dims).copy()
+    count = dims[0] * dims[1] * dims[2]
+    values = _payload(raw, 52, count).reshape(dims).copy()
+    _check_consumed(raw, 52 + 8 * count)
     return values, origin, spacing
 
 

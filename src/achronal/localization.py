@@ -20,9 +20,8 @@ FastBackend.current_at.
 The reported error is the sum of three terms, each kept in the result's
 meta:
 
-* err_spectral: the absolute flux times the relative eigenvalue weight the
-  evaluation leaves out (the eigenpairs dropped at eval_tol plus the
-  factorization's spectral tail);
+* err_spectral: the absolute flux times the backend's spectral_tail, the
+  relative eigenvalue weight its factorization dropped;
 * err_window: the absolute flux through the window's outermost node layer,
   which stands for what the window cuts off (flux_invariance_report's
   boundary_flux_fraction is the largest err_window / |probability|);
@@ -247,7 +246,7 @@ def _straddles(mask, pts, dx):
 
 
 def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
-                     points, tvals, grads, refine: int, eval_tol: Optional[float]):
+                     points, tvals, grads, refine: int):
     """Flux integrand J0 - J.grad tau and J0 at the selected nodes.
 
     nodes_flat_sel indexes the (refined) full position cube and `points`
@@ -259,14 +258,13 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
         # with grad tau exactly zero the integrand is J0: transform only its fields
         flat = not np.any(grads)
         J = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
-                                 tol=eval_tol, components=1 if flat else 4)
+                                 components=1 if flat else 4)
         Jn = J.reshape(len(J), -1)[:, nodes_flat_sel]
         if flat:
             return Jn[0], Jn[0], {"slices": 1}
         n_slices = 1
     else:
-        Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]),
-                                tol=eval_tol)
+        Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]))
         n_slices = 0
     return Jn[0] - np.sum(Jn[1:] * grads.T, axis=0), Jn[0], {"slices": n_slices}
 
@@ -274,7 +272,7 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
 def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[Mask],
                    backend: Optional[FastBackend] = None,
                    window_half: Optional[int] = None, refine: int = 1,
-                   eval_tol: Optional[float] = None, normalization: str = "raw"):
+                   normalization: str = "raw"):
     """Probabilities of the surface regions cut out by each mask.
 
     The current is evaluated once, on the union of the masks' window nodes,
@@ -282,7 +280,7 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
     budget.  Returns the results and the masks' membership of the window
     nodes, shape (len(masks), nodes).
     """
-    backend = backend or build_fast(spec, tol=1e-6)
+    backend = backend or build_fast(spec)
     grid = spec.packet.grid
     sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
     members = np.array([m.contains(nodes) for m in masks]).reshape(len(masks), len(nodes))
@@ -293,17 +291,16 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
     if len(pts):
         integrand, j0, quad = _flux_quadrature(
             spec, backend, np.flatnonzero(sel.reshape(-1))[union], pts,
-            surface.tau(pts), surface.gradient(pts), refine, eval_tol)
+            surface.tau(pts), surface.gradient(pts), refine)
     outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
     weight, offset = dx ** 3, float(surface.tau(np.zeros((1, 3)))[0])
-    rel_dropped = backend.dropped_weight(eval_tol) + backend.spectral_tail
     results = []
     for mask, member in zip(masks, members):
         part = member[union]
         f = integrand[part]
         prob = float(np.sum(f) * weight)
         meta = {"slices": quad["slices"],
-                "err_spectral": float(np.sum(np.abs(f)) * weight) * rel_dropped,
+                "err_spectral": float(np.sum(np.abs(f)) * weight) * backend.spectral_tail,
                 "err_window": float(np.sum(np.abs(f[outer[part]])) * weight),
                 "err_region": float(np.sum(np.abs(
                     f[_straddles(mask, pts[part], dx)])) * weight),
@@ -321,7 +318,6 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
 def probability(spec: CurrentSpec, region: Region,
                 backend: Optional[FastBackend] = None,
                 window_half: Optional[int] = None, refine: int = 1,
-                eval_tol: Optional[float] = None,
                 normalization: str = "raw") -> LocalizationResult:
     """Localization probability of spec.packet in the region.
 
@@ -332,7 +328,7 @@ def probability(spec: CurrentSpec, region: Region,
     """
     results, _ = _region_fluxes(spec, region.surface, [region.mask], backend=backend,
                                 window_half=window_half, refine=refine,
-                                eval_tol=eval_tol, normalization=normalization)
+                                normalization=normalization)
     return results[0]
 
 
@@ -354,13 +350,12 @@ def _apply_normalization(spec, prob, err, normalization, meta):
 
 def probability_transformed(spec: CurrentSpec, transform: SurfaceTransformResult,
                             mask: Mask, backend: Optional[FastBackend] = None,
-                            window_half: Optional[int] = None, refine: int = 1,
-                            eval_tol: Optional[float] = None) -> LocalizationResult:
+                            window_half: Optional[int] = None,
+                            refine: int = 1) -> LocalizationResult:
     """Probability over the Poincare image of the region (transform.surface,
     mask)."""
     return probability(spec, Region(transform, ImageMask(mask, transform)),
-                       backend=backend, window_half=window_half, refine=refine,
-                       eval_tol=eval_tol)
+                       backend=backend, window_half=window_half, refine=refine)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +371,7 @@ def flux_invariance_report(spec: CurrentSpec, surfaces: Sequence[AchronalSurface
     Warns (in the report) when the largest share of a flux that crosses the
     window's outermost node layer exceeds a tenth of the tolerance budget.
     """
-    backend = backend or build_fast(spec, tol=1e-6)
+    backend = backend or build_fast(spec)
     results = [probability(spec, Region(s, FullMask()), backend=backend, **quad)
                for s in surfaces]
     probs = np.array([r.probability for r in results])
@@ -437,8 +432,7 @@ def additivity_check(spec: CurrentSpec, surface: AchronalSurface,
 
 
 def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
-                   backend: Optional[FastBackend] = None,
-                   backend_tol: float = 1e-6, **quad) -> complex:
+                   backend: Optional[FastBackend] = None, **quad) -> complex:
     """Polarization of the localization form: (1/4) sum_zeta zeta q(zeta phi + psi).
 
     Hermitian sesquilinear in (phi, psi), conjugate-linear in phi; the
@@ -456,7 +450,7 @@ def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
             backend = None
     if backend is None:
         support = SupportData.from_packets([phi, psi])
-        backend = build_fast(spec, tol=backend_tol, support=support)
+        backend = build_fast(spec, support=support)
     out = 0j
     for zeta in (1.0, -1.0, 1j, -1j):
         chi = combine(phi, psi, zeta)
@@ -492,7 +486,7 @@ def causal_monotonicity_check(spec: CurrentSpec, ball: BallMask, t0: float,
                               target: AchronalSurface,
                               backend: Optional[FastBackend] = None, **quad):
     """p(ball at t0) versus p(influence region on the target surface)."""
-    backend = backend or build_fast(spec, tol=1e-6)
+    backend = backend or build_fast(spec)
     p_src = probability(spec, Region(FlatSurface(t0), ball), backend=backend, **quad)
     shadow = causal_shadow_on_surface(ball, t0, target)
     p_dst = probability(spec, Region(target, shadow), backend=backend, **quad)

@@ -44,7 +44,6 @@ class AchronalSurface:
     """Base for graph surfaces; subclasses define tau/gradient/flatten."""
 
     kind = "abstract"
-    maximal = True
 
     def tau(self, x):
         raise NotImplementedError
@@ -227,7 +226,6 @@ class SampledSurface(AchronalSurface):
     spacing: float
     validate: bool = field(default=True, compare=False)
     kind = "sampled"
-    maximal = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

@@ -129,10 +129,6 @@ class WavePacket:
                           self.margin if margin is None else margin, merged)
 
 
-def norm_squared(phi: WavePacket) -> float:
-    return phi.norm_squared()
-
-
 def inner_product(phi: WavePacket, psi: WavePacket) -> complex:
     """<phi, psi> = h^3 sum conj(phi) psi, conjugate-linear in the first slot."""
     _check_compatible(phi, psi)

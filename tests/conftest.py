@@ -46,5 +46,11 @@ def fast16(spec16):
 
 
 @pytest.fixture(scope="session")
+def fast16_loose(spec16):
+    """fast16's factorization truncated at 1e-5: about a third of its rank."""
+    return build_fast(spec16, tol=1e-5, n_landmarks=480, seed=1)
+
+
+@pytest.fixture(scope="session")
 def tfast16(tspec16):
     return build_fast(tspec16)

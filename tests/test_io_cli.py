@@ -74,6 +74,21 @@ def test_scalar_field_roundtrip(tmp_path):
     assert surf.tau(np.array([0.0, 0.0, 0.0])) == pytest.approx(0.4, abs=5e-3)
 
 
+@pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "padded"])
+def test_containers_reject_payload_size_mismatch(tmp_path, cut):
+    rng = np.random.default_rng(0)
+    fields = tmp_path / "field.achr"
+    achio.save_field_slices(fields, [(0.0, rng.standard_normal((4, 3, 3, 3)))])
+    scalar = tmp_path / "surface.achr"
+    achio.save_scalar_field(scalar, rng.standard_normal((3, 3, 3)), (0, 0, 0), 0.5)
+    for path, load in ((fields, achio.load_field_slices),
+                       (scalar, achio.load_scalar_field)):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+        with pytest.raises(achio.FormatError):
+            load(path)
+
+
 def test_packet_descriptor_roundtrip(grid16):
     d = achio.packet_descriptor(grid16, M, "mollified_gaussian", sigma=1.0,
                                 core_radius=0.9, support_radius=1.8)
@@ -139,7 +154,7 @@ def test_cli_deterministic_results(cfg_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("key", ["mystery", "backend", "slice_dt"])
+@pytest.mark.parametrize("key", ["mystery", "backend", "slice_dt", "eval_tol"])
 def test_cli_rejects_unknown_keys(tmp_path, key):
     cfg = dict(BASE_CONFIG)
     cfg[key] = 1
@@ -170,7 +185,7 @@ def test_cli_rejects_zero_packet(tmp_path):
 
 def test_cli_invariance_and_sweep(cfg_file, tmp_path):
     cfg = dict(BASE_CONFIG)
-    cfg["eval_tol"] = 1e-5
+    cfg["factorization"] = {"tol": 1e-5, "landmarks": 480}
     cfg["surfaces"] = [{"type": "flat", "t0": 0.0},
                        {"type": "tilted", "e": [0, 0, 0.4]}]
     cfg["flatten_sweep"] = {"surface": {"type": "cone", "gamma": 1.0},
@@ -237,7 +252,7 @@ def test_cli_kernel_pd_at_large_momenta(tmp_path):
 
 def test_cli_logic(tmp_path):
     cfg = dict(BASE_CONFIG)
-    cfg["eval_tol"] = 1e-5
+    cfg["factorization"] = {"tol": 1e-5, "landmarks": 480}
     cfg["logic"] = {"radius": 3.0, "gamma": 0.5, "samples": 1500,
                     "eps_shell": 1e-3, "band": 2e-2}
     path = tmp_path / "logic.json"

@@ -7,7 +7,7 @@ from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.wavepacket import (GridMismatchError, SupportEscapeError,
                                  SupportViolationError, WavePacket,
                                  apply_poincare, combine, energy,
-                                 inner_product, make_packet, norm_squared)
+                                 inner_product, make_packet)
 
 MASS = 1.0
 
@@ -127,7 +127,7 @@ def test_inner_product_properties(grid16, packet16):
     assert inner_product(packet16, packet16).real >= 0.0
     assert ip == pytest.approx(np.conj(inner_product(psi, packet16)), abs=1e-14)
     lhs = abs(ip) ** 2
-    rhs = norm_squared(packet16) * norm_squared(psi)
+    rhs = packet16.norm_squared() * psi.norm_squared()
     assert lhs <= rhs * (1 + 1e-12)
 
 
