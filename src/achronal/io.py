@@ -32,18 +32,12 @@ class FormatError(ValueError):
     """Malformed or mismatched container."""
 
 
-def _payload(raw: bytes, offset: int, count: int) -> np.ndarray:
-    """`count` little-endian f64 values of `raw` from `offset`; FormatError
-    when the buffer holds fewer."""
-    if offset + 8 * count > len(raw):
-        raise FormatError(f"payload holds {max(len(raw) - offset, 0)} bytes at offset "
-                          f"{offset}, expected {8 * count}")
-    return np.frombuffer(raw, dtype="<f8", offset=offset, count=count)
-
-
-def _check_consumed(raw: bytes, offset: int) -> None:
-    if offset != len(raw):
-        raise FormatError(f"{len(raw) - offset} trailing bytes after the payload")
+def _unpack(fmt: str, raw: bytes, offset: int) -> tuple:
+    """struct.unpack_from with FormatError for a header cut off."""
+    try:
+        return struct.unpack_from(fmt, raw, offset)
+    except struct.error as exc:
+        raise FormatError(f"header cut off at offset {offset}") from exc
 
 
 def save_packet(path, packet: WavePacket) -> None:
@@ -65,14 +59,14 @@ def load_packet(path) -> WavePacket:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError("bad magic")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = _unpack("<I", raw, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    (mass,) = struct.unpack_from("<d", raw, 8)
+    (mass,) = _unpack("<d", raw, 8)
     off = 16
     dims = []
     for _ in range(3):
-        n, p = struct.unpack_from("<Id", raw, off)
+        n, p = _unpack("<Id", raw, off)
         dims.append((n, p))
         off += 12
     if len({d for d in dims}) != 1:
@@ -105,21 +99,22 @@ def load_field_slices(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError("bad magic")
-    version, count = struct.unpack_from("<II", raw, 4)
+    version, count = _unpack("<II", raw, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     off = 12
     out = []
     for _ in range(count):
-        if off + 20 > len(raw):
-            raise FormatError(f"slice header at offset {off} is cut off")
-        x0, n1, n2, n3 = struct.unpack_from("<dIII", raw, off)
+        x0, n1, n2, n3 = _unpack("<dIII", raw, off)
         off += 20
         k = n1 * n2 * n3 * 4
-        data = _payload(raw, off, k)
+        if off + 8 * k > len(raw):
+            raise FormatError(f"slice payload at offset {off} is cut off")
+        data = np.frombuffer(raw, dtype="<f8", offset=off, count=k)
         off += 8 * k
         out.append((x0, np.moveaxis(data.reshape(n1, n2, n3, 4), -1, 0).copy()))
-    _check_consumed(raw, off)
+    if off != len(raw):
+        raise FormatError(f"{len(raw) - off} trailing bytes after the last slice")
     return out
 
 
@@ -138,15 +133,16 @@ def load_scalar_field(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError("bad magic")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = _unpack("<I", raw, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    dims = struct.unpack_from("<III", raw, 8)
-    origin = struct.unpack_from("<ddd", raw, 20)
-    (spacing,) = struct.unpack_from("<d", raw, 44)
-    count = dims[0] * dims[1] * dims[2]
-    values = _payload(raw, 52, count).reshape(dims).copy()
-    _check_consumed(raw, 52 + 8 * count)
+    dims = _unpack("<III", raw, 8)
+    origin = _unpack("<ddd", raw, 20)
+    (spacing,) = _unpack("<d", raw, 44)
+    expected = 8 * dims[0] * dims[1] * dims[2]
+    if len(raw) - 52 != expected:
+        raise FormatError(f"payload holds {len(raw) - 52} bytes, expected {expected}")
+    values = np.frombuffer(raw, dtype="<f8", offset=52).reshape(dims).copy()
     return values, origin, spacing
 
 

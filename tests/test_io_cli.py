@@ -74,19 +74,20 @@ def test_scalar_field_roundtrip(tmp_path):
     assert surf.tau(np.array([0.0, 0.0, 0.0])) == pytest.approx(0.4, abs=5e-3)
 
 
-@pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "padded"])
-def test_containers_reject_payload_size_mismatch(tmp_path, cut):
+@pytest.mark.parametrize("damage", [lambda raw: raw[:-8], lambda raw: raw + bytes(8),
+                                    lambda raw: raw[:14]],
+                         ids=["truncated", "padded", "header_cut"])
+def test_containers_reject_size_mismatch(tmp_path, packet16, damage):
     rng = np.random.default_rng(0)
-    fields = tmp_path / "field.achr"
-    achio.save_field_slices(fields, [(0.0, rng.standard_normal((4, 3, 3, 3)))])
-    scalar = tmp_path / "surface.achr"
-    achio.save_scalar_field(scalar, rng.standard_normal((3, 3, 3)), (0, 0, 0), 0.5)
-    for path, load in ((fields, achio.load_field_slices),
-                       (scalar, achio.load_scalar_field)):
-        raw = path.read_bytes()
-        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+    paths = {name: tmp_path / f"{name}.achr" for name in ("packet", "field", "scalar")}
+    achio.save_packet(paths["packet"], packet16)
+    achio.save_field_slices(paths["field"], [(0.0, rng.standard_normal((4, 3, 3, 3)))])
+    achio.save_scalar_field(paths["scalar"], rng.standard_normal((3, 3, 3)), (0, 0, 0), 0.5)
+    for name, load in (("packet", achio.load_packet), ("field", achio.load_field_slices),
+                       ("scalar", achio.load_scalar_field)):
+        paths[name].write_bytes(damage(paths[name].read_bytes()))
         with pytest.raises(achio.FormatError):
-            load(path)
+            load(paths[name])
 
 
 def test_packet_descriptor_roundtrip(grid16):
