@@ -47,7 +47,7 @@ def fast16(spec16):
 
 @pytest.fixture(scope="session")
 def fast16_loose(spec16):
-    """fast16's factorization truncated at 1e-5: about a third of its rank."""
+    """fast16's factorization truncated at 1e-5 instead of 1e-8."""
     return build_fast(spec16, tol=1e-5, n_landmarks=480, seed=1)
 
 
