@@ -3,7 +3,13 @@
 Every subcommand reads a JSON experiment config (strictly validated:
 unknown keys are rejected), runs one family of checks, and writes next to
 its outputs the resolved config, a deterministic results.json, CSV tables
-where applicable, and a run manifest with timings and pass/fail flags.
+where applicable, and a run manifest with timings, pass/fail flags and,
+for commands that factorize the current, the backend's rank, landmark
+counts and spectral tail.
+
+The factorization key holds build_fast's `tol` and, as `landmarks`, the
+largest landmark count a build may use: it starts below that and grows
+only while its spectrum checks fail.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 """
@@ -140,8 +146,15 @@ def _quad_for_probability(cfg):
     return {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"])}
 
 
+def _backend_record(fb):
+    """The factorization figures of a backend that the manifest records."""
+    return {"rank": fb.rank, "spectral_tail": fb.spectral_tail,
+            **{k: fb.meta.get(k)
+               for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
+
+
 def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
-          timings=None, csv_rows=None, csv_name="report.csv"):
+          timings=None, csv_rows=None, csv_name="report.csv", backend=None):
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = dict(cfg)
     chash = _config_hash(resolved)
@@ -160,6 +173,8 @@ def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
                 "artifact_version": __version__,
                 "pass": {c["name"]: c["pass"] for c in checks},
                 "timings_s": timings or {}}
+    if backend is not None:
+        manifest["backend"] = _backend_record(backend)
     achio.write_json(outdir / "manifest.json", manifest)
     ok = all(c["pass"] for c in checks)
     for c in checks:
@@ -250,7 +265,7 @@ def normalize(cfg, outdir):
         extra["refined_residual"] = resid2
         checks.append(_check("refinement_reduces_residual", resid2, resid))
     return _emit(outdir, cfg, "normalize", checks, extra,
-                 {"backend_build": t_build}, rows)
+                 {"backend_build": t_build}, rows, backend=fb)
 
 
 @main.command()
@@ -287,7 +302,7 @@ def invariance(cfg, outdir):
             sweep.append({"gamma": gamma, "probability": r.probability})
         extra["flatten_sweep"] = sweep
     return _emit(outdir, cfg, "invariance", checks, extra,
-                 {"sweep": t_run}, rows)
+                 {"sweep": t_run}, rows, backend=fb)
 
 
 def _group_elements(gcfg):
@@ -410,7 +425,8 @@ def logic(cfg, outdir):
     return _emit(outdir, cfg, "logic", checks,
                  {"agreement": report.agreement_ratio,
                   "counterexamples": report.counterexamples,
-                  "p_flat": p1.probability, "p_cone": p2.probability}, None, rows)
+                  "p_flat": p1.probability, "p_cone": p2.probability}, None, rows,
+                 backend=fb)
 
 
 @main.command(name="field-dump")
@@ -451,7 +467,7 @@ def field_dump(cfg, outdir):
         checks.append(_check("dump_written", 0.0, 1.0))
     return _emit(outdir, cfg, "field-dump", checks,
                  {"slices": [s[0] for s in slices]},
-                 None, None)
+                 None, None, backend=fb)
 
 
 if __name__ == "__main__":

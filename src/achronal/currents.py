@@ -56,6 +56,11 @@ _CHUNK = 2048
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 18
 
+# landmark count of a causal build's first attempt: smaller supports are
+# factorized whole; at the CLI default config (3,648 support nodes, rank 306
+# at tol 1e-6) the count grows once, to 768
+_LANDMARK_START = 512
+
 # the decay scan's rays: the six coordinate half-axes
 _AXES = np.concatenate([np.eye(3), -np.eye(3)])
 
@@ -230,10 +235,15 @@ def _direct_tensor(kern, support, values, X, chunk):
 class FastBackend:
     """Stored factorization enabling pointwise and whole-slice evaluation.
 
-    Every evaluation uses all `rank` stored eigenpairs.  `spectral_tail` is
-    the relative eigenvalue weight the build dropped: sum of |mu_r| / |mu_0|
-    over the refined eigenpairs it left out, or the smallest refined
-    |mu| / |mu_0| when it kept them all; 0 for separable kernels.
+    Every evaluation uses all `rank` stored eigenpairs.  `spectral_tail`
+    bounds the eigenvalue weight of the g-matrix that they leave out,
+    relative to the top eigenvalue: (n_sup g(m^2) - sum of the kept
+    eigenvalues) / mu_0, from the exact trace, covering eigenvalues the
+    build never resolved (see build_fast).  It is 0 for separable kernels
+    and nan when meta["tail_certified"] is False.  For causal kernels `meta`
+    also records the landmark counts tried (`landmark_attempts`), the one
+    used (`n_landmarks`, at most build_fast's cap) and the largest exact
+    eigenpair residual (`eig_residual_max`).
     """
 
     support: SupportData
@@ -342,15 +352,28 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     """Factorize the current for fast evaluation.
 
     Stress-energy currents are exactly separable and return immediately.
-    Causal-kernel currents get the scalar profile's support-node matrix
+    Causal-kernel currents get the scalar profile's support-node matrix G
     eigendecomposed: a landmark seed fixes the subspace, one block power
     step against the full matrix sharpens it, and Rayleigh-Ritz yields
-    eigenpairs whose exact residuals certify the truncation.  Raises
-    FactorizationError when the spectrum does not reach `tol` (relative),
-    as happens for oscillatory profiles.  The refined eigenpairs below `tol`
-    are dropped, and their summed relative weight becomes `spectral_tail`:
-    for a positive semi-definite profile that sum, not the first dropped
-    eigenvalue, governs the truncation error.
+    eigenpairs whose exact residuals certify the truncation.
+
+    `n_landmarks` caps the landmark count.  A build starts at
+    _LANDMARK_START landmarks (or the whole support, when it fits) and grows
+    the count by half while the landmarks' spectrum needs more than half of
+    them, or the refined spectrum does not reach `tol` (relative); it raises
+    FactorizationError when the spectrum still does not reach `tol` at the
+    cap, as happens for oscillatory profiles.  A build given `rank` keeps the
+    `rank` leading eigenpairs and uses the capped count in one attempt.
+
+    The refined eigenpairs below `tol` are dropped.  `spectral_tail` bounds
+    the eigenvalue weight the backend leaves out, relative to the top one:
+    every diagonal entry of G is on shell, so tr G = n_sup g(m^2) exactly,
+    and for a positive semi-definite G the kept Ritz values sum to at most
+    the top eigenvalues (Ky Fan), so (tr G - sum of kept mu) / mu_0 covers
+    the dropped weight at any landmark count, eigenvalues past the refined
+    set included.  A refined mu below -roundoff mu_0 shows that G is not
+    positive semi-definite on the support; the backend then records
+    meta["tail_certified"] = False and its spectral_tail is nan.
     """
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
@@ -362,7 +385,60 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
         return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)),
                            0.0, 0.0, 0.0, {"empty_support": True})
     rng = np.random.default_rng(seed)
-    n_lm = min(n_landmarks, n)
+    cap = min(n_landmarks, n)
+    n_lm = cap if rank is not None else min(cap, _LANDMARK_START)
+    attempts = []
+    while True:
+        attempts.append(n_lm)
+        try:
+            mu, V, eig_res = _factorize(kern, support, rng, n_lm, tol, rank,
+                                        final=n_lm == cap)
+            break
+        except FactorizationError:
+            if n_lm == cap:
+                raise
+            n_lm = min(cap, n_lm * 3 // 2)
+
+    relmu = np.abs(mu) / np.abs(mu[0])
+    if rank is not None:
+        R = min(rank, len(mu))
+    else:
+        R = max(1, int(np.searchsorted(-relmu, -tol)))
+    certified = bool(mu.min() >= -n * np.finfo(float).eps * np.abs(mu[0]))
+    if certified:
+        trace = n * float(kern.scalar(np.array([kern.mass ** 2]))[0])
+        tail = max(0.0, (trace - float(mu[:R].sum())) / np.abs(mu[0]))
+    else:
+        tail = float("nan")
+    eig_res = eig_res[:R]
+    mu, V = mu[:R], np.ascontiguousarray(V[:, :R])
+
+    ii = rng.integers(0, n, size=min(4000, n * 4))
+    jj = rng.integers(0, n, size=ii.size)
+    t = support.eps[ii] * support.eps[jj] - np.sum(support.points[ii] * support.points[jj], axis=1)
+    exact = kern.scalar(np.maximum(t, kern.mass ** 2, out=t))
+    approx = np.sum(V[ii] * (mu * V[jj]), axis=1)
+    err = np.abs(approx - exact)
+    return FastBackend(
+        support, kern, mu, V, tail,
+        float(np.sqrt(np.mean(err ** 2))), float(err.max()),
+        {"n_landmarks": n_lm, "landmark_attempts": attempts,
+         "eig_residual_max": float(eig_res.max(initial=0.0)),
+         "tail_certified": certified},
+    )
+
+
+def _factorize(kern, support, rng, n_lm, tol, rank, final):
+    """Ritz pairs (mu, V) of G ordered by |mu|, with their exact relative
+    residuals, from n_lm random landmarks: the `rank` leading pairs, or a
+    refined set of 1.15 R0 + 8 pairs when R0 landmark eigenvalues exceed `tol`.
+
+    Raises FactorizationError when the refined set does not reach `tol`, or
+    when R0 needs 0.9 n_lm of the landmarks; below the cap (`final` False)
+    already when the refined set exceeds half of them, as fewer landmarks
+    than twice the refined set under-count the rank.
+    """
+    n = len(support.eps)
     lm = np.sort(rng.choice(n, size=n_lm, replace=False))
     sub = SupportData(support.grid, support.mass, support.flat_idx[lm],
                       support.points[lm], support.eps[lm])
@@ -375,13 +451,14 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
         R0 = min(rank, n_lm)
     else:
         R0 = max(1, int(np.searchsorted(-rel, -tol)))
-        if R0 >= int(0.9 * n_lm) and n_lm < n:
+        R1 = min(n_lm, int(R0 * 1.15) + 8)
+        if n_lm < n and (R0 >= int(0.9 * n_lm) if final else 2 * R1 > n_lm):
             raise FactorizationError(
                 f"g-kernel spectrum has not decayed to {tol:g} within "
                 f"{n_lm} landmarks (needs rank >= {R0}); profile "
                 f"{kern.label!r} does not admit this truncation"
             )
-        R0 = min(n_lm, int(R0 * 1.15) + 8)
+        R0 = R1
 
     keep = np.abs(lam[:R0]) > 1e-13 * np.abs(lam[0])
     lam0, U0 = lam[:R0][keep], U[:, :R0][:, keep]
@@ -408,28 +485,10 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
         eig_res = np.linalg.norm(GV - V * mu, axis=0) / np.abs(mu[0])
 
     relmu = np.abs(mu) / np.abs(mu[0])
-    if rank is not None:
-        R = min(rank, len(mu))
-    else:
-        R = max(1, int(np.searchsorted(-relmu, -tol)))
-        if R >= len(mu) and relmu[-1] > tol:
-            raise FactorizationError(
-                f"refined spectrum tail {relmu[-1]:.2e} exceeds {tol:g}")
-    tail = float(relmu[R:].sum()) if R < len(mu) else float(relmu[-1])
-    eig_res = eig_res[:R]
-    mu, V = mu[:R], np.ascontiguousarray(V[:, :R])
-
-    ii = rng.integers(0, n, size=min(4000, n * 4))
-    jj = rng.integers(0, n, size=ii.size)
-    t = support.eps[ii] * support.eps[jj] - np.sum(support.points[ii] * support.points[jj], axis=1)
-    exact = kern.scalar(np.maximum(t, kern.mass ** 2, out=t))
-    approx = np.sum(V[ii] * (mu * V[jj]), axis=1)
-    err = np.abs(approx - exact)
-    return FastBackend(
-        support, kern, mu, V, tail,
-        float(np.sqrt(np.mean(err ** 2))), float(err.max()),
-        {"n_landmarks": n_lm, "eig_residual_max": float(eig_res.max(initial=0.0))},
-    )
+    if rank is None and relmu[-1] > tol:
+        raise FactorizationError(
+            f"refined spectrum tail {relmu[-1]:.2e} exceeds {tol:g}")
+    return mu, V, eig_res
 
 
 def _apply_gmatrix(kern, support, B):

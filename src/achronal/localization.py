@@ -21,7 +21,8 @@ The reported error is the sum of three terms, each kept in the result's
 meta:
 
 * err_spectral: the absolute flux times the backend's spectral_tail, the
-  relative eigenvalue weight its factorization dropped;
+  trace bound on the relative eigenvalue weight its factorization leaves
+  out (nan when the profile is not positive semi-definite on the support);
 * err_window: the absolute flux through the window's outermost node layer,
   which stands for what the window cuts off (flux_invariance_report's
   boundary_flux_fraction is the largest err_window / |probability|);

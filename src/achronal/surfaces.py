@@ -233,27 +233,20 @@ class SampledSurface(AchronalSurface):
             raise ValueError("sampled surface needs a 3-d value cube")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        if self.validate:
-            bad = self.lipschitz_violations()
-            if bad is not None:
-                raise ValueError(
-                    f"discrete 1-Lipschitz bound violated: |dtau| = {bad[0]:.6g} "
-                    f"over |dx| = {bad[1]:.6g}"
-                )
-
-    def lipschitz_violations(self):
-        h = self.spacing
+        if not self.validate:
+            return
         for d in _NEIGHBOR_DIRS:
-            sl_from = tuple(slice(max(di, 0), self.values.shape[i] + min(di, 0))
+            sl_from = tuple(slice(max(di, 0), v.shape[i] + min(di, 0))
                             for i, di in enumerate(d))
-            sl_to = tuple(slice(max(-di, 0), self.values.shape[i] + min(-di, 0))
+            sl_to = tuple(slice(max(-di, 0), v.shape[i] + min(-di, 0))
                           for i, di in enumerate(d))
-            dtau = np.abs(self.values[sl_from] - self.values[sl_to])
-            dist = h * np.linalg.norm(d)
-            worst = dtau.max(initial=0.0)
+            worst = np.abs(v[sl_from] - v[sl_to]).max(initial=0.0)
+            dist = self.spacing * np.linalg.norm(d)
             if worst > dist + LIPSCHITZ_TOL:
-                return float(worst), float(dist)
-        return None
+                raise ValueError(
+                    f"discrete 1-Lipschitz bound violated: |dtau| = {float(worst):.6g} "
+                    f"over |dx| = {float(dist):.6g}"
+                )
 
     def _indices(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from achronal.currents import (BackendMismatchError, CurrentSpec,
                                FactorizationError, build_fast,
                                check_causal_pointwise, check_continuity,
                                covariance_pair, decay_scan, eval_direct)
 from achronal.grids import MomentumGrid
-from achronal.kernels import CausalKernel, GFunction, TensorKernel, kernel_K
+from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
+                              parse_kernel_spec)
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.wavepacket import WavePacket, energy, make_packet
 
@@ -147,6 +150,89 @@ def test_factorization_error_for_oscillatory(grid16, packet16):
     kern = CausalKernel(GFunction.oscillatory(50.0, M), M)
     with pytest.raises(FactorizationError):
         build_fast(CurrentSpec(kern, packet16), tol=1e-8, n_landmarks=400)
+
+
+@pytest.fixture(scope="module")
+def gram16_spectrum(spec16):
+    """Eigenvalues of the full 480-node g-matrix, largest first."""
+    import achronal.currents as cur
+    sup = cur.SupportData.from_packets([spec16.packet])
+    G = cur.scalar_block(spec16.kernel, sup.points, sup.eps, sup.points, sup.eps)
+    return np.linalg.eigvalsh(G)[::-1]
+
+
+def _dropped_weight(spectrum, backend):
+    return spectrum[backend.rank:].sum() / spectrum[0]
+
+
+# the Ky Fan bound is exact; the slack only absorbs roundoff in both sums
+_ROUNDOFF = 1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4, 1e-3])
+def test_trace_tail_covers_dropped_weight(spec16, gram16_spectrum, tol):
+    # 400 of the 480 nodes: the Nystrom route, whose refined set holds only
+    # part of the spectrum; the trace tail still covers all of the rest
+    fb = build_fast(spec16, tol=tol, n_landmarks=400, seed=1)
+    assert fb.meta["landmark_attempts"] == [400]
+    assert fb.meta["tail_certified"]
+    assert fb.spectral_tail >= _dropped_weight(gram16_spectrum, fb) * (1 - _ROUNDOFF)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(st.integers(400, 479), st.floats(np.log(1e-8), np.log(1e-3)),
+       st.integers(0, 3))
+def test_trace_tail_covers_any_cap_and_tolerance(spec16, gram16_spectrum, cap,
+                                                 log_tol, seed):
+    fb = build_fast(spec16, tol=float(np.exp(log_tol)), n_landmarks=cap, seed=seed)
+    assert fb.meta["n_landmarks"] == cap
+    assert fb.spectral_tail >= _dropped_weight(gram16_spectrum, fb) * (1 - _ROUNDOFF)
+
+
+def test_trace_tail_of_full_support_is_dropped_weight(fast16, gram16_spectrum):
+    # the whole support is the landmark set: the tail is the exact dropped
+    # weight, and the first count is the only one
+    assert fast16.meta["landmark_attempts"] == [480]
+    assert fast16.spectral_tail == pytest.approx(
+        _dropped_weight(gram16_spectrum, fast16), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_landmarks", [400, 480], ids=["nystrom", "full"])
+def test_indefinite_profile_leaves_tail_uncertified(packet16, n_landmarks):
+    # the oscillatory profile's g-matrix has large negative eigenvalues, so
+    # the trace no longer bounds the dropped weight
+    kern = parse_kernel_spec("oscillatory:omega=50", M)
+    fb = build_fast(CurrentSpec(kern, packet16), rank=20, n_landmarks=n_landmarks)
+    assert fb.rank == 20
+    assert fb.eigvals.min() < 0
+    assert fb.meta["tail_certified"] is False
+    assert np.isnan(fb.spectral_tail)
+
+
+def test_landmark_count_grows_to_cap(spec16, monkeypatch):
+    import achronal.currents as cur
+    fixed = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=0)
+    monkeypatch.setattr(cur, "_LANDMARK_START", 64)
+    fb = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=0)
+    attempts = fb.meta["landmark_attempts"]
+    assert attempts[0] == 64 and len(attempts) > 1
+    assert all(a < b for a, b in zip(attempts, attempts[1:]))
+    assert max(attempts) <= 400
+    assert fb.meta["n_landmarks"] == attempts[-1]
+    assert fb.rank == fixed.rank
+    assert fb.meta["tail_certified"]
+
+
+def test_landmark_growth_stops_at_cap(spec16, monkeypatch):
+    # a build that resolves the spectrum early stops growing; one that cannot
+    # resolve it within the cap raises there
+    import achronal.currents as cur
+    monkeypatch.setattr(cur, "_LANDMARK_START", 64)
+    fb = build_fast(spec16, tol=1e-3, n_landmarks=400, seed=0)
+    assert fb.meta["n_landmarks"] < 400
+    kern = CausalKernel(GFunction.oscillatory(50.0, M), M)
+    with pytest.raises(FactorizationError):
+        build_fast(CurrentSpec(kern, spec16.packet), tol=1e-8, n_landmarks=400)
 
 
 def test_backend_rejects_foreign_packet(fast16, grid16):

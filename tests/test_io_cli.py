@@ -140,7 +140,13 @@ def test_cli_normalize_passes(cfg_file, tmp_path):
     results = json.loads((out / "results.json").read_text())
     assert results["checks"][0]["pass"]
     assert (out / "resolved_config.json").exists()
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    backend = manifest["backend"]
+    assert set(backend) == {"rank", "n_landmarks", "landmark_attempts",
+                            "spectral_tail", "tail_certified"}
+    # the whole 480-node support fits in the first landmark count
+    assert backend["landmark_attempts"] == [backend["n_landmarks"]] == [480]
+    assert backend["tail_certified"] and backend["spectral_tail"] > 0
     assert (out / "report.csv").exists()
 
 

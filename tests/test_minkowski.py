@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from achronal.minkowski import (ETA, LorentzValidationError, PoincareElement,
                                 apply_lorentz, boost_axis, boost_z, classify,
@@ -172,3 +174,36 @@ def test_composition_law_matches_formula():
     comp = g1 @ g2
     assert np.abs(comp.a - (g1.a + apply_lorentz(g1.L, g2.a))).max() < 1e-12
     assert np.abs(comp.L - g1.L @ g2.L).max() < 1e-12
+
+
+# Poincare elements drawn as translation . boost . rotation, with axes given
+# by spherical angles so that every draw is a unit vector
+_AXES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
+    lambda a: np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]),
+                        np.cos(a[0])]))
+POINCARE = st.builds(
+    lambda a, b_axis, rho, r_axis, angle: PoincareElement(
+        np.array(a), boost_axis(b_axis, rho) @ rotation(r_axis, angle)),
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), _AXES,
+    st.floats(-1.0, 1.0), _AXES, st.floats(0.0, 2 * np.pi))
+POINTS = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(POINCARE, POINCARE, POINCARE, POINTS)
+def test_group_law_property(g1, g2, g3, x):
+    # associativity, and the action of a product is the composed action
+    left, right = (g1 @ g2) @ g3, g1 @ (g2 @ g3)
+    assert np.abs(left.L - right.L).max() < 1e-10
+    assert np.abs(left.a - right.a).max() < 1e-10
+    assert np.abs((g1 @ g2).act(x) - g1.act(g2.act(x))).max() < 1e-10
+    validate_lorentz((g1 @ g2).L)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(POINCARE, POINTS)
+def test_inverse_property(g, x):
+    for gid in (g @ g.inverse(), g.inverse() @ g):
+        assert np.abs(gid.L - np.eye(4)).max() < 1e-10
+        assert np.abs(gid.a).max() < 1e-10
+    assert np.abs(g.inverse().act(g.act(x)) - x).max() < 1e-10

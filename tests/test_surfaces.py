@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from achronal.minkowski import PoincareElement, apply_lorentz, boost_z, rotation
+from achronal.minkowski import (PoincareElement, apply_lorentz, boost_axis, boost_z,
+                                rotation)
 from achronal.surfaces import (BumpSurface, ConeSurface, FlatSurface,
                                FoldOverError, SampledSurface, SurfaceDomainError,
                                TiltedSurface, flatten, is_spacelike_cauchy,
@@ -187,3 +190,22 @@ def test_fold_over_on_invalid_input():
     res = transform_surface(g, bad)
     with pytest.raises((FoldOverError, SurfaceDomainError)):
         res.s_inverse(np.array([[0.0, 0.0, -1.0]]))
+
+
+_AXES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
+    lambda a: np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]),
+                        np.cos(a[0])]))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from([FlatSurface(0.3), TiltedSurface((0.0, 0.2, 0.4), -0.1),
+                        BumpSurface(0.6, 2.0)]),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), _AXES,
+       st.floats(-0.8, 0.8), _AXES, st.floats(0.0, 2 * np.pi),
+       st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                min_size=1, max_size=8))
+def test_s_inverse_undoes_s_forward(surface, a, b_axis, rho, r_axis, angle, xs):
+    g = PoincareElement(np.array(a), boost_axis(b_axis, rho) @ rotation(r_axis, angle))
+    res = transform_surface(g, surface)
+    x = np.array(xs)
+    assert np.abs(res.s_inverse(res.s_forward(x)) - x).max() < 1e-9
