@@ -146,13 +146,6 @@ def _quad_for_probability(cfg):
     return {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"])}
 
 
-def _backend_record(fb):
-    """The factorization figures of a backend that the manifest records."""
-    return {"rank": fb.rank, "spectral_tail": fb.spectral_tail,
-            **{k: fb.meta.get(k)
-               for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
-
-
 def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
           timings=None, csv_rows=None, csv_name="report.csv", backend=None):
     outdir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +167,10 @@ def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
                 "pass": {c["name"]: c["pass"] for c in checks},
                 "timings_s": timings or {}}
     if backend is not None:
-        manifest["backend"] = _backend_record(backend)
+        manifest["backend"] = {
+            "rank": backend.rank, "spectral_tail": backend.spectral_tail,
+            **{k: backend.meta.get(k)
+               for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
     achio.write_json(outdir / "manifest.json", manifest)
     ok = all(c["pass"] for c in checks)
     for c in checks:

@@ -244,8 +244,8 @@ class SampledSurface(AchronalSurface):
             dist = self.spacing * np.linalg.norm(d)
             if worst > dist + LIPSCHITZ_TOL:
                 raise ValueError(
-                    f"discrete 1-Lipschitz bound violated: |dtau| = {float(worst):.6g} "
-                    f"over |dx| = {float(dist):.6g}"
+                    f"discrete 1-Lipschitz bound violated: |dtau| = {worst:.6g} "
+                    f"over |dx| = {dist:.6g}"
                 )
 
     def _indices(self, x):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from achronal.currents import (BackendMismatchError, CurrentSpec,
-                               FactorizationError, build_fast,
+                               FactorizationError, SupportData, build_fast,
                                check_causal_pointwise, check_continuity,
                                covariance_pair, decay_scan, eval_direct)
 from achronal.grids import MomentumGrid
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
-                              parse_kernel_spec)
+                              parse_kernel_spec, scalar_block)
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.wavepacket import WavePacket, energy, make_packet
 
@@ -155,9 +155,8 @@ def test_factorization_error_for_oscillatory(grid16, packet16):
 @pytest.fixture(scope="module")
 def gram16_spectrum(spec16):
     """Eigenvalues of the full 480-node g-matrix, largest first."""
-    import achronal.currents as cur
-    sup = cur.SupportData.from_packets([spec16.packet])
-    G = cur.scalar_block(spec16.kernel, sup.points, sup.eps, sup.points, sup.eps)
+    sup = SupportData.from_packets([spec16.packet])
+    G = scalar_block(spec16.kernel, sup.points, sup.eps, sup.points, sup.eps)
     return np.linalg.eigvalsh(G)[::-1]
 
 
@@ -210,9 +209,8 @@ def test_indefinite_profile_leaves_tail_uncertified(packet16, n_landmarks):
 
 
 def test_landmark_count_grows_to_cap(spec16, monkeypatch):
-    import achronal.currents as cur
     fixed = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=0)
-    monkeypatch.setattr(cur, "_LANDMARK_START", 64)
+    monkeypatch.setattr("achronal.currents._LANDMARK_START", 64)
     fb = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=0)
     attempts = fb.meta["landmark_attempts"]
     assert attempts[0] == 64 and len(attempts) > 1
@@ -226,8 +224,7 @@ def test_landmark_count_grows_to_cap(spec16, monkeypatch):
 def test_landmark_growth_stops_at_cap(spec16, monkeypatch):
     # a build that resolves the spectrum early stops growing; one that cannot
     # resolve it within the cap raises there
-    import achronal.currents as cur
-    monkeypatch.setattr(cur, "_LANDMARK_START", 64)
+    monkeypatch.setattr("achronal.currents._LANDMARK_START", 64)
     fb = build_fast(spec16, tol=1e-3, n_landmarks=400, seed=0)
     assert fb.meta["n_landmarks"] < 400
     kern = CausalKernel(GFunction.oscillatory(50.0, M), M)
