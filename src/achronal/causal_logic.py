@@ -16,6 +16,14 @@ membership is decided by certified searches: direction-sampled line
 intersection for determinacy (Fibonacci sphere over slowness shells) and a
 constructive witness family for completion membership, with every reported
 counterexample re-verified against the exact predicates.
+
+The region predicates, achronally_separated, complement_witness and
+completion_member take point arrays of shape (..., 4) or (P, 4); a single
+point is a batch of one.  The witness search runs one scale at a time over
+all unresolved points and returns, per point, the first valid candidate in
+the order scale, direction (away from each seed, then the six axes), offset,
+time branch (past first), so a witness does not depend on the batch it was
+searched in.  determinacy_member on graph patches still takes one point.
 """
 
 from __future__ import annotations
@@ -37,13 +45,15 @@ class DeterminacyMismatchError(ValueError):
     """Patches expected to share a determinacy set do not."""
 
 
-def achronally_separated(x, y) -> bool:
-    """x _|_ y: distinct and not timelike separated."""
+def achronally_separated(x, y):
+    """x _|_ y: distinct and not timelike separated; broadcasts over [..., 4].
+
+    A single pair gives a Python bool, arrays of points a bool array.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.array_equal(x, y):
-        return False
-    return bool(minkowski_square(x - y) <= 0.0)
+    out = np.any(x != y, axis=-1) & (minkowski_square(x - y) <= 0.0)
+    return bool(out) if out.ndim == 0 else out
 
 
 def separation_margin(x, y):
@@ -73,8 +83,17 @@ class SpacetimeRegion:
 
         Existence of such a witness certifies x outside the causal
         completion; the constructive families below are complete away from
-        the completion boundary.
+        the completion boundary.  For points x of shape (P, 4) the result
+        is a (P, 4) array whose rows without a witness are NaN.
         """
+        x = np.asarray(x, dtype=float)
+        w = self._witnesses(x.reshape(-1, 4))
+        if x.ndim > 1:
+            return w
+        return None if np.isnan(w[0, 0]) else w[0]
+
+    def _witnesses(self, x):
+        """complement_witness of the (P, 4) rows of x, NaN where none."""
         raise NotImplementedError
 
     def witness_frame(self):
@@ -115,24 +134,30 @@ class BallInPlane(SpacetimeRegion):
         d = np.linalg.norm(x[..., 1:] - np.asarray(self.center), axis=-1)
         return np.abs(x[..., 0] - self.t0) + d <= self.radius
 
-    def complement_witness(self, x):
-        """Radial witness construction; exists iff x is outside the diamond."""
-        x = np.asarray(x, dtype=float)
-        u0 = float(x[0] - self.t0)
-        u = x[1:] - np.asarray(self.center)
-        ru = float(np.linalg.norm(u))
-        margin = abs(u0) + ru - self.radius
-        if margin <= 0:
-            return None
-        uhat = u / ru if ru > 1e-300 else np.array([1.0, 0.0, 0.0])
-        d = 0.5 * margin
-        s = max(self.radius - ru, 0.0) + abs(u0) + self.radius + 1.0
-        sign = 1.0 if u0 >= 0 else -1.0
-        z0 = u0 - sign * (s + d)
-        z = np.concatenate([[self.t0 + z0], np.asarray(self.center) + u + s * uhat])
-        if self.complement_member(z) and not achronally_separated(z, x):
-            return z
-        return _scan_witness(self, x)
+    def _witnesses(self, x):
+        """Radial witness construction; exists iff x is outside the diamond.
+
+        Rows where the radial candidate fails its verification go to the
+        scan.
+        """
+        c = np.asarray(self.center)
+        u0 = x[:, 0] - self.t0
+        u = x[:, 1:] - c
+        ru = _row_norms(u)
+        margin = np.abs(u0) + ru - self.radius
+        radial = ru > 1e-300
+        uhat = np.where(radial[:, None], u / np.where(radial, ru, 1.0)[:, None],
+                        [1.0, 0.0, 0.0])
+        s = np.maximum(self.radius - ru, 0.0) + np.abs(u0) + self.radius + 1.0
+        z0 = u0 - np.where(u0 >= 0, 1.0, -1.0) * (s + 0.5 * margin)
+        z = np.column_stack([self.t0 + z0, c + u + s[:, None] * uhat])
+        outside = margin > 0
+        ok = outside & self.complement_member(z) & ~achronally_separated(z, x)
+        w = np.where(ok[:, None], z, np.nan)
+        rest = outside & ~ok
+        if rest.any():
+            w[rest] = _scan_witness(self, x[rest])
+        return w
 
     def witness_frame(self):
         anchor = np.array([self.t0, *self.center])
@@ -171,22 +196,24 @@ class Diamond(SpacetimeRegion):
         c = np.asarray(center, dtype=float)
         return cls((t0 - radius, *c), (t0 + radius, *c))
 
-    def contains(self, x):
+    def _cone_coordinates(self, x):
+        """Time after the bottom vertex, spatial distance to it, time before
+        the top vertex and spatial distance to that, per point."""
         x = np.asarray(x, dtype=float)
         b, t = np.asarray(self.bottom), np.asarray(self.top)
-        up = x[..., 0] - b[0] >= np.linalg.norm(x[..., 1:] - b[1:], axis=-1)
-        dn = t[0] - x[..., 0] >= np.linalg.norm(x[..., 1:] - t[1:], axis=-1)
-        return up & dn
+        return (x[..., 0] - b[0], np.linalg.norm(x[..., 1:] - b[1:], axis=-1),
+                t[0] - x[..., 0], np.linalg.norm(x[..., 1:] - t[1:], axis=-1))
+
+    def contains(self, x):
+        up, rb, dn, rt = self._cone_coordinates(x)
+        return (up >= rb) & (dn >= rt)
 
     def complement_member(self, x):
         """Outside the open cones of both vertices and outside the diamond."""
-        x = np.asarray(x, dtype=float)
-        b, t = np.asarray(self.bottom), np.asarray(self.top)
-        no_future = x[..., 0] - b[0] <= np.linalg.norm(x[..., 1:] - b[1:], axis=-1)
-        no_past = t[0] - x[..., 0] <= np.linalg.norm(x[..., 1:] - t[1:], axis=-1)
-        return no_future & no_past & ~self.contains(x)
+        up, rb, dn, rt = self._cone_coordinates(x)
+        return (up <= rb) & (dn <= rt) & ~((up >= rb) & (dn >= rt))
 
-    def complement_witness(self, x):
+    def _witnesses(self, x):
         return _scan_witness(self, x)
 
     def witness_frame(self):
@@ -224,28 +251,77 @@ class GraphPatch(SpacetimeRegion):
                 "mask": self.mask.descriptor()}
 
 
+# the scan's geometric scales (multiples of a point's reach), its fixed axis
+# directions, and the most candidates one array call tests (bounds memory)
+_SCAN_SCALES = np.geomspace(0.25, 16.0, 14)
+_SCAN_AXES = np.concatenate([np.eye(3), -np.eye(3)])
+_CANDIDATE_BLOCK = 1 << 14
+
+
+def _row_norms(w):
+    """Euclidean norms of the vectors along the last axis, bit-equal to
+    np.linalg.norm of each vector alone: a 1x3 by 3x1 matmul takes the same
+    dot kernel, where a sum over an axis rounds differently."""
+    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
+
+
 def _scan_witness(region: SpacetimeRegion, x):
-    """Deterministic witness family: radial directions, geometric scales,
-    both time branches; every candidate verified against the exact
-    complement predicate and the timelike condition."""
-    x = np.asarray(x, dtype=float)
+    """Deterministic witness family for the (P, 4) points x: radial
+    directions, geometric scales, both time branches; every candidate
+    verified against the exact complement predicate and the timelike
+    condition.  Returns (P, 4) witnesses, NaN rows where none is found.
+
+    One scale at a time, every unresolved point tries its candidates in
+    blocks of at most _CANDIDATE_BLOCK (see _scan_block); points that find
+    a witness leave the search.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 4)
     anchor, scale, seeds = region.witness_frame()
-    base_dirs = []
-    for v in seeds:
-        w = x[1:] - v[1:]
-        if np.linalg.norm(w) > 1e-12:
-            base_dirs.append(w / np.linalg.norm(w))
-    base_dirs += [e for e in np.concatenate([np.eye(3), -np.eye(3)])]
-    reach = scale + np.abs(x - anchor).max()
-    for s in reach * np.geomspace(0.25, 16.0, 14):
-        for uhat in base_dirs:
-            zs = x[1:] + s * uhat
-            for delta in (1e-3 * scale, 0.1 * scale, 0.5 * scale):
-                for z0 in (x[0] - s - delta, x[0] + s + delta):
-                    z = np.concatenate([[z0], zs])
-                    if region.complement_member(z) and not achronally_separated(z, x):
-                        return z
-    return None
+    seeds = np.asarray(seeds)
+    reach = scale + np.abs(x - anchor).max(axis=1)
+    delta = np.array([1e-3 * scale, 0.1 * scale, 0.5 * scale])
+    step = max(1, _CANDIDATE_BLOCK // (6 * (len(seeds) + 6)))
+    found = np.full(x.shape, np.nan)
+    todo = np.arange(len(x))
+    for g in _SCAN_SCALES:
+        if not todo.size:
+            break
+        left = []
+        for i in range(0, todo.size, step):
+            idx = todo[i:i + step]
+            hit, z = _scan_block(region, x[idx], reach[idx] * g, seeds, delta)
+            found[idx[hit]] = z
+            left.append(idx[~hit])
+        todo = np.concatenate(left)
+    return found
+
+
+def _scan_block(region, p, s, seeds, delta):
+    """Each point p's first valid candidate at its scale s.
+
+    A point's directions point away from each seed it does not sit on,
+    then along the six axes; each direction is tried at the three offsets
+    delta and on the past, then the future branch, in that order.  Returns
+    the mask of points with a witness and their witnesses.
+    """
+    w = p[:, None, 1:] - seeds[None, :, 1:]
+    norm = _row_norms(w)
+    n = len(seeds)
+    dirs = np.empty((len(p), n + 6, 3))
+    dirs[:, n:] = _SCAN_AXES
+    usable = np.ones(dirs.shape[:2], dtype=bool)
+    usable[:, :n] = norm > 1e-12
+    dirs[:, :n] = w / np.where(usable[:, :n], norm, 1.0)[..., None]
+    z = np.empty(dirs.shape[:2] + (3, 2, 4))
+    z[..., 0, 0] = ((p[:, 0] - s)[:, None] - delta)[:, None]
+    z[..., 1, 0] = ((p[:, 0] + s)[:, None] + delta)[:, None]
+    z[..., 1:] = (p[:, None, 1:] + s[:, None, None] * dirs)[:, :, None, None]
+    z = z.reshape(len(p), -1, 4)
+    ok = (np.repeat(usable, 6, axis=1) & region.complement_member(z)
+          & ~achronally_separated(z, p[:, None]))
+    first = ok.argmax(axis=1)
+    hit = ok[np.arange(len(p)), first]
+    return hit, z[hit, first[hit]]
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +329,21 @@ def _scan_witness(region: SpacetimeRegion, x):
 # ---------------------------------------------------------------------------
 
 
-def completion_member(M: SpacetimeRegion, x) -> bool:
+def completion_member(M: SpacetimeRegion, x):
     """Is x in the causal completion (M-perp)-perp?
 
     Decided by witness search: a verified point of M-perp timelike-related
     to x proves x outside; no witness from the complete constructive family
     means inside.  x itself lying in M-perp also proves x outside (a point
-    is never separated from itself).
+    is never separated from itself).  A point of shape (4,) gives a Python
+    bool, points of shape (P, 4) a (P,) bool array.
     """
     x = np.asarray(x, dtype=float)
-    if bool(M.complement_member(x)):
-        return False
-    return M.complement_witness(x) is None
+    pts = x.reshape(-1, 4)
+    member = ~M.complement_member(pts)
+    if member.any():
+        member[member] = np.isnan(M.complement_witness(pts[member])[:, 0])
+    return bool(member[0]) if x.ndim == 1 else member
 
 
 _GOLDEN = np.pi * (3.0 - np.sqrt(5.0))
@@ -369,22 +448,21 @@ def completion_equals_determinacy_check(delta: BallInPlane, n_samples: int = 100
     pts = rng.uniform(lo, hi, size=(n_samples, 4))
     d = np.abs(pts[:, 0] - delta.t0) + np.linalg.norm(pts[:, 1:] - c, axis=1)
     shell = np.abs(d - r) < eps_shell * r
-    agree = 0
+    tested = pts[~shell]
+    det = delta.determinacy_member(tested)
+    comp = completion_member(delta, tested)
+    differ = det != comp
     bad = []
-    for p in pts[~shell]:
-        det = bool(delta.determinacy_member(p))
-        comp = completion_member(delta, p)
-        if det == comp:
-            agree += 1
-            continue
+    for p, dp, cp in zip(tested[differ], det[differ], comp[differ]):
         # re-verify before reporting: a witness must itself pass the exact
         # complement predicate and be timelike-related to the point
         w = delta.complement_witness(p)
-        confirmed = (w is None) == comp or w is not None and (
+        confirmed = (w is None) == cp or w is not None and (
             bool(delta.complement_member(w)) and not achronally_separated(w, p))
-        bad.append({"point": p.tolist(), "determinacy": det, "completion": comp,
+        bad.append({"point": p.tolist(), "determinacy": bool(dp), "completion": bool(cp),
                     "witness_confirmed": bool(confirmed)})
-    n_eff = int((~shell).sum())
+    n_eff = len(tested)
+    agree = n_eff - len(bad)
     return LogicReport(n_eff, agree / n_eff if n_eff else 1.0, bad, int(shell.sum()),
                        {"radius": r, "eps_shell": eps_shell})
 

@@ -11,7 +11,8 @@ The factorization key holds build_fast's `tol` and, as `landmarks`, the
 largest landmark count a build may use: it starts below that and grows
 only while its spectrum checks fail.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
+(including a kernel the configured factorization cannot truncate).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from . import io as achio
 from .causal_logic import (BallInPlane, GraphPatch,
                            completion_equals_determinacy_check,
                            rcl_well_defined_check)
-from .currents import CurrentSpec, build_fast, covariance_pair, eval_direct
+from .currents import (CurrentSpec, FactorizationError, build_fast, covariance_pair,
+                       eval_direct)
 from .grids import MomentumGrid
 from .kernels import (CausalKernel, TensorKernel, gram_extreme_eigenvalues,
                       parse_kernel_spec)
@@ -188,8 +190,10 @@ def _check(name, value, tolerance, below=True):
 def _common_options(fn):
     """Shared options and exit handling for a command body fn(cfg, outdir).
 
-    The config is loaded for the running command; a ConfigError anywhere
-    exits 2, otherwise the process exits with the body's return code.
+    The config is loaded for the running command; a ConfigError anywhere,
+    or a FactorizationError from a kernel whose spectrum the configured
+    factorization cannot reach, exits 2; otherwise the process exits with
+    the body's return code.
     """
     @functools.wraps(fn)
     def run(config_path, seed, outdir, tolerance_scale):
@@ -199,6 +203,9 @@ def _common_options(fn):
             code = fn(cfg, Path(outdir))
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except FactorizationError as exc:
+            click.echo(f"factorization error: {exc}", err=True)
             sys.exit(2)
         sys.exit(code)
 

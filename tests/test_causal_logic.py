@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import achronal.causal_logic as cl
 from achronal.causal_logic import (BallInPlane, DeterminacyMismatchError,
                                    Diamond, GraphPatch, achronally_separated,
                                    completion_equals_determinacy_check,
@@ -8,8 +13,92 @@ from achronal.causal_logic import (BallInPlane, DeterminacyMismatchError,
                                    fibonacci_directions, rcl_well_defined_check,
                                    separation_margin)
 from achronal.localization import BallMask
-from achronal.minkowski import PoincareElement, fourvector, rotation
+from achronal.minkowski import (PoincareElement, boost_z, fourvector, minkowski_square,
+                                rotation)
 from achronal.surfaces import ConeSurface, FlatSurface
+
+# ---------------------------------------------------------------------------
+# per-point reference: the witness search one candidate at a time, in the
+# order the batched search must reproduce (scale, direction, offset, branch)
+# ---------------------------------------------------------------------------
+
+
+def _reference_separated(x, y):
+    if np.array_equal(x, y):
+        return False
+    return bool(minkowski_square(x - y) <= 0.0)
+
+
+def _reference_scan(region, x):
+    anchor, scale, seeds = region.witness_frame()
+    base_dirs = []
+    for v in seeds:
+        w = x[1:] - v[1:]
+        if np.linalg.norm(w) > 1e-12:
+            base_dirs.append(w / np.linalg.norm(w))
+    base_dirs += [e for e in np.concatenate([np.eye(3), -np.eye(3)])]
+    reach = scale + np.abs(x - anchor).max()
+    for s in reach * np.geomspace(0.25, 16.0, 14):
+        for uhat in base_dirs:
+            zs = x[1:] + s * uhat
+            for delta in (1e-3 * scale, 0.1 * scale, 0.5 * scale):
+                for z0 in (x[0] - s - delta, x[0] + s + delta):
+                    z = np.concatenate([[z0], zs])
+                    if region.complement_member(z) and not _reference_separated(z, x):
+                        return z
+    return None
+
+
+def _reference_witness(M, x):
+    if isinstance(M, Diamond):
+        return _reference_scan(M, x)
+    u0 = float(x[0] - M.t0)
+    u = x[1:] - np.asarray(M.center)
+    ru = float(np.linalg.norm(u))
+    margin = abs(u0) + ru - M.radius
+    if margin <= 0:
+        return None
+    uhat = u / ru if ru > 1e-300 else np.array([1.0, 0.0, 0.0])
+    d = 0.5 * margin
+    s = max(M.radius - ru, 0.0) + abs(u0) + M.radius + 1.0
+    sign = 1.0 if u0 >= 0 else -1.0
+    z0 = u0 - sign * (s + d)
+    z = np.concatenate([[M.t0 + z0], np.asarray(M.center) + u + s * uhat])
+    if M.complement_member(z) and not _reference_separated(z, x):
+        return z
+    return _reference_scan(M, x)
+
+
+def _reference_completion(M, x):
+    if bool(M.complement_member(x)):
+        return False
+    return _reference_witness(M, x) is None
+
+
+def _reference_check(delta, n_samples, seed, eps_shell=1e-3):
+    rng = np.random.default_rng(seed)
+    r = delta.radius
+    c = np.asarray(delta.center)
+    lo = np.array([delta.t0 - 1.5 * r, *(c - 1.5 * r)])
+    hi = np.array([delta.t0 + 1.5 * r, *(c + 1.5 * r)])
+    pts = rng.uniform(lo, hi, size=(n_samples, 4))
+    d = np.abs(pts[:, 0] - delta.t0) + np.linalg.norm(pts[:, 1:] - c, axis=1)
+    shell = np.abs(d - r) < eps_shell * r
+    agree = 0
+    bad = []
+    for p in pts[~shell]:
+        det = bool(delta.determinacy_member(p))
+        comp = _reference_completion(delta, p)
+        if det == comp:
+            agree += 1
+            continue
+        w = _reference_witness(delta, p)
+        confirmed = (w is None) == comp or w is not None and (
+            bool(delta.complement_member(w)) and not _reference_separated(w, p))
+        bad.append({"point": p.tolist(), "determinacy": det, "completion": comp,
+                    "witness_confirmed": bool(confirmed)})
+    n_eff = int((~shell).sum())
+    return n_eff, agree / n_eff if n_eff else 1.0, bad, int(shell.sum())
 
 
 def test_separated_basic_cases():
@@ -27,6 +116,23 @@ def test_separated_symmetric_antireflexive():
         x, y = rng.normal(size=(2, 4))
         assert achronally_separated(x, y) == achronally_separated(y, x)
         assert not achronally_separated(x, x)
+
+
+def test_separated_on_point_arrays():
+    rng = np.random.default_rng(9)
+    # eighths keep the differences exact, so lightlike pairs have square 0
+    x, y = np.round(8 * rng.normal(size=(2, 200, 4))) / 8
+    y[:50] = x[:50] + [1.0, 1.0, 0.0, 0.0]     # lightlike pairs
+    y[50:60] = x[50:60]                         # coincident pairs
+    sep = achronally_separated(x, y)
+    assert isinstance(sep, np.ndarray) and sep.shape == (200,) and sep.dtype == bool
+    assert np.array_equal(sep, achronally_separated(y, x))
+    assert not achronally_separated(x, x).any()
+    assert sep[:50].all() and not sep[50:60].any()
+    assert sep.tolist() == [achronally_separated(a, b) for a, b in zip(x, y)]
+    # one point against many broadcasts over the leading axes
+    assert achronally_separated(x[:, None], x[0]).shape == (200, 1)
+    assert isinstance(achronally_separated(x[0], y[0]), bool)
 
 
 def test_ball_complement_closed_form():
@@ -213,3 +319,86 @@ def test_separation_margin_broadcast():
     x = np.zeros((5, 4))
     y = np.zeros(4)
     assert separation_margin(x, y).shape == (5,)
+
+
+# ---------------------------------------------------------------------------
+# batched predicates against the per-point reference
+# ---------------------------------------------------------------------------
+
+
+def _sample_points(rng, t0, center, r, n=32):
+    """Points around a ball or diamond of radius r, a quarter of them in a
+    box tight enough that many fall inside; none within 1e-3 r of the
+    boundary |t - t0| + |x - c| = r, where both predicates jump."""
+    c4 = np.array([t0, *center])
+    half = np.where(np.arange(n) % 4 == 0, 0.75, 1.5)[:, None]
+    pts = c4 + r * half * rng.uniform(-1.0, 1.0, (n, 4))
+    d = np.abs(pts[:, 0] - t0) + np.linalg.norm(pts[:, 1:] - c4[1:], axis=1)
+    return pts[np.abs(d - r) >= 1e-3 * r]
+
+
+def _assert_matches_reference(M, pts):
+    member = completion_member(M, pts)
+    assert member.shape == (len(pts),) and member.dtype == bool
+    assert member.tolist() == [completion_member(M, p) for p in pts]
+    # _reference_completion, with each point's reference witness kept: the
+    # batched witnesses are the reference's first valid candidates, bit for
+    # bit, also when the candidate blocks hold one or two points each
+    open_ = ~M.complement_member(pts)
+    witnesses = M.complement_witness(pts[open_])
+    with mock.patch.object(cl, "_CANDIDATE_BLOCK", 100):
+        assert np.array_equal(M.complement_witness(pts[open_]), witnesses, equal_nan=True)
+    want = np.zeros(len(pts), dtype=bool)
+    for i, w in zip(np.flatnonzero(open_), witnesses):
+        ref = _reference_witness(M, pts[i])
+        want[i] = ref is None
+        assert ref is None and np.isnan(w).all() or np.array_equal(w, ref)
+        if ref is not None:
+            assert M.complement_member(w) and not achronally_separated(w, pts[i])
+    assert member.tolist() == want.tolist()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.floats(-2.0, 2.0), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.floats(0.5, 3.0), st.integers(0, 2**32 - 1))
+def test_ball_completion_matches_reference(t0, center, r, seed):
+    M = BallInPlane(t0, center, r)
+    _assert_matches_reference(M, _sample_points(np.random.default_rng(seed), t0, center, r))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.floats(-2.0, 2.0), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.floats(0.5, 3.0), st.floats(0.0, 1.2), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2**32 - 1))
+def test_diamond_completion_matches_reference(t0, center, r, rapidity, angle, seed):
+    # a boosted and rotated diamond; points are drawn about the rest-frame
+    # diamond and carried along, so the boundary filter holds in both frames
+    g = PoincareElement(fourvector(0.3, -0.2, 0.1, 0.4),
+                        rotation([0.0, 0.6, 0.8], angle) @ boost_z(rapidity))
+    M = Diamond.from_ball(t0, center, r).transformed(g)
+    pts = g.act(_sample_points(np.random.default_rng(seed), t0, center, r))
+    _assert_matches_reference(M, pts)
+
+
+class _WideDeterminacy(BallInPlane):
+    """A ball whose determinacy set is taken 5% too wide, so that the check
+    reports counterexamples and re-verifies their witnesses."""
+
+    def determinacy_member(self, x):
+        return BallInPlane(self.t0, self.center, 1.05 * self.radius).determinacy_member(x)
+
+
+@pytest.mark.parametrize("region, seed", [(BallInPlane, 0), (BallInPlane, 5),
+                                          (_WideDeterminacy, 0)])
+def test_agreement_check_matches_reference(region, seed):
+    delta = region(0.0, (0, 0, 0), 3.0)
+    rep = completion_equals_determinacy_check(delta, 10000, seed=seed)
+    samples, ratio, bad, skipped = _reference_check(delta, 10000, seed)
+    assert (rep.samples, rep.agreement_ratio, rep.shell_skipped) == (samples, ratio, skipped)
+    assert rep.counterexamples == bad
+    assert (ratio < 1.0) == (region is _WideDeterminacy)
+
+
+def test_completion_of_no_points():
+    M = Diamond.from_ball(0.0, (0, 0, 0), 1.0)
+    assert completion_member(M, np.empty((0, 4))).shape == (0,)

@@ -190,6 +190,18 @@ def test_cli_rejects_zero_packet(tmp_path):
     assert "zero packet" in r.stderr
 
 
+def test_cli_unfactorizable_kernel_is_a_config_error(tmp_path):
+    # an indefinite kernel's spectrum never reaches tol: exit 2 (bad
+    # configuration) with a message, not 1 (failed check) with a traceback
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, kernel="oscillatory:omega=50")))
+    r = run_cli(["normalize", "--config", str(path), "--out", str(tmp_path / "o")],
+                tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("factorization error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_invariance_and_sweep(cfg_file, tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["factorization"] = {"tol": 1e-5, "landmarks": 480}

@@ -100,3 +100,25 @@ def test_refined_slice_batches_fewer_eigenvectors(spec16, fast16):
         tracer.uninstall()
     assert sum(per_call) == 5 * fast16.rank
     assert max(per_call) <= 5 * (24 // 8)
+
+
+def test_tracer_sees_the_causal_logic_searches():
+    # the tracer wraps completion_member and _scan_witness by name; a renamed
+    # target or a call that bypasses the module global records no span
+    import achronal.causal_logic as cl
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = cl.completion_equals_determinacy_check(
+            cl.BallInPlane(0.0, (0.0, 0.0, 0.0), 3.0), n_samples=500, seed=5)
+        diamond = cl.Diamond.from_ball(0.0, (0.0, 0.0, 0.0), 2.0)
+        points = np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 4))
+        mismatches = sum(cl.completion_member(diamond, p) != bool(diamond.contains(p))
+                         for p in points)
+    finally:
+        tracer.uninstall()
+    assert report.agreement_ratio == 1.0 and mismatches == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["causal_logic.scan_witness_calls"] >= 1
+    assert metrics["causal_logic.completion_member_calls"] >= 1
