@@ -15,19 +15,20 @@ independent:
   the support nodes as sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then
   block power + Rayleigh-Ritz against the full support matrix), after which
   every current component becomes a rank sum of products of momentum sums
-  that evaluate either at given spacetime points (FastBackend.current_at, a
-  phase-matrix product) or on whole position-grid slices
+  that evaluate either at given spacetime points (FastBackend.current_at,
+  through the phase matrix) or on whole position-grid slices
   (FastBackend.slice_fields, FFTs).  Stress-energy kernels are exactly
   separable and need no factorization: four auxiliary fields with weights
   p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
   algebraically.
 
-The auxiliary fields of a batch of eigenvectors go through one transform
-call (one stacked FFT for slices, one matmul for points).  Component mu of
-the causal current pairs the 1/sqrt(eps) field with the mu-th of
-(sqrt(eps), p_i / sqrt(eps)), so a slice asked for its first `components`
-components transforms only the fields those need: J0 alone takes two
-fields per eigenvector instead of five.
+Component mu of the causal current pairs the 1/sqrt(eps) field B with the
+mu-th of (sqrt(eps), p_i / sqrt(eps)).  A slice transforms the auxiliary
+fields of each eigenvector, a batch of eigenvectors per stacked FFT call,
+and only the fields its first `components` components need: J0 alone takes
+two fields per eigenvector instead of five.  Points need the factorization
+on the B field alone: the rank-R G goes onto the phase-loaded nodes with two
+real GEMMs, and each component is then one weighted node sum.
 
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
@@ -54,7 +55,7 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 # (support nodes x points) of current_at
 _CHUNK = 2048
 _RANK_BATCH = 24
-_PHASE_ENTRIES = 1 << 18
+_PHASE_ENTRIES = 1 << 16
 
 # landmark count of a causal build's first attempt: smaller supports are
 # factorized whole; at the CLI default config (3,648 support nodes, rank 306
@@ -151,6 +152,14 @@ class SupportData:
         return out.reshape(node_values.shape[:-1] + (n, n, n))
 
 
+def _as_points(x) -> np.ndarray:
+    """Spacetime points x of shape (..., 4) as an (m, 4) float array."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 4:
+        raise ValueError(f"points must be 4-vectors, shape (..., 4); got {x.shape}")
+    return x.reshape(-1, 4)
+
+
 def _phases(support: SupportData, x: np.ndarray) -> np.ndarray:
     """exp(-i (eps x0 - p.x)) for points x of shape (m, 4): (n_sup, m)."""
     return np.exp(-1j * (np.outer(support.eps, x[:, 0]) - support.points @ x[:, 1:].T))
@@ -169,13 +178,13 @@ def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice) -> np.
 def eval_direct(spec: CurrentSpec, x):
     """Literal double-sum evaluation at spacetime points x of shape (..., 4).
 
-    Returns a CurrentSample for a single point, a list for a batch.  The
-    value is the Hermitian-symmetrized sum, real up to roundoff; the largest
-    imaginary residue enters the error estimate.
+    Returns a CurrentSample for a single point, a list for a batch; x whose
+    last axis is not 4 raises ValueError.  The value is the
+    Hermitian-symmetrized sum, real up to roundoff; the largest imaginary
+    residue enters the error estimate.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x.reshape(-1, 4)
+    X = _as_points(x)
+    single = np.ndim(x) == 1
     support = SupportData.from_packets([spec.packet])
     values = support.values_of(spec.packet) * spec.packet.grid.weight
     if spec.is_stress_energy:
@@ -266,18 +275,41 @@ class FastBackend:
     # -- pointwise -------------------------------------------------------
 
     def current_at(self, packet: WavePacket, x) -> np.ndarray:
-        """Real current components (4, m) at spacetime points x of shape (m, 4).
+        """Real current components (4, m) at spacetime points x of shape
+        (..., 4), flattened to m points; another last axis raises ValueError.
 
-        The points go through the phase-matrix product in chunks that keep
-        the phase block at _PHASE_ENTRIES complex entries.
+        The points go in blocks whose phase matrix Z (support nodes x points)
+        holds at most _PHASE_ENTRIES complex entries.  A causal current needs
+        the factorization on the B field alone: with Y = load Z and
+        b = 1/sqrt(eps),
+
+            sum_r mu_r conj(F_r) B_r = sum_k w_k conj(Y_k) (G_R (b Y))_k,
+
+        so H = V (mu (V^T b Y)) takes two real GEMMs on Y's real view, and
+        every component is one weighted sum of conj(Y) H.  The block is
+        updated in place, keeping the peak at a few phase blocks.
         """
-        X = np.asarray(x, dtype=float).reshape(-1, 4)
-        values = self.support.values_of(packet) * packet.grid.weight
-        step = max(1, _PHASE_ENTRIES // max(len(values), 1))
+        X = _as_points(x)
+        load = self.support.values_of(packet) * packet.grid.weight
+        step = max(1, _PHASE_ENTRIES // max(len(load), 1))
+        weights = self.support.field_weights()
+        VbT = None if self.separable else self.eigvecs.T * weights[0]
         J = np.empty((4, len(X)))
         for i0 in range(0, len(X), step):
             Z = _phases(self.support, X[i0:i0 + step])
-            J[:, i0:i0 + step] = self._current(values, lambda nodes: nodes @ Z)
+            if self.separable:
+                J[:, i0:i0 + step] = self._current(load, lambda nodes: nodes @ Z)
+                continue
+            Z *= load[:, None]
+            T = VbT @ Z.view(np.float64)
+            T *= self.eigvals[:, None]
+            H = (self.eigvecs @ T).view(complex)
+            del T
+            np.conj(Z, out=Z)
+            Z *= H
+            del H
+            # Re(w conj(Y) H) for the real weights (sqrt eps, p_i / sqrt eps)
+            J[:, i0:i0 + step] = (weights[1:] @ Z.view(np.float64))[:, ::2]
         return J / TWO_PI_CUBED
 
     # -- whole slices ------------------------------------------------------
@@ -566,8 +598,7 @@ def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
     Lambda^{-1} n.  Returns (lhs, rhs) as (..., 4) arrays from the direct
     route.
     """
-    x = np.asarray(x, dtype=float)
-    X = x.reshape(-1, 4)
+    X = _as_points(x)
     moved = apply_poincare(g, spec.packet)
     lhs_samples = eval_direct(spec.with_packet(moved), X)
     lhs = np.array([s.value for s in lhs_samples])
@@ -581,6 +612,6 @@ def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
         rhs_spec = spec
     rhs_samples = eval_direct(rhs_spec, back)
     rhs = np.array([apply_lorentz(g.L, s.value) for s in rhs_samples])
-    if x.ndim == 1:
+    if np.ndim(x) == 1:
         return lhs[0], rhs[0]
     return lhs, rhs

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from achronal import currents
 from achronal.currents import (BackendMismatchError, CurrentSpec,
                                FactorizationError, SupportData, build_fast,
                                check_causal_pointwise, check_continuity,
@@ -10,7 +14,9 @@ from achronal.currents import (BackendMismatchError, CurrentSpec,
 from achronal.grids import MomentumGrid
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
                               parse_kernel_spec, scalar_block)
+from achronal.localization import _window_nodes
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
+from achronal.surfaces import BumpSurface
 from achronal.wavepacket import WavePacket, energy, make_packet
 
 M = 1.0
@@ -105,8 +111,9 @@ BACKENDS = pytest.mark.parametrize("spec_name, fast_name", [
 
 @BACKENDS
 def test_slice_fields_match_points(request, spec_name, fast_name):
-    # slices and points share one evaluator but reach the points through
-    # different transforms (FFT versus phase matrix)
+    # two independent contractions of one factorization: a slice transforms
+    # every eigenvector's fields by FFT, a point applies the rank-R G to the
+    # B field through the phase matrix
     spec = request.getfixturevalue(spec_name)
     fast = request.getfixturevalue(fast_name)
     ax = spec.packet.grid.position_axis()
@@ -114,6 +121,90 @@ def test_slice_fields_match_points(request, spec_name, fast_name):
     pt = np.array([0.35, ax[4], ax[9], ax[11]])
     s = fast.current_at(spec.packet, pt).T[0]
     assert np.abs(J[:, 4, 9, 11] - s).max() < 1e-12 * np.abs(s).max() + 1e-15
+
+
+def rank_batched_points(backend, packet, x):
+    """Current (4, m) at points x of shape (m, 4) by the rank-batched
+    contraction: per batch of 24 eigenvectors, the five auxiliary fields
+    through one phase-matrix product, then sum_r mu_r Re(conj(F_r) B_r)."""
+    sup = backend.support
+    X = np.asarray(x, dtype=float).reshape(-1, 4)
+    load = sup.values_of(packet) * packet.grid.weight
+    Z = np.exp(-1j * (np.outer(sup.eps, X[:, 0]) - sup.points @ X[:, 1:].T))
+    wl = (sup.field_weights() * load)[:, None, :]
+    J = 0.0
+    for r0 in range(0, backend.rank, 24):
+        rs = slice(r0, min(r0 + 24, backend.rank))
+        B, *partners = (backend.eigvecs[:, rs].T * wl) @ Z
+        mu = backend.eigvals[rs][:, None]
+        J = J + np.stack([np.sum(mu * (np.conj(F) * B).real, axis=0)
+                          for F in partners])
+    return J / (2 * np.pi) ** 3
+
+
+@pytest.fixture(scope="module", params=["fast16", "fast16_loose"])
+def point_backend(request):
+    """A causal backend and its field scale, |J| at the packet's centre."""
+    fb = request.getfixturevalue(request.param)
+    packet = request.getfixturevalue("packet16")
+    return fb, packet, np.abs(rank_batched_points(fb, packet, np.zeros(4))).max()
+
+
+# x0 in [-2, 2], |x| <= 8
+_POINT = st.tuples(st.floats(-2, 2), st.floats(-8, 8), st.floats(-8, 8),
+                   st.floats(-8, 8)).filter(
+    lambda p: p[1] ** 2 + p[2] ** 2 + p[3] ** 2 <= 64)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.lists(_POINT, min_size=1, max_size=40))
+def test_current_at_matches_rank_batched_contraction(point_backend, pts):
+    fb, packet, scale = point_backend
+    X = np.array(pts)
+    ref = rank_batched_points(fb, packet, X)
+    assert np.abs(fb.current_at(packet, X) - ref).max() <= 1e-12 * scale
+    single = fb.current_at(packet, X[0])
+    assert single.shape == (4, 1)
+    assert np.abs(single - ref[:, :1]).max() <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.lists(_POINT, min_size=15, max_size=40))
+def test_current_at_blocks_agree(point_backend, pts):
+    # blocks of 7 points: several of them, the last one partial
+    assume(len(pts) % 7)
+    fb, packet, scale = point_backend
+    X = np.array(pts)
+    ref = rank_batched_points(fb, packet, X)
+    with mock.patch.object(currents, "_PHASE_ENTRIES", 7 * len(fb.support.eps)):
+        got = fb.current_at(packet, X)
+    assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+def test_current_at_memory_peak(fast16, packet16):
+    # the 2,744 window nodes of a bump surface in one call: the in-place
+    # blocks keep the traced peak near a few phase blocks (the rank-batched
+    # contraction peaked at 12 MB)
+    _, nodes, _, _ = _window_nodes(packet16.grid, 7, 1)
+    X = np.column_stack([BumpSurface(0.5).tau(nodes), nodes])
+    assert len(X) == 2744
+    fast16.current_at(packet16, X[:1])
+    tracemalloc.start()
+    try:
+        fast16.current_at(packet16, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (8, 3)])
+def test_points_must_be_four_vectors(spec16, fast16, shape):
+    x = np.zeros(shape)
+    with pytest.raises(ValueError):
+        fast16.current_at(spec16.packet, x)
+    with pytest.raises(ValueError):
+        eval_direct(spec16, x)
 
 
 @pytest.mark.parametrize("refine", [1, 2])

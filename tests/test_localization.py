@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,30 @@ def test_mask_descriptor_roundtrip():
              IntersectionMask((HalfSpaceMask((1, 0, 0)), HalfSpaceMask((0, 1, 0))))]
     for m in masks:
         assert mask_from_descriptor(m.descriptor()) == m
+
+
+_COORD = st.floats(-3, 3)
+_VEC = st.tuples(_COORD, _COORD, _COORD)
+_MASKS = st.recursive(
+    st.one_of(st.just(FullMask()),
+              st.builds(BallMask, _VEC, st.floats(0.1, 3)),
+              st.builds(BoxMask, _VEC, _VEC),
+              st.builds(HalfSpaceMask, _VEC, _COORD)),
+    lambda inner: st.one_of(
+        st.builds(ComplementMask, inner),
+        st.builds(UnionMask, st.lists(inner, min_size=1, max_size=3).map(tuple)),
+        st.builds(IntersectionMask, st.lists(inner, min_size=1, max_size=3).map(tuple))),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_MASKS, st.lists(_VEC, min_size=1, max_size=20))
+def test_mask_descriptor_roundtrip_drawn(m, pts):
+    # through JSON, as a config file stores it
+    back = mask_from_descriptor(json.loads(json.dumps(m.descriptor())))
+    assert back == m
+    x = np.array(pts)
+    assert np.array_equal(back.contains(x), m.contains(x))
 
 
 def test_result_range_invariant(spec16, fast16):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,27 @@ def test_descriptor_roundtrip():
     for s in (FlatSurface(0.3), TiltedSurface((0, 0.2, 0.5), 0.1),
               BumpSurface(0.6, 2.0), ConeSurface(0.8, (1, 0, 0), 0.2)):
         assert surface_from_descriptor(s.descriptor()) == s
+
+
+_COORD = st.floats(-3, 3)
+_VEC = st.tuples(_COORD, _COORD, _COORD)
+_SURFACES = st.one_of(
+    st.builds(FlatSurface, _COORD),
+    st.builds(TiltedSurface, st.tuples(*[st.floats(-1, 1)] * 3)
+              .filter(lambda e: np.linalg.norm(e) <= 1.0), _COORD),
+    st.builds(BumpSurface, st.floats(-0.99, 0.99), st.floats(0.1, 5.0)),
+    st.builds(ConeSurface, st.floats(-1, 1), _VEC, _COORD),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_SURFACES, st.lists(_VEC, min_size=1, max_size=10))
+def test_descriptor_roundtrip_drawn(s, pts):
+    # through JSON, as a config file stores it
+    back = surface_from_descriptor(json.loads(json.dumps(s.descriptor())))
+    assert back == s
+    x = np.array(pts)
+    assert np.array_equal(back.tau(x), s.tau(x))
 
 
 def test_transform_identity():
