@@ -207,6 +207,69 @@ def test_points_must_be_four_vectors(spec16, fast16, shape):
         eval_direct(spec16, x)
 
 
+@pytest.fixture(scope="module")
+def support16(packet16):
+    sup = SupportData.from_packets([packet16])
+    assert len(sup.eps) == 480
+    return sup
+
+
+def _subset_support(sup, nodes, how):
+    """The support nodes `nodes` (indices into sup) as a SupportData: through
+    a mask, as _factorize builds its landmark set (sorted indices), or in the
+    drawn order."""
+    if how == "mask":
+        mask = np.zeros(sup.grid.n ** 3, dtype=bool)
+        mask[sup.flat_idx[nodes]] = True
+        return SupportData.from_mask(sup.grid, sup.mass, mask.reshape((sup.grid.n,) * 3))
+    lm = np.sort(nodes) if how == "landmarks" else np.asarray(nodes)
+    return SupportData(sup.grid, sup.mass, sup.flat_idx[lm], sup.points[lm], sup.eps[lm])
+
+
+# |x0| <= 1e3, |x| <= 50
+_FAR_POINT = st.tuples(st.floats(-1e3, 1e3), st.floats(-50, 50), st.floats(-50, 50),
+                       st.floats(-50, 50)).filter(
+    lambda p: p[1] ** 2 + p[2] ** 2 + p[3] ** 2 <= 2500)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(0, 479), min_size=1, max_size=480, unique=True),
+       st.sampled_from(["mask", "landmarks", "unsorted"]),
+       st.lists(_FAR_POINT, min_size=1, max_size=12))
+def test_phase_tables_match_exp(support16, nodes, how, pts):
+    sup = _subset_support(support16, nodes, how)
+    X = np.array(pts)
+    theta = np.outer(sup.eps, X[:, 0]) - sup.points @ X[:, 1:].T
+    out = np.empty(theta.shape, dtype=complex)
+    got = currents.PhaseTables.of(sup).block(X, out, np.empty_like(out))
+    assert got is out
+    tol = 64 * 2.0 ** -52 * (1 + np.abs(theta).max())
+    assert np.abs(got - np.exp(-1j * theta)).max() <= tol
+
+
+def test_eval_direct_memory_is_bounded(spec16, support16):
+    # 1,000 points in one call: one G, point blocks of _PHASE_ENTRIES
+    # node-point entries (the unblocked field stack peaked at 128 MB)
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.uniform(-1, 1, 1000), rng.uniform(-3, 3, (1000, 3))])
+    eval_direct(spec16, X[:1])
+    with mock.patch.object(currents, "_gmatrix_block",
+                           wraps=currents._gmatrix_block) as gmatrix:
+        tracemalloc.start()
+        try:
+            samples = eval_direct(spec16, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert gmatrix.call_count == 1
+    assert peak < 20e6
+    got = np.array([s.value for s in samples])
+    step = currents._PHASE_ENTRIES // len(support16.eps)
+    pick = [0, step - 1, step, step + 1, 500, 999]
+    ref = np.array([eval_direct(spec16, X[i]).value for i in pick])
+    assert np.abs(got[pick] - ref).max() <= 1e-13 * np.abs(got).max()
+
+
 @pytest.mark.parametrize("refine", [1, 2])
 @BACKENDS
 def test_slice_components_are_a_prefix(request, spec_name, fast_name, refine):
