@@ -16,17 +16,22 @@ independent:
   block power + Rayleigh-Ritz against the full support matrix), after which
   every current component becomes a rank sum of products of momentum sums
   that evaluate either at given spacetime points (FastBackend.current_at,
-  through the phase matrix) or on whole position-grid slices
-  (FastBackend.slice_fields, FFTs).  Stress-energy kernels are exactly
+  through the phase matrix) or on position-grid slices
+  (FastBackend.slice_fields: FFTs of the whole periodic grid, or separable
+  sums from the support's momentum box to a centred window of nodes, the
+  route of flat fluxes).  Stress-energy kernels are exactly
   separable and need no factorization: four auxiliary fields with weights
   p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
   algebraically.
 
 Component mu of the causal current pairs the 1/sqrt(eps) field B with the
 mu-th of (sqrt(eps), p_i / sqrt(eps)).  A slice transforms the auxiliary
-fields of each eigenvector, a batch of eigenvectors per stacked FFT call,
-and only the fields its first `components` components need: J0 alone takes
-two fields per eigenvector instead of five.  Points need the factorization
+fields of each eigenvector, a batch of eigenvectors per stacked transform
+call, and only the fields its first `components` components need: J0 alone
+takes two fields per eigenvector instead of five.  At the CLI default config
+(n=32) the window of a flat flux is 20^3 of the 32^3 nodes and the support
+fills a 20^3 box, so a J0 window slice takes 0.23-0.28 CPU-s against
+0.76-0.84 for the FFT slice (2-vCPU host).  Points need the factorization
 on the B field alone: the rank-R G goes onto the phase-loaded nodes with two
 real GEMMs, and each component is then one weighted node sum.  Their phase
 blocks come from separable tables (PhaseTables): the support nodes lie on the
@@ -48,18 +53,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grids import MomentumGrid, momentum_to_position
+from .grids import MomentumGrid, momentum_to_position, momentum_to_window
 from .kernels import CausalKernel, TensorKernel, scalar_block
-from .minkowski import ETA, PoincareElement, apply_lorentz
+from .minkowski import PoincareElement, apply_lorentz
 from .wavepacket import WavePacket, apply_poincare
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
 # support-node rows per G-matrix block; eigenvectors per transform batch (a
 # refined slice takes _RANK_BATCH // refine^3 of them, so that no batch holds
-# more cube entries than at refine 1); complex entries per phase block
-# (support nodes x points) of current_at, and per field of eval_direct's
-# causal point blocks
+# more output entries than at refine 1, on the whole grid and on a window
+# alike); complex entries per phase block (support nodes x points) of
+# current_at, and per field of eval_direct's point blocks
 _CHUNK = 2048
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 16
@@ -151,16 +156,28 @@ class SupportData:
         return np.stack([1.0 / sq, sq, self.points[:, 0] / sq,
                          self.points[:, 1] / sq, self.points[:, 2] / sq])
 
-    def embed(self, node_values: np.ndarray, cube: np.ndarray) -> np.ndarray:
-        """Scatter per-node values (..., n_sup) into the grid cube `cube`, of
-        shape (..., n^3) and zero off the support nodes, which is reused: the
-        values go into its leading part of their own shape, returned as a
-        (..., n, n, n) view."""
+    def box(self):
+        """The support's bounding box on the grid: the first grid index `lo`
+        and the side `s` of the smallest cube of nodes, with one index range
+        on every axis, that holds every support node, and the support nodes'
+        flat indices in that s^3 cube, as (lo, s, index)."""
         n = self.grid.n
+        ijk = np.array(np.unravel_index(self.flat_idx, (n, n, n)))
+        lo = int(ijk.min(initial=n))
+        s = max(0, int(ijk.max(initial=-1)) + 1 - lo)
+        return lo, s, np.ravel_multi_index(tuple(ijk - lo), (s, s, s))
+
+    def embed(self, node_values: np.ndarray, cube: np.ndarray, box=None) -> np.ndarray:
+        """Scatter per-node values (..., n_sup) into the cube `cube`, of shape
+        (..., s^3) and zero off the support nodes, which is reused: the values
+        go into its leading part of their own shape, returned as a
+        (..., s, s, s) view.  The cube spans the whole grid (s = n), or the
+        bounding box `box` = (lo, s, index) that box() returns."""
+        _, s, index = (0, self.grid.n, self.flat_idx) if box is None else box
         lead = node_values.shape[:-1]
         cube = cube[tuple(slice(0, k) for k in lead)]
-        cube[..., self.flat_idx] = node_values
-        return cube.reshape(lead + (n, n, n))
+        cube[..., index] = node_values
+        return cube.reshape(lead + (s, s, s))
 
 
 def _as_points(x) -> np.ndarray:
@@ -237,7 +254,7 @@ def eval_direct(spec: CurrentSpec, x):
     support = SupportData.from_packets([spec.packet])
     values = support.values_of(spec.packet) * spec.packet.grid.weight
     if spec.is_stress_energy:
-        J = _direct_tensor(spec.kernel, support, values, X, _CHUNK)
+        J = _direct_tensor(spec.kernel, support, values, X)
     else:
         J = _direct_causal(spec.kernel, support, values, X)
     J /= TWO_PI_CUBED
@@ -284,21 +301,27 @@ def _direct_causal_rows(G, rows, support, values, X):
                     axis=1)
 
 
-def _direct_tensor(kern, support, values, X, chunk):
-    """Literal sum_k sum_p conj(a_k) K_n(k, p) a_p with K_n built entrywise."""
+def _direct_tensor(kern, support, values, X):
+    """The stress-energy double sum sum_k sum_p conj(a_k) K_n(k, p) a_p at
+    points X, (m, 4), with K_n built entrywise.  The points go in blocks of
+    at most _PHASE_ENTRIES node-point entries, and each block meets K_n in
+    row blocks whose (rows, n_sup, 4) arrays hold at most _PHASE_ENTRIES
+    entries, so the memory stays bounded for any number of points and
+    support nodes."""
     from .kernels import kernel_Kn
     n = len(support.eps)
-    Z = _phases(support, X)
-    a = values[:, None] * Z
-    J = np.zeros((X.shape[0], 4), dtype=complex)
-    block = max(1, min(chunk, (1 << 26) // max(n, 1)))
-    for i0 in range(0, n, block):
-        rows = slice(i0, min(i0 + block, n))
-        K4 = kernel_Kn(support.points[rows][:, None, :],
-                       support.points[None, :, :], kern)
-        ak = np.conj(a[rows])
-        for mu in range(4):
-            J[:, mu] += np.sum(ak * (K4[:, :, mu] @ a), axis=0)
+    step = max(1, _PHASE_ENTRIES // max(n, 1))
+    krows = max(1, step // 4)
+    J = np.zeros((len(X), 4), dtype=complex)
+    for p0 in range(0, len(X), step):
+        a = values[:, None] * _phases(support, X[p0:p0 + step])
+        for i0 in range(0, n, krows):
+            rows = slice(i0, min(i0 + krows, n))
+            K = np.moveaxis(kernel_Kn(support.points[rows][:, None, :],
+                                      support.points[None, :, :], kern), -1, 0)
+            # the real K_mu rows on a's real view: (4, rows, points)
+            Ka = (np.ascontiguousarray(K) @ a.view(np.float64)).view(complex)
+            J[p0:p0 + step] += np.sum(np.conj(a[rows]) * Ka, axis=1).T
     return J
 
 
@@ -393,17 +416,23 @@ class FastBackend:
     # -- whole slices ------------------------------------------------------
 
     def slice_fields(self, packet: WavePacket, x0: float, refine: int = 1,
-                     components: int = 4) -> np.ndarray:
+                     components: int = 4, window_half: Optional[int] = None) -> np.ndarray:
         """Current components on the conjugate position grid at time x0.
 
-        Returns a real array of shape (components, M, M, M) with
-        M = refine * n: the first `components` of (J0, J1, J2, J3).
+        Returns a real array of shape (components, M, M, M), the first
+        `components` of (J0, J1, J2, J3): on the whole periodic grid, with
+        M = refine * n, or, given `window_half`, on the centred window of
+        M = 2 window_half refine nodes per axis (position_window_mask).  The
+        whole grid takes one FFT per field (momentum_to_position); the window
+        takes a separable sum from the support's bounding box
+        (momentum_to_window), which computes no node outside the window.
         """
         if not 1 <= components <= 4:
             raise ValueError(f"components must be 1 to 4, got {components}")
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
+        box = None if window_half is None else sup.box()
         cube = None
 
         def transform(nodes):
@@ -411,8 +440,12 @@ class FastBackend:
             if cube is None:
                 # zeroed once per call and sized by the first (largest) batch:
                 # every batch writes the same support entries
-                cube = np.zeros(nodes.shape[:-1] + (sup.grid.n ** 3,), dtype=complex)
-            return momentum_to_position(sup.embed(nodes, cube), sup.grid, refine)
+                side = sup.grid.n if box is None else box[1]
+                cube = np.zeros(nodes.shape[:-1] + (side ** 3,), dtype=complex)
+            embedded = sup.embed(nodes, cube, box)
+            if box is None:
+                return momentum_to_position(embedded, sup.grid, refine)
+            return momentum_to_window(embedded, sup.grid, box[0], window_half, refine)
 
         J = self._current(load, transform, components,
                           batch=max(1, _RANK_BATCH // refine ** 3))
@@ -678,12 +711,27 @@ def decay_scan(spec: CurrentSpec, x0: float, radii) -> dict:
             "radii": radii, "mean_j0": mean}
 
 
-def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
-    """Both sides of J(W(g) phi, x) = Lambda . J(phi, g^{-1} x).
+def covariant_spec(spec: CurrentSpec, g: PoincareElement) -> CurrentSpec:
+    """The member of spec's current family whose current of phi carries
+    spec's current of W(g) phi: J(W(g) phi, x) = Lambda J'(phi, g^{-1} x),
+    with J' the returned spec's current and Lambda = g.L.
 
-    For stress-energy currents the right side carries the transformed index
-    Lambda^{-1} n.  Returns (lhs, rhs) as (..., 4) arrays from the direct
-    route.
+    The causal current is its own member.  The stress-energy kernel is a
+    Lorentz vector built from k, p and n, so the member n goes to
+    Lambda^{-1} n.
+    """
+    if not spec.is_stress_energy:
+        return spec
+    kern = spec.kernel
+    n_back = apply_lorentz(g.inverse().L, kern.n)
+    return CurrentSpec(TensorKernel(n_back, kern.mass, kern.variant), spec.packet)
+
+
+def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
+    """Both sides of J(W(g) phi, x) = Lambda . J'(phi, g^{-1} x), with J'
+    the current of covariant_spec(spec, g).
+
+    Returns (lhs, rhs) as (..., 4) arrays from the direct route.
     """
     X = _as_points(x)
     moved = apply_poincare(g, spec.packet)
@@ -691,13 +739,7 @@ def covariance_pair(spec: CurrentSpec, g: PoincareElement, x):
     lhs = np.array([s.value for s in lhs_samples])
     ginv = g.inverse()
     back = np.array([ginv.act(p) for p in X])
-    if spec.is_stress_energy:
-        n_back = apply_lorentz(ETA @ g.L.T @ ETA, spec.kernel.n)
-        kern = TensorKernel(n_back, spec.kernel.mass, spec.kernel.variant)
-        rhs_spec = CurrentSpec(kern, spec.packet)
-    else:
-        rhs_spec = spec
-    rhs_samples = eval_direct(rhs_spec, back)
+    rhs_samples = eval_direct(covariant_spec(spec, g), back)
     rhs = np.array([apply_lorentz(g.L, s.value) for s in rhs_samples])
     if np.ndim(x) == 1:
         return lhs[0], rhs[0]

@@ -12,6 +12,11 @@ on a grid `refine` times finer by zero-padded embedding (exact, since the
 embedded nodes carry zero amplitude).  The inverse FFT runs with
 norm="forward", which leaves the sum unscaled (no 1/M^3), and the pre- and
 post-phases are applied as one separable cube each.
+
+`momentum_to_window` evaluates the same sum at the nodes of a centred
+window only, from a box of momentum nodes: three dense matrix products, the
+output-pruned transform (Markel, "FFT pruning", 1971) in the regime where
+the box and the window are small enough that a DFT matrix beats the FFT.
 """
 
 from __future__ import annotations
@@ -122,6 +127,35 @@ def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1
     return out
 
 
+def momentum_to_window(values: np.ndarray, grid: MomentumGrid, lo: int, half_nodes: int,
+                       refine: int = 1) -> np.ndarray:
+    """Evaluate F(x) = sum_p f(p) exp(i p.x) at the nodes of the centred
+    position window of 2*half_nodes*refine nodes per axis.
+
+    `values` has shape (..., s, s, s) and holds f on the box of momentum
+    nodes whose grid indices run from `lo` to lo + s - 1 on every axis; the
+    result has shape (..., W, W, W) with W = 2 half_nodes refine.  The sum
+    is separable, so it takes three matrix products against one
+    E = exp(i p_box x_window) of shape (s, W), which carries the
+    cell-centred phases exactly.  No quadrature weight or (2 pi) factor is
+    applied.
+    """
+    s = values.shape[-1]
+    if values.shape[-3:] != (s, s, s) or not 0 <= lo <= grid.n - s:
+        raise ValueError(f"values shape {values.shape} is not a box of the grid at {lo}")
+    E = np.exp(1j * np.outer(grid.axis()[lo:lo + s],
+                             position_window_axis(grid, half_nodes, refine)))
+    w = E.shape[1]
+    lead = values.shape[:-3]
+    b = int(np.prod(lead))
+    # the last momentum axis first, then the middle one and the first one;
+    # E.T enters each stacked product as a transposed BLAS operand, not a copy
+    t = values.reshape(b * s * s, s) @ E
+    t = E.T @ t.reshape(b * s, s, w)
+    t = E.T @ t.reshape(b, s, w * w)
+    return t.reshape(lead + (w, w, w))
+
+
 def momentum_to_position_direct(node_values: np.ndarray, nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Reference mode sum F(x) = sum_p f(p) exp(i p.x) at arbitrary points.
 
@@ -132,13 +166,23 @@ def momentum_to_position_direct(node_values: np.ndarray, nodes: np.ndarray, poin
     return node_values @ phases.T
 
 
-def position_window_mask(grid: MomentumGrid, half_nodes: int, refine: int = 1) -> np.ndarray:
-    """Boolean cube selecting the centered window of 2*half_nodes*refine nodes per axis."""
+def _window_range(grid: MomentumGrid, half_nodes: int, refine: int) -> slice:
+    """Indices of the centred window's 2*half_nodes*refine nodes per axis."""
     m = grid.n * refine
     k = half_nodes * refine
     if 2 * k > m:
         raise ValueError(f"window of {2 * k} nodes exceeds grid period {m}")
-    idx = np.arange(m)
-    inside = (idx >= m // 2 - k) & (idx < m // 2 + k)
+    return slice(m // 2 - k, m // 2 + k)
+
+
+def position_window_axis(grid: MomentumGrid, half_nodes: int, refine: int = 1) -> np.ndarray:
+    """Coordinates of the centred window's nodes along one axis."""
+    return grid.position_axis(refine)[_window_range(grid, half_nodes, refine)]
+
+
+def position_window_mask(grid: MomentumGrid, half_nodes: int, refine: int = 1) -> np.ndarray:
+    """Boolean cube selecting the centered window of 2*half_nodes*refine nodes per axis."""
+    inside = np.zeros(grid.n * refine, dtype=bool)
+    inside[_window_range(grid, half_nodes, refine)] = True
     X, Y, Z = np.meshgrid(inside, inside, inside, indexing="ij")
     return X & Y & Z

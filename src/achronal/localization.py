@@ -11,11 +11,13 @@ and it is evaluated once per state and surface: a list of masks on one
 surface (a partition, say) shares that evaluation, on the union of their
 nodes, and the integrand is then summed per mask.  When tau is constant on
 those nodes (flat surfaces and the flat images of rotations and
-translations), one FFT slice at that time covers every node; where grad tau
-is also exactly zero (flat surfaces) the integrand is J0, and the slice
-transforms only J0's two auxiliary fields.  Otherwise the current is
-evaluated at the nodes themselves with the phase-matrix product of
-FastBackend.current_at.
+translations), one slice at that time covers the window: a separable sum
+from the support's momentum box to the window's nodes
+(FastBackend.slice_fields with window_half), which computes no node outside
+the window.  Where grad tau is also exactly zero (flat surfaces) the
+integrand is J0, and the slice transforms only J0's two auxiliary fields.
+Otherwise the current is evaluated at the nodes themselves with the
+phase-matrix product of FastBackend.current_at.
 
 The reported error is the sum of three terms, each kept in the result's
 meta:
@@ -48,8 +50,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .currents import CurrentSpec, FastBackend, build_fast
-from .grids import position_window_mask
+from .currents import CurrentSpec, FastBackend, build_fast, covariant_spec
+from .grids import position_window_axis
 from .minkowski import PoincareElement
 from .surfaces import (AchronalSurface, FlatSurface, SurfaceTransformResult,
                        transform_surface)
@@ -223,12 +225,13 @@ class LocalizationResult:
 
 
 def _window_nodes(grid, window_half: Optional[int], refine: int):
+    """The window's nodes (N, 3), in the order of a (W, W, W) window slice,
+    with their spacing and the window's half width in nodes."""
     half = grid.n // 3 if window_half is None else int(window_half)
-    sel = position_window_mask(grid, half, refine)
+    win = position_window_axis(grid, half, refine)
+    X, Y, Z = np.meshgrid(win, win, win, indexing="ij")
     ax = grid.position_axis(refine)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    nodes = np.stack([X[sel], Y[sel], Z[sel]], axis=1)
-    return sel, nodes, ax[1] - ax[0], half
+    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1), ax[1] - ax[0], half
 
 
 # cell corners relative to the node, in units of the node spacing; pulled in
@@ -246,21 +249,22 @@ def _straddles(mask, pts, dx):
     return inside.any(axis=1) & ~inside.all(axis=1)
 
 
-def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, nodes_flat_sel,
+def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, half: int, union,
                      points, tvals, grads, refine: int):
     """Flux integrand J0 - J.grad tau and J0 at the selected nodes.
 
-    nodes_flat_sel indexes the (refined) full position cube and `points`
-    holds the same nodes' coordinates; tvals and grads give the surface data
-    there.  Returns (integrand, J0, {"slices": FFT slices used}).
+    `union` selects nodes of the window of `half` nodes per side (in the
+    order of _window_nodes) and `points` holds their coordinates; tvals and
+    grads give the surface data there.  Returns
+    (integrand, J0, {"slices": window slices used}).
     """
     tmin, tmax = float(np.min(tvals)), float(np.max(tvals))
     if tmax - tmin < 1e-12:
         # with grad tau exactly zero the integrand is J0: transform only its fields
         flat = not np.any(grads)
         J = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
-                                 components=1 if flat else 4)
-        Jn = J.reshape(len(J), -1)[:, nodes_flat_sel]
+                                 components=1 if flat else 4, window_half=half)
+        Jn = J.reshape(len(J), -1)[:, union]
         if flat:
             return Jn[0], Jn[0], {"slices": 1}
         n_slices = 1
@@ -283,7 +287,7 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
     """
     backend = backend or build_fast(spec)
     grid = spec.packet.grid
-    sel, nodes, dx, half = _window_nodes(grid, window_half, refine)
+    nodes, dx, half = _window_nodes(grid, window_half, refine)
     members = np.array([m.contains(nodes) for m in masks]).reshape(len(masks), len(nodes))
     union = members.any(axis=0)
     pts = nodes[union]
@@ -291,8 +295,7 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
     quad = {"slices": 0}
     if len(pts):
         integrand, j0, quad = _flux_quadrature(
-            spec, backend, np.flatnonzero(sel.reshape(-1))[union], pts,
-            surface.tau(pts), surface.gradient(pts), refine)
+            spec, backend, half, union, pts, surface.tau(pts), surface.gradient(pts), refine)
     outer = np.abs(pts).max(axis=1) > (half * refine - 1) * dx
     weight, offset = dx ** 3, float(surface.tau(np.zeros((1, 3)))[0])
     results = []
@@ -401,14 +404,22 @@ def _window_tail_fraction(results) -> float:
 def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
                      backend_tol: float = 1e-6, **quad):
     """Both sides of the flux covariance: the W(g)^{-1}-moved state on the
-    original region versus the original state on the g-image region."""
+    original region versus the original state on the g-image region.
+
+    The moved state's current is J(W(g^{-1}) phi, x) = Lambda^{-1}
+    J'(phi, g x), with J' the current of covariant_spec(spec, g^{-1}), so
+    its flux through the region is the flux of J'(phi) through the g-image.
+    For a stress-energy current the image side therefore carries the member
+    Lambda n (Lambda = g.L).
+    """
     from .wavepacket import apply_poincare
-    moved = apply_poincare(g.inverse(), spec.packet)
-    lhs_spec = spec.with_packet(moved)
+    ginv = g.inverse()
+    lhs_spec = spec.with_packet(apply_poincare(ginv, spec.packet))
     lhs = probability(lhs_spec, region, backend=build_fast(lhs_spec, tol=backend_tol), **quad)
+    rhs_spec = covariant_spec(spec, ginv)
     transform = transform_surface(g, region.surface)
-    rhs = probability_transformed(spec, transform, region.mask,
-                                  backend=build_fast(spec, tol=backend_tol), **quad)
+    rhs = probability_transformed(rhs_spec, transform, region.mask,
+                                  backend=build_fast(rhs_spec, tol=backend_tol), **quad)
     return lhs, rhs
 
 

@@ -11,9 +11,9 @@ from achronal.currents import (BackendMismatchError, CurrentSpec,
                                FactorizationError, SupportData, build_fast,
                                check_causal_pointwise, check_continuity,
                                covariance_pair, decay_scan, eval_direct)
-from achronal.grids import MomentumGrid
+from achronal.grids import MomentumGrid, position_window_mask
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
-                              parse_kernel_spec, scalar_block)
+                              kernel_Kn, parse_kernel_spec, scalar_block)
 from achronal.localization import _window_nodes
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.surfaces import BumpSurface
@@ -185,7 +185,7 @@ def test_current_at_memory_peak(fast16, packet16):
     # the 2,744 window nodes of a bump surface in one call: the in-place
     # blocks keep the traced peak near a few phase blocks (the rank-batched
     # contraction peaked at 12 MB)
-    _, nodes, _, _ = _window_nodes(packet16.grid, 7, 1)
+    nodes, _, _ = _window_nodes(packet16.grid, 7, 1)
     X = np.column_stack([BumpSurface(0.5).tau(nodes), nodes])
     assert len(X) == 2744
     fast16.current_at(packet16, X[:1])
@@ -270,6 +270,37 @@ def test_eval_direct_memory_is_bounded(spec16, support16):
     assert np.abs(got[pick] - ref).max() <= 1e-13 * np.abs(got).max()
 
 
+def brute_tensor_current(packet, kern, x):
+    """The stress-energy double sum with the whole K_n matrix at once."""
+    pts = packet.support_points()
+    vals = packet.support_values() * packet.grid.weight
+    eps = energy(pts, packet.mass)
+    a = vals * np.exp(-1j * (eps * x[0] - pts @ x[1:]))
+    K = kernel_Kn(pts[:, None, :], pts[None, :, :], kern)
+    return (np.einsum("k,kpm,p->m", np.conj(a), K, a) / (2 * np.pi) ** 3).real
+
+
+def test_eval_direct_tensor_memory_is_bounded(tspec16, support16):
+    # 1,000 points in one call: point blocks and K_n row blocks of at most
+    # _PHASE_ENTRIES entries (the unblocked sum peaked at 41.9 MB)
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.uniform(-1, 1, 1000), rng.uniform(-3, 3, (1000, 3))])
+    eval_direct(tspec16, X[:1])
+    tracemalloc.start()
+    try:
+        samples = eval_direct(tspec16, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    got = np.array([s.value for s in samples])
+    step = currents._PHASE_ENTRIES // len(support16.eps)
+    pick = [0, step - 1, step, step + 1, 500, 999]
+    ref = np.array([brute_tensor_current(tspec16.packet, tspec16.kernel, X[i])
+                    for i in pick])
+    assert np.abs(got[pick] - ref).max() <= 1e-13 * np.abs(got).max()
+
+
 @pytest.mark.parametrize("refine", [1, 2])
 @BACKENDS
 def test_slice_components_are_a_prefix(request, spec_name, fast_name, refine):
@@ -289,6 +320,43 @@ def test_slice_components_are_a_prefix(request, spec_name, fast_name, refine):
 def test_slice_components_out_of_range(spec16, fast16, components):
     with pytest.raises(ValueError):
         fast16.slice_fields(spec16.packet, 0.0, components=components)
+
+
+# small packets, centred and off-centre, so that the support's bounding box
+# sits at different grid indices
+_WINDOW_CENTERS = [(0.0, 0.0, 0.0), (0.9, -0.6, 1.2)]
+
+
+@pytest.fixture(scope="module")
+def window_backends(grid16, kern_basic, kern_tensor):
+    out = {}
+    for c, center in enumerate(_WINDOW_CENTERS):
+        pkt = make_packet(grid16, M, sigma=0.6, center=center, core_radius=0.5,
+                          support_radius=1.0, margin=1)
+        for name, kern in (("causal", kern_basic), ("tensor", kern_tensor)):
+            out[name, c] = (pkt, build_fast(CurrentSpec(kern, pkt), tol=1e-8))
+    return out
+
+
+@settings(max_examples=16, deadline=None, database=None)
+@given(st.sampled_from(["causal", "tensor"]), st.integers(0, len(_WINDOW_CENTERS) - 1),
+       st.integers(1, 2), st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(1, 8))
+def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refine,
+                                            components, x0, half):
+    # the separable sum over the support's box against the FFT of the whole
+    # grid, cut to the window that position_window_mask selects
+    pkt, fb = window_backends[kind, center]
+    full = fb.slice_fields(pkt, x0, refine=refine, components=components)
+    win = fb.slice_fields(pkt, x0, refine=refine, components=components, window_half=half)
+    w = 2 * half * refine
+    assert win.shape == (components, w, w, w)
+    cut = full.reshape(components, -1)[:, position_window_mask(pkt.grid, half, refine).ravel()]
+    assert np.abs(win.reshape(components, -1) - cut).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_window_wider_than_the_grid(spec16, fast16):
+    with pytest.raises(ValueError):
+        fast16.slice_fields(spec16.packet, 0.0, window_half=9)
 
 
 def test_slice_refine_matches_direct(spec16, fast16):

@@ -121,6 +121,16 @@ def test_covariance_rotation_permutation_path(spec16):
     assert abs(lhs.probability - rhs.probability) / spec16.packet.norm_squared() < 1e-10
 
 
+def test_tensor_covariance_carries_the_boosted_index(tspec16):
+    # the moved state is W(g^-1) phi, so the image side takes the member
+    # Lambda n; refine 2 shrinks the region staircase, which at refine 1 is as
+    # large as the gap between Lambda n (2.8e-3 of p) and Lambda^-1 n (6.7e-4)
+    region = Region(FlatSurface(0.0), BallMask((0, 0, 0), 4.0))
+    g = PoincareElement.from_lorentz(boost_z(0.25))
+    lhs, rhs = covariance_check(tspec16, g, region, refine=2, **WPAR)
+    assert abs(lhs.probability - rhs.probability) / lhs.probability < 2e-3
+
+
 def test_additivity_full(spec16, fast16):
     out = additivity_check(spec16, FlatSurface(0.0), [FullMask()],
                            backend=fast16, window_half=7)

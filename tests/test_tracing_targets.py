@@ -3,7 +3,8 @@
 Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
 ``perfbench/tracing.py`` ``TARGETS`` and the others run traced fluxes and
-slices.
+slices.  The window transform of flat fluxes (``momentum_to_window``) has no
+tracer target; the tests that count its transforms wrap it themselves.
 """
 
 import importlib
@@ -72,18 +73,26 @@ def test_partition_takes_one_time_slice(spec16, fast16):
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
 
 
+def _window_transforms(tracer, per_call):
+    """Wrap the window transform; per_call gets each call's output shape."""
+    tracer.wrap(currents, "momentum_to_window", "grids.m2w",
+                lambda tr, args, kwargs, out: per_call.append(out.shape))
+
+
 def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
-    # J0 pairs the 1/sqrt(eps) field with the sqrt(eps) field: two transforms
-    # per eigenvector, not five
+    # J0 pairs the 1/sqrt(eps) field with the sqrt(eps) field: two window
+    # transforms per eigenvector, not five, and no FFT of the whole grid
     tracing = _load_tracing()
     tracer = tracing.Tracer()
+    per_call = []
     tracer.install()
+    _window_transforms(tracer, per_call)
     try:
         loc.probability(spec16, loc.Region(FlatSurface(0.0)), backend=fast16, window_half=4)
     finally:
         tracer.uninstall()
-    metrics = tracing.layer_metrics(tracer)
-    assert metrics["grids.m2p_transforms"] == 2 * fast16.rank
+    assert sum(int(np.prod(shape[:-3])) for shape in per_call) == 2 * fast16.rank
+    assert tracing.layer_metrics(tracer)["grids.m2p_transforms"] == 0
 
 
 def test_refined_slice_batches_fewer_eigenvectors(spec16, fast16):
@@ -100,6 +109,23 @@ def test_refined_slice_batches_fewer_eigenvectors(spec16, fast16):
         tracer.uninstall()
     assert sum(per_call) == 5 * fast16.rank
     assert max(per_call) <= 5 * (24 // 8)
+
+
+def test_refined_window_batches_hold_no_more_entries(spec16, fast16):
+    # a refine-2 window holds 8 times the nodes of a refine-1 window, so its
+    # batches take an eighth of the eigenvectors
+    entries = {}
+    for refine in (1, 2):
+        tracer = _load_tracing().Tracer()
+        per_call = []
+        _window_transforms(tracer, per_call)
+        try:
+            fast16.slice_fields(spec16.packet, 0.0, refine=refine, window_half=4)
+        finally:
+            tracer.uninstall()
+        assert sum(int(np.prod(shape[:-3])) for shape in per_call) == 5 * fast16.rank
+        entries[refine] = max(int(np.prod(shape)) for shape in per_call)
+    assert entries[2] <= entries[1]
 
 
 def test_tracer_sees_the_causal_logic_searches():
