@@ -167,13 +167,13 @@ class SupportData:
         s = max(0, int(ijk.max(initial=-1)) + 1 - lo)
         return lo, s, np.ravel_multi_index(tuple(ijk - lo), (s, s, s))
 
-    def embed(self, node_values: np.ndarray, cube: np.ndarray, box=None) -> np.ndarray:
+    def embed(self, node_values: np.ndarray, cube: np.ndarray, box) -> np.ndarray:
         """Scatter per-node values (..., n_sup) into the cube `cube`, of shape
         (..., s^3) and zero off the support nodes, which is reused: the values
         go into its leading part of their own shape, returned as a
-        (..., s, s, s) view.  The cube spans the whole grid (s = n), or the
-        bounding box `box` = (lo, s, index) that box() returns."""
-        _, s, index = (0, self.grid.n, self.flat_idx) if box is None else box
+        (..., s, s, s) view.  The cube spans `box` = (lo, s, index): the
+        whole grid, (0, n, flat_idx), or the bounding box from box()."""
+        _, s, index = box
         lead = node_values.shape[:-1]
         cube = cube[tuple(slice(0, k) for k in lead)]
         cube[..., index] = node_values
@@ -432,7 +432,7 @@ class FastBackend:
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
-        box = None if window_half is None else sup.box()
+        box = (0, sup.grid.n, sup.flat_idx) if window_half is None else sup.box()
         cube = None
 
         def transform(nodes):
@@ -440,10 +440,9 @@ class FastBackend:
             if cube is None:
                 # zeroed once per call and sized by the first (largest) batch:
                 # every batch writes the same support entries
-                side = sup.grid.n if box is None else box[1]
-                cube = np.zeros(nodes.shape[:-1] + (side ** 3,), dtype=complex)
+                cube = np.zeros(nodes.shape[:-1] + (box[1] ** 3,), dtype=complex)
             embedded = sup.embed(nodes, cube, box)
-            if box is None:
+            if window_half is None:
                 return momentum_to_position(embedded, sup.grid, refine)
             return momentum_to_window(embedded, sup.grid, box[0], window_half, refine)
 
