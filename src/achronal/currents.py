@@ -34,12 +34,11 @@ fills a 20^3 box, so a J0 window slice takes 0.23-0.28 CPU-s against
 0.76-0.84 for the FFT slice (2-vCPU host).  Points need the factorization
 on the B field alone: the rank-R G goes onto the phase-loaded nodes with two
 real GEMMs, and each component is then one weighted node sum.  Their phase
-blocks come from separable tables (PhaseTables): the support nodes lie on the
-momentum grid, so a block takes one exp per point and distinct energy or axis
-value, not one per node and point.  On a curved n=16 surface pass that cuts
-the phases from 0.38 to 0.12 s of 0.69 and 0.41 s (cProfile, 2-vCPU host).
-The direct route keeps the plain exp of the full phase argument, so the
-oracle shares no phase code with the fast route.
+blocks come from separable tables (SupportData.phases): the support nodes
+lie on the momentum grid, so a block takes one exp per point and distinct
+energy or axis value, not one per node and point.  The direct route keeps
+the plain exp of the full phase argument, so the oracle shares no phase code
+with the fast route.
 
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
@@ -49,6 +48,7 @@ reproduces the current's phase exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -56,7 +56,7 @@ import numpy as np
 from .grids import MomentumGrid, momentum_to_position, momentum_to_window
 from .kernels import CausalKernel, TensorKernel, scalar_block
 from .minkowski import PoincareElement, apply_lorentz
-from .wavepacket import WavePacket, apply_poincare
+from .wavepacket import WavePacket, apply_poincare, energy
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -114,7 +114,8 @@ class CurrentSample:
 
 @dataclass(frozen=True)
 class SupportData:
-    """Support-node arrays shared by both evaluation routes."""
+    """Support-node arrays shared by both evaluation routes; each node's grid
+    indices and energy-table index are derived once per instance."""
 
     grid: MomentumGrid
     mass: float
@@ -125,9 +126,8 @@ class SupportData:
     @classmethod
     def from_mask(cls, grid: MomentumGrid, mass: float, mask: np.ndarray) -> "SupportData":
         flat = np.flatnonzero(mask.reshape(-1))
-        coords = grid.node_coordinates()[flat]
-        eps = np.sqrt(mass * mass + np.sum(coords * coords, axis=1))
-        return cls(grid, mass, flat, coords, eps)
+        points = grid.node_coordinates()[flat]
+        return cls(grid, mass, flat, points, energy(points, mass))
 
     @classmethod
     def from_packets(cls, packets) -> "SupportData":
@@ -156,14 +156,25 @@ class SupportData:
         return np.stack([1.0 / sq, sq, self.points[:, 0] / sq,
                          self.points[:, 1] / sq, self.points[:, 2] / sq])
 
+    @cached_property
+    def _grid_idx(self) -> np.ndarray:
+        """Each node's grid indices, shape (3, n_sup)."""
+        n = self.grid.n
+        return np.array(np.unravel_index(self.flat_idx, (n, n, n)))
+
+    @cached_property
+    def _energy_table(self):
+        """The distinct energies (12 on the n=16 test support, 46 at the CLI
+        default config) and each node's index into them."""
+        return np.unique(self.eps, return_inverse=True)
+
     def box(self):
         """The support's bounding box on the grid: the first grid index `lo`
         and the side `s` of the smallest cube of nodes, with one index range
         on every axis, that holds every support node, and the support nodes'
         flat indices in that s^3 cube, as (lo, s, index)."""
-        n = self.grid.n
-        ijk = np.array(np.unravel_index(self.flat_idx, (n, n, n)))
-        lo = int(ijk.min(initial=n))
+        ijk = self._grid_idx
+        lo = int(ijk.min(initial=self.grid.n))
         s = max(0, int(ijk.max(initial=-1)) + 1 - lo)
         return lo, s, np.ravel_multi_index(tuple(ijk - lo), (s, s, s))
 
@@ -179,6 +190,26 @@ class SupportData:
         cube[..., index] = node_values
         return cube.reshape(lead + (s, s, s))
 
+    def phases(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """exp(-i (eps x0 - p.x)) at points x of shape (m, 4), written into
+        `out` of shape (n_sup, m); `scratch`, of the same shape, takes each
+        gathered axis factor.  The phase is exp(-i eps x0) prod_a
+        exp(i p_a x_a), and the nodes lie on the momentum grid, so a block
+        takes one exp per point and distinct energy or axis value, gathered
+        by each node's energy and grid indices: the grid-aligned case of a
+        type-3 NUFFT."""
+        energies, energy_idx = self._energy_table
+        # the indices are in range by construction; mode="clip" skips the
+        # bounds check, with which np.take buffers `out` (5x slower at 2^16
+        # entries)
+        np.take(np.exp(-1j * np.outer(energies, x[:, 0])), energy_idx,
+                axis=0, out=out, mode="clip")
+        axis = self.grid.axis()
+        for a, idx in enumerate(self._grid_idx):
+            out *= np.take(np.exp(1j * np.outer(axis, x[:, a + 1])), idx,
+                           axis=0, out=scratch, mode="clip")
+        return out
+
 
 def _as_points(x) -> np.ndarray:
     """Spacetime points x of shape (..., 4) as an (m, 4) float array."""
@@ -191,44 +222,6 @@ def _as_points(x) -> np.ndarray:
 def _phases(support: SupportData, x: np.ndarray) -> np.ndarray:
     """exp(-i (eps x0 - p.x)) for points x of shape (m, 4): (n_sup, m)."""
     return np.exp(-1j * (np.outer(support.eps, x[:, 0]) - support.points @ x[:, 1:].T))
-
-
-@dataclass(frozen=True)
-class PhaseTables:
-    """The support's phase exp(-i (eps x0 - p.x)) as the product of separable
-    factors exp(-i eps x0) prod_a exp(i p_a x_a).
-
-    The nodes lie on the momentum grid, so a block of points takes one exp per
-    point and distinct energy (12 on the n=16 test support, 46 at the CLI
-    default config) or axis value, gathered by each node's energy and grid
-    indices: the grid-aligned case of a type-3 NUFFT.
-    """
-
-    axis: np.ndarray
-    energies: np.ndarray
-    energy_idx: np.ndarray
-    grid_idx: tuple
-
-    @classmethod
-    def of(cls, support: SupportData) -> "PhaseTables":
-        energies, energy_idx = np.unique(support.eps, return_inverse=True)
-        n = support.grid.n
-        return cls(support.grid.axis(), energies, energy_idx,
-                   np.unravel_index(support.flat_idx, (n, n, n)))
-
-    def block(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """exp(-i (eps x0 - p.x)) at points x of shape (m, 4), written into
-        `out` of shape (n_sup, m); `scratch`, of the same shape, takes each
-        gathered axis factor."""
-        # the indices are in range by construction; mode="clip" skips the
-        # bounds check, with which np.take buffers `out` (5x slower at 2^16
-        # entries)
-        np.take(np.exp(-1j * np.outer(self.energies, x[:, 0])), self.energy_idx,
-                axis=0, out=out, mode="clip")
-        for a, idx in enumerate(self.grid_idx):
-            out *= np.take(np.exp(1j * np.outer(self.axis, x[:, a + 1])), idx,
-                           axis=0, out=scratch, mode="clip")
-        return out
 
 
 def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice) -> np.ndarray:
@@ -334,7 +327,9 @@ def _direct_tensor(kern, support, values, X):
 class FastBackend:
     """Stored factorization enabling pointwise and whole-slice evaluation.
 
-    Every evaluation uses all `rank` stored eigenpairs.  `spectral_tail`
+    `support` holds the node data that every evaluation reads (coordinates,
+    energies, grid indices and phase blocks; see SupportData).  Every
+    evaluation uses all `rank` stored eigenpairs.  `spectral_tail`
     bounds the eigenvalue weight of the g-matrix that they leave out,
     relative to the top eigenvalue: (n_sup g(m^2) - sum of the kept
     eigenvalues) / mu_0, from the exact trace, covering eigenvalues the
@@ -342,7 +337,8 @@ class FastBackend:
     and nan when meta["tail_certified"] is False.  For causal kernels `meta`
     also records the landmark counts tried (`landmark_attempts`), the one
     used (`n_landmarks`, at most build_fast's cap) and the largest exact
-    eigenpair residual (`eig_residual_max`).
+    eigenpair residual (`eig_residual_max`), which with `spectral_tail`
+    certifies the truncation.
     """
 
     support: SupportData
@@ -350,8 +346,6 @@ class FastBackend:
     eigvals: Optional[np.ndarray]
     eigvecs: Optional[np.ndarray]
     spectral_tail: float
-    entry_residual_rms: float
-    entry_residual_max: float
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -376,11 +370,11 @@ class FastBackend:
             sum_r mu_r conj(F_r) B_r = sum_k w_k conj(Y_k) (G_R (b Y))_k,
 
         so H = V (mu (V^T b Y)) takes two real GEMMs on Y's real view, and
-        every component is one weighted sum of conj(Y) H.  Z is gathered from
-        PhaseTables, about 0.8 ms per 2^16-entry block against 3 ms for the
-        exp of every entry.  Each block is updated in place, in two buffers
-        allocated once per call, so the traced peak stays near a few phase
-        blocks (4.2 MB over the 2,744 window nodes of an n=16 surface).
+        every component is one weighted sum of conj(Y) H.  Z is gathered by
+        SupportData.phases, about 0.8 ms per 2^16-entry block against 3 ms
+        for the exp of every entry.  Each block is updated in place, in two
+        buffers allocated once per call, so the traced peak stays near a few
+        phase blocks (4.2 MB over the 2,744 window nodes of an n=16 surface).
         """
         X = _as_points(x)
         load = self.support.values_of(packet) * packet.grid.weight
@@ -388,7 +382,6 @@ class FastBackend:
         step = max(1, _PHASE_ENTRIES // max(n_sup, 1))
         weights = self.support.field_weights()
         VbT = None if self.separable else self.eigvecs.T * weights[0]
-        tables = PhaseTables.of(self.support)
         # the phase block and a scratch block, which takes the gathered axis
         # factors and then H; a short last block uses a leading part of each
         zbuf = np.empty(n_sup * min(step, len(X)), dtype=complex)
@@ -398,7 +391,7 @@ class FastBackend:
             Xb = X[i0:i0 + step]
             m = len(Xb)
             scratch = sbuf[:n_sup * m].reshape(n_sup, m)
-            Z = tables.block(Xb, zbuf[:n_sup * m].reshape(n_sup, m), scratch)
+            Z = self.support.phases(Xb, zbuf[:n_sup * m].reshape(n_sup, m), scratch)
             if self.separable:
                 J[:, i0:i0 + m] = self._current(load, lambda nodes: nodes @ Z)
                 continue
@@ -528,13 +521,12 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     """
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
-        return FastBackend(support, spec.kernel, None, None, 0.0, 0.0, 0.0,
-                           {"separable": True})
+        return FastBackend(support, spec.kernel, None, None, 0.0, {"separable": True})
     kern = spec.kernel
     n = len(support.eps)
     if n == 0:
-        return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)),
-                           0.0, 0.0, 0.0, {"empty_support": True})
+        return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)), 0.0,
+                           {"empty_support": True})
     rng = np.random.default_rng(seed)
     cap = min(n_landmarks, n)
     n_lm = cap if rank is not None else min(cap, _LANDMARK_START)
@@ -563,16 +555,8 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
         tail = float("nan")
     eig_res = eig_res[:R]
     mu, V = mu[:R], np.ascontiguousarray(V[:, :R])
-
-    ii = rng.integers(0, n, size=min(4000, n * 4))
-    jj = rng.integers(0, n, size=ii.size)
-    t = support.eps[ii] * support.eps[jj] - np.sum(support.points[ii] * support.points[jj], axis=1)
-    exact = kern.scalar(np.maximum(t, kern.mass ** 2, out=t))
-    approx = np.sum(V[ii] * (mu * V[jj]), axis=1)
-    err = np.abs(approx - exact)
     return FastBackend(
         support, kern, mu, V, tail,
-        float(np.sqrt(np.mean(err ** 2))), float(err.max()),
         {"n_landmarks": n_lm, "landmark_attempts": attempts,
          "eig_residual_max": float(eig_res.max(initial=0.0)),
          "tail_certified": certified},

@@ -4,7 +4,10 @@ Both grids are cell-centered: momentum nodes sit at (n + 1/2 - N/2) h for
 h = 2 P / N, position nodes at (m + 1/2 - M/2) dx for dx = 2 pi / (M h).
 No node lies at the origin or on a coordinate plane, so axis rotations by
 multiples of pi/2 permute nodes exactly and strict half-space predicates
-partition quadrature nodes cleanly.
+partition quadrature nodes cleanly.  MomentumGrid owns the node data that
+the packets, the Poincare action and the current routes share: the node
+coordinates (`points`) and the map from momenta back to fractional grid
+indices (`index_of`).
 
 The core transform realizes F(x) = sum_p f(p) exp(i p.x) on the conjugate
 grid via a phase-dressed FFT; `refine` evaluates the same trigonometric sum
@@ -61,14 +64,20 @@ class MomentumGrid:
         dx = 2.0 * np.pi / (m * self.spacing)
         return (np.arange(m) + 0.5 - m / 2) * dx
 
-    def meshgrid(self):
+    def points(self) -> np.ndarray:
+        """All momentum nodes as an (n, n, n, 3) array, indexed like the
+        amplitude cube."""
         ax = self.axis()
-        return np.meshgrid(ax, ax, ax, indexing="ij")
+        return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
 
     def node_coordinates(self) -> np.ndarray:
         """All momentum nodes as an (n^3, 3) array, x1 slowest."""
-        X, Y, Z = self.meshgrid()
-        return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+        return self.points().reshape(-1, 3)
+
+    def index_of(self, p) -> np.ndarray:
+        """Fractional grid indices of momenta p of shape (..., 3): node i of
+        an axis sits at index i."""
+        return np.asarray(p) / self.spacing - 0.5 + self.n / 2
 
     def interior_extent(self, margin: int) -> float:
         """Largest |p_i| allowed when the outermost `margin` nodes must vanish."""

@@ -354,12 +354,11 @@ def _apply_normalization(spec, prob, err, normalization, meta):
 
 def probability_transformed(spec: CurrentSpec, transform: SurfaceTransformResult,
                             mask: Mask, backend: Optional[FastBackend] = None,
-                            window_half: Optional[int] = None,
-                            refine: int = 1) -> LocalizationResult:
+                            **quad) -> LocalizationResult:
     """Probability over the Poincare image of the region (transform.surface,
-    mask)."""
+    mask); `quad` takes probability's window_half, refine and normalization."""
     return probability(spec, Region(transform, ImageMask(mask, transform)),
-                       backend=backend, window_half=window_half, refine=refine)
+                       backend=backend, **quad)
 
 
 # ---------------------------------------------------------------------------

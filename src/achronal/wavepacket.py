@@ -23,7 +23,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .grids import MomentumGrid
-from .minkowski import PoincareElement, apply_lorentz
+from .minkowski import PoincareElement, apply_lorentz, boost_axis
 
 PERMUTATION_TOL = 1e-12
 
@@ -100,9 +100,7 @@ class WavePacket:
         return self.amplitudes != 0
 
     def support_points(self) -> np.ndarray:
-        mask = self.support_mask()
-        X, Y, Z = self.grid.meshgrid()
-        return np.stack([X[mask], Y[mask], Z[mask]], axis=1)
+        return self.grid.points()[self.support_mask()]
 
     def support_values(self) -> np.ndarray:
         return self.amplitudes[self.support_mask()]
@@ -177,9 +175,7 @@ def make_packet(grid: MomentumGrid, mass: float, kind: str = "mollified_gaussian
         support_radius = params.pop("support_radius", None)
         if params:
             raise TypeError(f"unknown custom-packet params {sorted(params)}")
-        X, Y, Z = grid.meshgrid()
-        pts = np.stack([X, Y, Z], axis=-1)
-        amp = np.asarray(fn(pts), dtype=complex)
+        amp = np.asarray(fn(grid.points()), dtype=complex)
         pkt = WavePacket(grid, amp, mass, margin, {"kind": "custom"})
         if support_radius is not None:
             pkt.meta["support_radius"] = float(support_radius)
@@ -204,15 +200,13 @@ def _mollified_gaussian(grid, mass, margin, boost, sigma=1.0, center=(0.0, 0.0, 
         r = np.linalg.norm(q - center, axis=-1)
         return np.exp(-r * r / (2 * sigma * sigma)) * plateau_window(r, core_radius, support_radius)
 
-    X, Y, Z = grid.meshgrid()
-    pts = np.stack([X, Y, Z], axis=-1)
+    pts = grid.points()
     if boost is None:
         amp = profile(pts).astype(complex)
         meta = {"kind": "mollified_gaussian", "sigma": sigma,
                 "support_radius": support_radius}
     else:
         rapidity, axis = boost
-        from .minkowski import boost_axis
         Linv = boost_axis(axis, -rapidity)
         eps = energy(pts, mass)
         four = np.concatenate([eps[..., None], pts], axis=-1)
@@ -254,11 +248,10 @@ def apply_poincare(g: PoincareElement, phi: WavePacket) -> WavePacket:
             amp = _permute_amplitudes(amp, phi.grid, perm)
             applied["resample_method"] = "permutation"
         else:
-            amp, margin = _lorentz_resample(phi, g.L)
+            amp, margin = _lorentz_resample(phi, g)
             applied["resample_method"] = "tricubic"
     if np.any(g.a != 0):
-        X, Y, Z = phi.grid.meshgrid()
-        pts = np.stack([X, Y, Z], axis=-1)
+        pts = phi.grid.points()
         eps = energy(pts, phi.mass)
         phase = np.exp(1j * (g.a[0] * eps - pts @ g.a[1:]))
         amp = amp * phase
@@ -281,39 +274,32 @@ def _signed_permutation(L):
 
 
 def _permute_amplitudes(amp, grid: MomentumGrid, R3):
-    """amp'(p) = amp(R^{-1} p) via exact node index mapping."""
-    n = grid.n
-    nodes = grid.node_coordinates()
-    q = nodes @ R3  # R^{-1} p = R^T p for rotations
-    idx = np.rint(q / grid.spacing - 0.5 + n / 2).astype(int)
-    flat = np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), (n, n, n))
-    return amp.reshape(-1)[flat].reshape(n, n, n)
+    """amp'(p) = amp(R^{-1} p) via exact node index mapping; R^{-1} p = R^T p
+    for rotations."""
+    idx = np.rint(grid.index_of(grid.points() @ R3)).astype(int)
+    return amp[idx[..., 0], idx[..., 1], idx[..., 2]]
 
 
-def _lorentz_resample(phi: WavePacket, L):
-    grid, m = phi.grid, phi.mass
-    n, h = grid.n, grid.spacing
-    X, Y, Z = grid.meshgrid()
-    pts = np.stack([X, Y, Z], axis=-1)
+def _lorentz_resample(phi: WavePacket, g: PoincareElement):
+    grid, m, h = phi.grid, phi.mass, phi.grid.spacing
+    pts = grid.points()
     eps = energy(pts, m)
     four = np.concatenate([eps[..., None], pts], axis=-1)
-    from .minkowski import ETA
-    Linv = ETA @ np.asarray(L).T @ ETA
-    qfour = apply_lorentz(Linv, four)
+    qfour = apply_lorentz(g.inverse().L, four)
     q = qfour[..., 1:]
 
     # pre-check: the forward image of every nonzero support node must stay
     # on the grid with at least one clear margin node
     sup_pts = phi.support_points()
     sup_four = np.concatenate([energy(sup_pts, m)[:, None], sup_pts], axis=1)
-    reach = np.abs(apply_lorentz(L, sup_four)[:, 1:]).max()
+    reach = np.abs(apply_lorentz(g.L, sup_four)[:, 1:]).max()
     if reach > grid.p_max - 1.5 * h:
         raise SupportEscapeError(
             f"transformed support reach {reach:.3f} exceeds the grid interior "
             f"{grid.p_max - 1.5 * h:.3f}"
         )
 
-    coords = np.moveaxis(q / h - 0.5 + n / 2, -1, 0)
+    coords = np.moveaxis(grid.index_of(q), -1, 0)
     re = map_coordinates(phi.amplitudes.real, coords, order=3, mode="constant")
     im = map_coordinates(phi.amplitudes.imag, coords, order=3, mode="constant")
     amp = np.sqrt(np.maximum(qfour[..., 0], 0.0) / eps) * (re + 1j * im)

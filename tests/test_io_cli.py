@@ -236,6 +236,18 @@ def test_cli_covariance(cfg_file, tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
 
 
+def test_cli_support_escape_is_a_config_error(tmp_path):
+    # a boost that pushes the packet off the 16^3 grid: exit 2 (bad
+    # configuration) with a message, not 1 (failed check) with a traceback
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, group={"rapidity": 1.5})))
+    r = run_cli(["covariance", "--config", str(path), "--out", str(tmp_path / "o")],
+                tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("support escape: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_kernel_pd_and_oscillatory(tmp_path):
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(BASE_CONFIG))

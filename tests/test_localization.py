@@ -71,10 +71,36 @@ def test_shrinking_ball_probability_vanishes(spec16, fast16):
     assert probs[0] > probs[1] > probs[2] >= 0.0
 
 
-def test_integrand_nonnegative(spec16, fast16):
+# the curved-n16 benchmark surfaces, and the stress-energy family at rest and
+# at a moving unit timelike n
+CURVED = (FlatSurface(0.0), TiltedSurface((0, 0, 0.4)), BumpSurface(0.5),
+          ConeSurface(0.5))
+FAMILY = ((1.0, 0.0, 0.0, 0.0), (1.25, 0.0, 0.0, 0.75))
+
+
+def test_integrand_nonnegative(spec16, fast16, packet16):
     for surf in (FlatSurface(0.0), TiltedSurface((0, 0, 0.5)), ConeSurface(0.8)):
         res = probability(spec16, Region(surf), backend=fast16, **WPAR)
         assert res.meta["min_integrand"] >= -1e-9 * res.meta["max_j0"]
+    for n in FAMILY:
+        tspec = CurrentSpec(TensorKernel(n, M), packet16)
+        tfast = build_fast(tspec)
+        for surf in CURVED:
+            res = probability(tspec, Region(surf), backend=tfast, **WPAR)
+            assert res.meta["min_integrand"] >= -1e-9 * res.meta["max_j0"]
+
+
+@pytest.mark.parametrize("n", FAMILY, ids=["rest", "moving"])
+def test_invariance_catches_the_printed_tensor_variant(packet16, n):
+    # the as_printed variant breaks continuity by design; over the curved
+    # surfaces its flux moves by 0.16 (rest n) or 0.45 (moving n), the
+    # standard variant's by 4.8e-3
+    devs = {}
+    for variant in ("stress_energy_standard", "as_printed"):
+        tspec = CurrentSpec(TensorKernel(n, M, variant), packet16)
+        rep = flux_invariance_report(tspec, CURVED, backend=build_fast(tspec), **WPAR)
+        devs[variant] = rep["max_pairwise_relative_deviation"]
+    assert devs["stress_energy_standard"] < 2e-2 < 0.1 < devs["as_printed"]
 
 
 def test_flux_invariance_duplicates(spec16, fast16):
@@ -121,13 +147,17 @@ def test_covariance_rotation_permutation_path(spec16):
     assert abs(lhs.probability - rhs.probability) / spec16.packet.norm_squared() < 1e-10
 
 
-def test_tensor_covariance_carries_the_boosted_index(tspec16):
+@pytest.mark.parametrize("normalization", ["raw", "energy"])
+def test_tensor_covariance_carries_the_boosted_index(tspec16, normalization):
     # the moved state is W(g^-1) phi, so the image side takes the member
     # Lambda n; refine 2 shrinks the region staircase, which at refine 1 is as
-    # large as the gap between Lambda n (2.8e-3 of p) and Lambda^-1 n (6.7e-4)
+    # large as the gap between Lambda n (2.8e-3 of p) and Lambda^-1 n (6.7e-4).
+    # Under energy normalization each side divides by its own state's and
+    # member's n-energy, which agree to 2.9e-4
     region = Region(FlatSurface(0.0), BallMask((0, 0, 0), 4.0))
     g = PoincareElement.from_lorentz(boost_z(0.25))
-    lhs, rhs = covariance_check(tspec16, g, region, refine=2, **WPAR)
+    lhs, rhs = covariance_check(tspec16, g, region, refine=2,
+                                normalization=normalization, **WPAR)
     assert abs(lhs.probability - rhs.probability) / lhs.probability < 2e-3
 
 

@@ -2,9 +2,10 @@
 
 Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
-``perfbench/tracing.py`` ``TARGETS`` and the others run traced fluxes and
-slices.  The window transform of flat fluxes (``momentum_to_window``) has no
-tracer target; the tests that count its transforms wrap it themselves.
+``perfbench/tracing.py`` ``TARGETS`` and the others run traced builds,
+direct sums, fluxes and slices.  The window transform of flat fluxes
+(``momentum_to_window``) has no tracer target; the tests that count its
+transforms wrap it themselves.
 """
 
 import importlib
@@ -42,6 +43,27 @@ def test_tracer_targets_resolve():
         if not found:
             missing.append(f"{owner_path}.{attr}")
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16):
+    # the build observer reads FastBackend.rank, .support.eps and .meta, the
+    # direct-sum observer spec.packet.amplitudes
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fast = currents.build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1)
+        currents.build_fast(tspec16)
+        currents.eval_direct(spec16, np.zeros((3, 4)))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["currents.build_fast_calls"] == 2
+    assert metrics["currents.support_nodes"] == metrics["currents.landmarks"] == 480
+    assert metrics["currents.rank"] == fast.rank > 0
+    assert metrics["currents.eig_residual_max"] == fast.meta["eig_residual_max"]
+    assert metrics["currents.eval_direct_points"] == 3
+    assert metrics["currents.eval_direct_node_points"] == 3 * 480
 
 
 def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):

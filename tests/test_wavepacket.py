@@ -64,9 +64,7 @@ def test_fft_two_node_packet_analytic(grid16):
     vals = np.zeros((16,) * 3, dtype=complex)
     vals[4, 8, 9] = 1.0
     vals[10, 2, 7] = 2.0 - 1.0j
-    nodes = grid16.meshgrid()
-    p1 = np.array([nodes[0][4, 8, 9], nodes[1][4, 8, 9], nodes[2][4, 8, 9]])
-    p2 = np.array([nodes[0][10, 2, 7], nodes[1][10, 2, 7], nodes[2][10, 2, 7]])
+    p1, p2 = grid16.points()[[4, 10], [8, 2], [9, 7]]
     F = momentum_to_position(vals, grid16)
     ax = grid16.position_axis()
     x = np.array([ax[5], ax[6], ax[1]])
@@ -100,8 +98,7 @@ def test_packet_symmetry_and_peak(grid16):
     pkt2 = make_packet(grid16, MASS, sigma=0.5, center=(0, 0, 1.0),
                        core_radius=0.5, support_radius=1.0)
     idx = np.unravel_index(np.argmax(np.abs(pkt2.amplitudes)), amp.shape)
-    X, Y, Z = grid16.meshgrid()
-    peak = np.array([X[idx], Y[idx], Z[idx]])
+    peak = grid16.points()[idx]
     assert np.linalg.norm(peak - [0, 0, 1.0]) <= grid16.spacing * np.sqrt(3) / 2 + 1e-12
 
 
@@ -146,8 +143,7 @@ def test_identity_action(packet16):
 def test_time_translation_phase(packet16, grid16):
     g = PoincareElement.translation(fourvector(1.0, 0, 0, 0))
     out = apply_poincare(g, packet16)
-    X, Y, Z = grid16.meshgrid()
-    eps = energy(np.stack([X, Y, Z], axis=-1), MASS)
+    eps = energy(grid16.points(), MASS)
     expect = packet16.amplitudes * np.exp(1j * eps)
     assert np.abs(out.amplitudes - expect).max() < 1e-14
     assert np.abs(np.abs(out.amplitudes) - np.abs(packet16.amplitudes)).max() < 1e-14
