@@ -18,8 +18,8 @@ from .kernels import (CausalKernel, GFunction, TensorKernel, g_basic,
 from .currents import (CurrentSpec, FastBackend, build_fast, check_causal_pointwise,
                        check_continuity, decay_scan, eval_direct)
 from .surfaces import (AchronalSurface, BumpSurface, ConeSurface, FlatSurface,
-                       SampledSurface, TiltedSurface, flatten,
-                       is_spacelike_cauchy, transform_surface)
+                       SampledSurface, SurfaceTransformResult, TiltedSurface,
+                       flatten, is_spacelike_cauchy)
 from .localization import (BallMask, BoxMask, FullMask, HalfSpaceMask, Region,
                            additivity_check, causal_monotonicity_check,
                            covariance_check, flux_invariance_report,

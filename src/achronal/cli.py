@@ -264,9 +264,10 @@ def normalize(cfg, outdir):
         _, packet2, _ = _build_state(cfg, n2)
         spec2 = CurrentSpec(kernel, packet2)
         fb2 = _make_backend(spec2, cfg)
+        quad = _quad_for_probability(cfg)
+        quad["window_half"] = res.meta["window_half_nodes"]
         res2 = probability(spec2, Region(FlatSurface(0.0)), backend=fb2,
-                           normalization=mode,
-                           window_half=res.meta["window_half_nodes"])
+                           normalization=mode, **quad)
         n2sq = packet2.norm_squared()
         resid2 = abs(res2.probability - n2sq) / n2sq
         rows.append([n2, res2.meta["window_half_nodes"], res2.probability, n2sq, resid2])

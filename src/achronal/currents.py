@@ -60,14 +60,16 @@ from .wavepacket import WavePacket, apply_poincare, energy
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# support-node rows per G-matrix block; eigenvectors per transform batch (a
-# refined slice takes _RANK_BATCH // refine^3 of them, so that no batch holds
-# more output entries than at refine 1, on the whole grid and on a window
-# alike); complex entries per phase block (support nodes x points) of
-# current_at, and per field of eval_direct's point blocks
+# support-node rows per G-matrix block of the factorization; eigenvectors
+# per transform batch (a refined slice takes _RANK_BATCH // refine^3 of them,
+# so that no batch holds more output entries than at refine 1, on the whole
+# grid and on a window alike); complex entries per phase block (support nodes
+# x points) of current_at, and per field of eval_direct's point blocks; G
+# entries per row block of the causal eval_direct oracle
 _CHUNK = 2048
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 16
+_G_ENTRIES = 1 << 20
 
 # landmark count of a causal build's first attempt: smaller supports are
 # factorized whole; at the CLI default config (3,648 support nodes, rank 306
@@ -259,14 +261,16 @@ def eval_direct(spec: CurrentSpec, x):
 
 
 def _direct_causal(kern, support, values, X):
-    """The causal double sum at points X, (m, 4): each G row block, built
-    once, meets the points in blocks of at most _PHASE_ENTRIES node-point
-    entries, so the memory stays bounded for any number of points."""
+    """The causal double sum at points X, (m, 4): each G row block of at
+    most _G_ENTRIES entries, built once, meets the points in blocks of at
+    most _PHASE_ENTRIES node-point entries, so the memory stays bounded for
+    any number of points and support nodes."""
     n = len(support.eps)
     step = max(1, _PHASE_ENTRIES // max(n, 1))
+    krows = max(1, _G_ENTRIES // max(n, 1))
     J = np.zeros((len(X), 4), dtype=complex)
-    for i0 in range(0, n, _CHUNK):
-        rows = slice(i0, min(i0 + _CHUNK, n))
+    for i0 in range(0, n, krows):
+        rows = slice(i0, min(i0 + krows, n))
         G = _gmatrix_block(kern, support, rows)
         for p0 in range(0, len(X), step):
             J[p0:p0 + step] += _direct_causal_rows(G, rows, support, values,

@@ -36,9 +36,10 @@ cell-centered, strict half-space and octant predicates partition nodes
 without boundary ties.
 
 The Poincare image of a region is an ordinary region: its surface is the
-image graph (SurfaceTransformResult) and its mask is ImageMask, which
-decides membership of a point y by S^{-1}(y), so `probability` serves
-both.
+image graph SurfaceTransformResult(g, surface) and its mask is ImageMask,
+which decides membership of a point y by its source point S^{-1}(y), so
+`probability` serves both.  A backend passed in must be built for the
+spec's kernel; another kernel's raises BackendMismatchError.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .currents import CurrentSpec, FastBackend, build_fast, covariant_spec
+from .currents import (BackendMismatchError, CurrentSpec, FastBackend, SupportData,
+                       build_fast, covariant_spec)
 from .grids import position_window_axis
 from .minkowski import PoincareElement
-from .surfaces import (AchronalSurface, FlatSurface, SurfaceTransformResult,
-                       transform_surface)
+from .surfaces import AchronalSurface, FlatSurface, SurfaceTransformResult
 from .wavepacket import WavePacket, combine
 
 
@@ -286,6 +287,8 @@ def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[
     nodes, shape (len(masks), nodes).
     """
     backend = backend or build_fast(spec)
+    if backend.kernel.label != spec.kernel.label:
+        raise BackendMismatchError(f"backend built for kernel {backend.kernel.label!r}")
     grid = spec.packet.grid
     nodes, dx, half = _window_nodes(grid, window_half, refine)
     members = np.array([m.contains(nodes) for m in masks]).reshape(len(masks), len(nodes))
@@ -416,7 +419,7 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
     lhs_spec = spec.with_packet(apply_poincare(ginv, spec.packet))
     lhs = probability(lhs_spec, region, backend=build_fast(lhs_spec, tol=backend_tol), **quad)
     rhs_spec = covariant_spec(spec, ginv)
-    transform = transform_surface(g, region.surface)
+    transform = SurfaceTransformResult(g, region.surface)
     rhs = probability_transformed(rhs_spec, transform, region.mask,
                                   backend=build_fast(rhs_spec, tol=backend_tol), **quad)
     return lhs, rhs
@@ -451,7 +454,6 @@ def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
     backend.  A backend is reused when its node set covers both supports,
     otherwise one is built on the support union.
     """
-    from .currents import BackendMismatchError, SupportData
     phi = spec.packet
     if backend is not None:
         try:

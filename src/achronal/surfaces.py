@@ -12,13 +12,14 @@ follow the graph map
     S(x) = spatial(g . (tau(x), x)),    tau^g(y) = time(g . (tau(x), x)),
     x = S^{-1}(y),
 
-with S bijective for achronal graphs and proper orthochronous g.  The
-transformed gradient obeys
+with S bijective for achronal graphs and proper orthochronous g.  With
+w = Lambda . (1, grad tau(x)), the image's slope and Jacobian are
 
-    (1, grad tau^g(y)) = |det DS(x)|^{-1} Lambda . (1, grad tau(x)),
+    (1, grad tau^g(y)) = w / w_0,    det DS(x) = w_0 > 0
 
-which `transform_gradient_data` evaluates in closed form; S^{-1} is solved
-by damped Newton iteration.
+(`transform_gradient_data`), and S^{-1}(y) lies on a line through
+Lambda's spatial inverse image of y, at the root of one monotone scalar
+equation (`SurfaceTransformResult.s_inverse`).
 """
 
 from __future__ import annotations
@@ -337,105 +338,79 @@ def is_spacelike_cauchy(surface: AchronalSurface, samples=None, rng=None,
 
 
 def transform_gradient_data(L, z):
-    """Closed-form transformed slope and Jacobian at a point with slope z.
+    """Closed-form transformed slope and Jacobian at points with slope z.
 
-    Given the source gradient z = grad tau(x) (|z| <= 1) and a proper
-    orthochronous L, returns (grad_g, det) with grad_g = grad tau^g at
-    y = S(x) and det = det DS(x), via DS = L_sp0 (x) z + L_spsp and
-    grad tau^g = DS^{-T} (L00 z + L0_sp).
-
-    The pair satisfies (1, grad_g) = L (1, z) / |det|.
+    Given source gradients z = grad tau(x), shape (..., 3) with |z| <= 1,
+    and a proper orthochronous L, returns (grad_g, det) with grad_g =
+    grad tau^g at y = S(x) and det = det DS(x) > 0: for w = L (1, z),
+    grad_g = w[1:] / w[0] and det = w[0].
     """
     L = np.asarray(L, dtype=float)
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    Z = z.reshape(-1, 3)
-    DS = L[1:, 1:][None, :, :] + L[1:, 0][None, :, None] * Z[:, None, :]
-    det = np.linalg.det(DS)
-    rhs = L[0, 0] * Z + L[0, 1:][None, :]
-    grad = np.linalg.solve(np.swapaxes(DS, 1, 2), rhs[..., None])[..., 0]
-    if single:
-        return grad[0], float(det[0])
-    return grad, det
+    w = L[:, 0] + np.asarray(z, dtype=float) @ L[:, 1:].T
+    return w[..., 1:] / w[..., :1], w[..., 0]
 
 
-# damped-Newton settings of SurfaceTransformResult.s_inverse
+# Newton settings of SurfaceTransformResult.s_inverse
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class SurfaceTransformResult(AchronalSurface):
-    """The g-image of a graph surface: tau, gradient, S, S^{-1}, |det DS|."""
+    """The g-image of a graph surface: tau, gradient, S, S^{-1}, det DS."""
 
     g: PoincareElement
     surface: AchronalSurface
     kind = "image"
 
-    def s_forward(self, x):
+    def _image(self, x):
+        """g . (tau(x), x), shape (..., 4)."""
         x = np.asarray(x, dtype=float)
-        t = self.surface.tau(x)
-        four = np.concatenate([t[..., None], x], axis=-1)
-        return self.g.act(four)[..., 1:]
+        return self.g.act(np.concatenate([self.surface.tau(x)[..., None], x], axis=-1))
 
-    def tau_of_source(self, x):
-        x = np.asarray(x, dtype=float)
-        t = self.surface.tau(x)
-        four = np.concatenate([t[..., None], x], axis=-1)
-        return self.g.act(four)[..., 0]
+    def s_forward(self, x):
+        return self._image(x)[..., 1:]
 
     def s_inverse(self, y):
-        """Solve S(x) = y by damped Newton; FoldOverError on failure."""
+        """Solve S(x) = y as one scalar equation per point.
+
+        With A = L[1:, 1:], b = L[1:, 0], v = A^{-1} b and x0 = A^{-1}(y -
+        a[1:]), S(x) = y exactly when x = x0 - s v and f(s) = s - tau(x0 -
+        s v) = 0, and then S(x) - y = -b f(s).  As |v| = tanh(rapidity) < 1
+        and tau is 1-Lipschitz, f increases with slope at least 1 - |v|, so
+        its root lies in [-B, B], B = |tau(x0)| / (1 - |v|).  Newton steps
+        (f' = 1 + grad tau . v) that leave the shrinking bracket bisect it
+        instead; FoldOverError when |S(x) - y| stays above NEWTON_TOL.
+        """
         y = np.asarray(y, dtype=float)
-        Y = y.reshape(-1, 3)
         L, a = self.g.L, self.g.a
-        A = L[1:, 1:]
-        Ainv = np.linalg.inv(A)
+        A_inv = np.linalg.inv(L[1:, 1:])
         b = L[1:, 0]
-        # seed: affine inverse with tau evaluated iteratively
-        x = (Y - a[1:][None, :]) @ Ainv.T
-        for _ in range(3):
-            t = self.surface.tau(x)
-            x = (Y - a[1:][None, :] - t[:, None] * b[None, :]) @ Ainv.T
-        resid = self.s_forward(x) - Y
+        v = A_inv @ b
+        x0 = (y.reshape(-1, 3) - a[1:]) @ A_inv.T
+        s = self.surface.tau(x0)
+        bound = np.abs(s) / (1.0 - np.linalg.norm(v))
+        lo, hi = -bound, bound
         for _ in range(NEWTON_MAX_ITER):
-            norm = np.linalg.norm(resid, axis=1)
-            if norm.max(initial=0.0) < NEWTON_TOL:
-                break
-            grad = self.surface.gradient(x)
-            DS = A[None, :, :] + b[None, :, None] * grad[:, None, :]
-            step = np.linalg.solve(DS, resid[..., None])[..., 0]
-            damp = np.ones(len(Y))
-            xn = x - step
-            rn = self.s_forward(xn) - Y
-            worse = np.linalg.norm(rn, axis=1) > norm
-            tries = 0
-            while np.any(worse) and tries < 30:
-                damp[worse] *= 0.5
-                xn = x - damp[:, None] * step
-                rn = self.s_forward(xn) - Y
-                worse = np.linalg.norm(rn, axis=1) > norm
-                tries += 1
-            x, resid = xn, rn
-        else:
-            raise FoldOverError(
-                "graph-map inversion did not converge; surface not achronal?"
-            )
-        return x.reshape(y.shape)
+            x = x0 - s[:, None] * v
+            f = s - self.surface.tau(x)
+            if np.linalg.norm(b) * np.abs(f).max(initial=0.0) < NEWTON_TOL:
+                return x.reshape(y.shape)
+            lo = np.where(f < 0, s, lo)
+            hi = np.where(f > 0, s, hi)
+            step = s - f / (1.0 + self.surface.gradient(x) @ v)
+            s = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        raise FoldOverError("graph-map inversion did not converge; surface not achronal?")
 
     def tau(self, y):
-        return self.tau_of_source(self.s_inverse(y))
+        return self._image(self.s_inverse(y))[..., 0]
 
     def gradient(self, y):
-        y = np.asarray(y, dtype=float)
         z = self.surface.gradient(self.s_inverse(y))
-        grad, _ = transform_gradient_data(self.g.L, z.reshape(-1, 3))
-        return grad.reshape(y.shape)
+        return transform_gradient_data(self.g.L, z)[0]
 
     def jacobian_det(self, x):
-        z = self.surface.gradient(np.atleast_2d(x))
-        _, det = transform_gradient_data(self.g.L, z)
-        return det if np.asarray(x).ndim > 1 else float(det[0])
+        return transform_gradient_data(self.g.L, self.surface.gradient(x))[1]
 
     def descriptor(self):
         return {"type": "image", "g": {"a": self.g.a.tolist(), "L": self.g.L.tolist()},
@@ -443,16 +418,3 @@ class SurfaceTransformResult(AchronalSurface):
 
     def label(self):
         return f"image({self.surface.label()})"
-
-
-def transform_surface(g: PoincareElement, surface: AchronalSurface,
-                      domain_samples=None) -> SurfaceTransformResult:
-    """Transformed-surface evaluators; checks bijectivity on samples."""
-    result = SurfaceTransformResult(g, surface)
-    if domain_samples is not None:
-        pts = np.asarray(domain_samples, dtype=float)
-        ys = result.s_forward(pts)
-        back = result.s_inverse(ys)
-        if np.abs(back - pts).max() > 1e-8:
-            raise FoldOverError("S^{-1}(S(x)) != x on domain samples")
-    return result

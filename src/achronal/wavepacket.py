@@ -300,9 +300,8 @@ def _lorentz_resample(phi: WavePacket, g: PoincareElement):
         )
 
     coords = np.moveaxis(grid.index_of(q), -1, 0)
-    re = map_coordinates(phi.amplitudes.real, coords, order=3, mode="constant")
-    im = map_coordinates(phi.amplitudes.imag, coords, order=3, mode="constant")
-    amp = np.sqrt(np.maximum(qfour[..., 0], 0.0) / eps) * (re + 1j * im)
+    amp = np.sqrt(np.maximum(qfour[..., 0], 0.0) / eps) * map_coordinates(
+        phi.amplitudes, coords, order=3, mode="constant")
     # kill the spline halo outside the mapped support so compactness survives:
     # the resampled value is genuinely nonzero only when q lands inside the
     # support, so keep nodes whose nearest source node carries amplitude

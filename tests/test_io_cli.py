@@ -9,8 +9,10 @@ import pytest
 
 import achronal
 from achronal import io as achio
+from achronal.currents import CurrentSpec, build_fast
 from achronal.grids import MomentumGrid
-from achronal.surfaces import SampledSurface
+from achronal.localization import Region, probability
+from achronal.surfaces import FlatSurface, SampledSurface
 from achronal.wavepacket import make_packet
 
 M = 1.0
@@ -148,6 +150,26 @@ def test_cli_normalize_passes(cfg_file, tmp_path):
     assert backend["n_landmarks"] == 480 and backend["landmark_attempts"] == [480]
     assert backend["tail_certified"] and backend["spectral_tail"] > 0
     assert (out / "report.csv").exists()
+
+
+def test_cli_refined_normalization_keeps_refine(tmp_path, kern_basic):
+    cfg = {**BASE_CONFIG, "refine": 2, "refined_grid_n": 20}
+    path = tmp_path / "refined.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "norm"
+    r = run_cli(["normalize", "--config", str(path), "--out", str(out)], tmp_path)
+    # exit 1 is a failed check, whose results are written all the same
+    assert r.returncode in (0, 1), r.stdout + r.stderr
+    results = json.loads((out / "results.json").read_text())
+    packet = make_packet(MomentumGrid(20, 3.0), M, "mollified_gaussian",
+                         **BASE_CONFIG["packet"]["params"])
+    spec = CurrentSpec(kern_basic, packet)
+    backend = build_fast(spec, tol=1e-8, n_landmarks=480, seed=0)
+    res = probability(spec, Region(FlatSurface(0.0)), backend=backend,
+                      window_half=7, refine=2)
+    norm2 = packet.norm_squared()
+    assert results["refined_residual"] == pytest.approx(
+        abs(res.probability - norm2) / norm2, rel=1e-10)
 
 
 def test_cli_deterministic_results(cfg_file, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from achronal.currents import CurrentSpec, build_fast, eval_direct
+from achronal.currents import BackendMismatchError, CurrentSpec, build_fast, eval_direct
 from achronal.grids import MomentumGrid, position_window_mask
 from achronal.kernels import TensorKernel
 from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
@@ -18,7 +18,7 @@ from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
                                    probability_transformed)
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.surfaces import (BumpSurface, ConeSurface, FlatSurface,
-                               TiltedSurface, transform_surface)
+                               SurfaceTransformResult, TiltedSurface)
 from achronal.wavepacket import make_packet
 
 M = 1.0
@@ -250,6 +250,12 @@ def test_energy_mode_rejected_for_causal(spec16, fast16):
                     normalization="energy", **WPAR)
 
 
+def test_backend_of_another_kernel_is_rejected(tspec16, fast16):
+    with pytest.raises(BackendMismatchError):
+        probability(tspec16, Region(FlatSurface(0.0)), backend=fast16,
+                    normalization="energy", **WPAR)
+
+
 def test_mask_descriptor_roundtrip():
     masks = [FullMask(), BallMask((0, 1, 2), 1.5), BoxMask((-1, -1, -1), (1, 1, 1)),
              HalfSpaceMask((0, 0, 1), 0.25),
@@ -333,7 +339,7 @@ def test_region_term_only_for_boundaries_inside_cells(spec16, fast16):
     assert res.meta["err_region"] > 0.0
     # image regions decide the corners' membership through S^-1
     image = probability_transformed(
-        spec16, transform_surface(PoincareElement.identity(), flat), ball,
+        spec16, SurfaceTransformResult(PoincareElement.identity(), flat), ball,
         backend=fast16, **WPAR)
     assert image.meta["err_region"] == pytest.approx(res.meta["err_region"], rel=1e-12)
 
@@ -388,7 +394,8 @@ def test_constant_tau_with_slope_subtracts_j_dot_grad(spec16, fast16):
 
 def test_image_of_flat_surface_is_the_tilted_plane(spec16, fast16):
     # the boost_z(0.3) image of t = 0 is the plane t = tanh(0.3) z
-    image = transform_surface(PoincareElement.from_lorentz(boost_z(0.3)), FlatSurface(0.0))
+    image = SurfaceTransformResult(PoincareElement.from_lorentz(boost_z(0.3)),
+                                   FlatSurface(0.0))
     tilted = TiltedSurface((0, 0, np.tanh(0.3)))
     for mask in (FullMask(), BallMask((0, 0, 0), 3.0)):
         a = probability(spec16, Region(image, mask), backend=fast16, **WPAR)
@@ -399,15 +406,15 @@ def test_image_of_flat_surface_is_the_tilted_plane(spec16, fast16):
 
 def test_flux_invariance_report_takes_image_surfaces(spec16, fast16):
     g = PoincareElement.from_lorentz(boost_z(0.3))
-    surfaces = [FlatSurface(0.0), transform_surface(g, FlatSurface(0.0)),
-                transform_surface(g, BumpSurface(0.5))]
+    surfaces = [FlatSurface(0.0), SurfaceTransformResult(g, FlatSurface(0.0)),
+                SurfaceTransformResult(g, BumpSurface(0.5))]
     rep = flux_invariance_report(spec16, surfaces, backend=fast16, **WPAR)
     assert rep["max_pairwise_relative_deviation"] < 2e-2
 
 
 def test_image_region_of_no_points_is_empty():
     g = PoincareElement.from_lorentz(boost_z(0.3))
-    image = transform_surface(g, FlatSurface(0.0))
+    image = SurfaceTransformResult(g, FlatSurface(0.0))
     none = np.zeros((0, 3))
     assert image.s_inverse(none).shape == (0, 3)
     assert image.tau(none).shape == (0,)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from achronal.minkowski import (PoincareElement, apply_lorentz, boost_axis, boost_z,
                                 rotation)
-from achronal.surfaces import (BumpSurface, ConeSurface, FlatSurface,
+from achronal.surfaces import (AchronalSurface, BumpSurface, ConeSurface, FlatSurface,
                                FoldOverError, SampledSurface, SurfaceDomainError,
-                               TiltedSurface, flatten, is_spacelike_cauchy,
-                               surface_from_descriptor, transform_gradient_data,
-                               transform_surface)
+                               SurfaceTransformResult, TiltedSurface, flatten,
+                               is_spacelike_cauchy, surface_from_descriptor,
+                               transform_gradient_data)
 
 
 def test_flat_closed_forms():
@@ -133,7 +133,7 @@ def test_descriptor_roundtrip_drawn(s, pts):
 
 
 def test_transform_identity():
-    res = transform_surface(PoincareElement.identity(), BumpSurface(0.5))
+    res = SurfaceTransformResult(PoincareElement.identity(), BumpSurface(0.5))
     y = np.array([[0.3, -1.0, 2.0]])
     assert np.abs(res.s_inverse(y) - y).max() < 1e-12
     assert res.tau(y)[0] == pytest.approx(BumpSurface(0.5).tau(y)[0], abs=1e-12)
@@ -143,7 +143,7 @@ def test_transform_identity():
 def test_flat_under_boost_closed_form():
     rho = 0.4
     g = PoincareElement.from_lorentz(boost_z(rho))
-    res = transform_surface(g, FlatSurface(0.0))
+    res = SurfaceTransformResult(g, FlatSurface(0.0))
     y = np.array([[0.5, 1.0, 2.0], [-1.0, 0.3, -0.7]])
     assert np.abs(res.tau(y) - np.tanh(rho) * y[:, 2]).max() < 1e-12
     assert res.jacobian_det(np.array([[1.0, 2.0, 3.0]]))[0] == \
@@ -179,6 +179,11 @@ def test_gradient_identity_with_rotations():
         lhs = np.concatenate([[1.0], grad])
         rhs = apply_lorentz(L, np.concatenate([[1.0], z])) / abs(det)
         assert np.abs(lhs - rhs).max() < 1e-12
+        # the Jacobian DS of S(x) = L_spsp x + L_sp0 tau(x) and the chain rule
+        DS = L[1:, 1:] + np.outer(L[1:, 0], z)
+        assert det == pytest.approx(np.linalg.det(DS), rel=1e-12)
+        ref = np.linalg.solve(DS.T, L[0, 0] * z + L[0, 1:])
+        assert np.abs(grad - ref).max() < 1e-12
 
 
 def test_newton_inversion_on_curved_surfaces():
@@ -186,16 +191,36 @@ def test_newton_inversion_on_curved_surfaces():
     g = PoincareElement(np.array([0.2, -0.1, 0.4, 0.3]),
                         boost_z(0.5) @ rotation([0, 1, 0], 0.7))
     for surf in (BumpSurface(0.6, 2.0), ConeSurface(0.8, (0.5, 0, 0))):
-        res = transform_surface(g, surf, domain_samples=rng.uniform(-3, 3, (40, 3)))
+        res = SurfaceTransformResult(g, surf)
         pts = rng.uniform(-2, 2, (25, 3))
         ys = res.s_forward(pts)
         assert np.abs(res.s_inverse(ys) - pts).max() < 1e-9
 
 
+class _Zigzag(AchronalSurface):
+    """tau = 0.9 * a triangle wave of x_3: slopes +-0.9, kinks at odd x_3."""
+
+    def tau(self, x):
+        return 0.9 * (np.abs((x[..., 2] - 1.0) % 4.0 - 2.0) - 1.0)
+
+    def gradient(self, x):
+        out = np.zeros_like(x)
+        out[..., 2] = 0.9 * np.sign((x[..., 2] - 1.0) % 4.0 - 2.0)
+        return out
+
+
+@pytest.mark.parametrize("rho", [-3.0, -2.0, 2.0, 3.0])
+def test_s_inverse_on_a_kinked_surface(rho):
+    # Newton steps alone cycle across the kinks here; the bracket stops them
+    res = SurfaceTransformResult(PoincareElement.from_lorentz(boost_z(rho)), _Zigzag())
+    x = np.random.default_rng(1).uniform(-3, 3, (200, 3))
+    assert np.abs(res.s_inverse(res.s_forward(x)) - x).max() < 1e-9
+
+
 def test_transformed_surface_stays_achronal():
     rng = np.random.default_rng(45)
     g = PoincareElement.from_lorentz(boost_z(0.6))
-    res = transform_surface(g, BumpSurface(0.7, 1.5))
+    res = SurfaceTransformResult(g, BumpSurface(0.7, 1.5))
     y = rng.uniform(-4, 4, (50, 3))
     t = res.tau(y)
     dt = np.abs(t[:, None] - t[None, :])
@@ -210,7 +235,7 @@ def test_fold_over_on_invalid_input():
     bad = SampledSurface(1.8 * np.abs(Z), (-2, -2, -2), ax[1] - ax[0],
                          validate=False)
     g = PoincareElement.from_lorentz(boost_z(0.8))
-    res = transform_surface(g, bad)
+    res = SurfaceTransformResult(g, bad)
     with pytest.raises((FoldOverError, SurfaceDomainError)):
         res.s_inverse(np.array([[0.0, 0.0, -1.0]]))
 
@@ -222,13 +247,14 @@ _AXES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
 
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.sampled_from([FlatSurface(0.3), TiltedSurface((0.0, 0.2, 0.4), -0.1),
-                        BumpSurface(0.6, 2.0)]),
+                        BumpSurface(0.6, 2.0), TiltedSurface((0.0, 0.0, 1.0)),
+                        ConeSurface(1.0)]),
        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), _AXES,
-       st.floats(-0.8, 0.8), _AXES, st.floats(0.0, 2 * np.pi),
+       st.floats(-3.0, 3.0), _AXES, st.floats(0.0, 2 * np.pi),
        st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
                 min_size=1, max_size=8))
 def test_s_inverse_undoes_s_forward(surface, a, b_axis, rho, r_axis, angle, xs):
     g = PoincareElement(np.array(a), boost_axis(b_axis, rho) @ rotation(r_axis, angle))
-    res = transform_surface(g, surface)
+    res = SurfaceTransformResult(g, surface)
     x = np.array(xs)
     assert np.abs(res.s_inverse(res.s_forward(x)) - x).max() < 1e-9

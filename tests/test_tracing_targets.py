@@ -3,9 +3,9 @@
 Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
 ``perfbench/tracing.py`` ``TARGETS`` and the others run traced builds,
-direct sums, fluxes and slices.  The window transform of flat fluxes
-(``momentum_to_window``) has no tracer target; the tests that count its
-transforms wrap it themselves.
+direct sums, fluxes, slices and image-surface inversions.  The window
+transform of flat fluxes (``momentum_to_window``) has no tracer target; the
+tests that count its transforms wrap it themselves.
 """
 
 import importlib
@@ -16,7 +16,8 @@ import numpy as np
 
 import achronal.currents as currents
 import achronal.localization as loc
-from achronal.surfaces import FlatSurface, TiltedSurface
+from achronal.minkowski import PoincareElement, boost_z
+from achronal.surfaces import BumpSurface, FlatSurface, TiltedSurface
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -148,6 +149,24 @@ def test_refined_window_batches_hold_no_more_entries(spec16, fast16):
         assert sum(int(np.prod(shape[:-3])) for shape in per_call) == 5 * fast16.rank
         entries[refine] = max(int(np.prod(shape)) for shape in per_call)
     assert entries[2] <= entries[1]
+
+
+def test_tracer_sees_the_image_surface_inversion(spec16):
+    # the image side of a covariance check finds its mask's source points and
+    # surface through SurfaceTransformResult.s_inverse, whose observer counts
+    # the points of each call
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        loc.covariance_check(spec16, PoincareElement.from_lorentz(boost_z(0.25)),
+                             loc.Region(BumpSurface(0.5), loc.BallMask((0, 0, 0), 4.0)),
+                             window_half=7)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["surfaces.s_inverse_calls"] > 0
+    assert metrics["surfaces.s_inverse_points"] > 0
 
 
 def test_tracer_sees_the_causal_logic_searches():
