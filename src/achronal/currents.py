@@ -17,8 +17,8 @@ independent:
   every current component becomes a rank sum of products of momentum sums
   that evaluate either at given spacetime points (FastBackend.current_at,
   through the phase matrix) or on position-grid slices
-  (FastBackend.slice_fields: FFTs of the whole periodic grid, or separable
-  sums from the support's momentum box to a centred window of nodes, the
+  (FastBackend.slice_fields: from the support's momentum box, FFTs of the
+  whole periodic grid or separable sums to a centred window of nodes, the
   route of flat fluxes).  Stress-energy kernels are exactly
   separable and need no factorization: four auxiliary fields with weights
   p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
@@ -60,13 +60,12 @@ from .wavepacket import WavePacket, apply_poincare, energy
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# support-node rows per G-matrix block of the factorization; eigenvectors
-# per transform batch (a refined slice takes _RANK_BATCH // refine^3 of them,
-# so that no batch holds more output entries than at refine 1, on the whole
-# grid and on a window alike); complex entries per phase block (support nodes
-# x points) of current_at, and per field of eval_direct's point blocks; G
-# entries per row block of the causal eval_direct oracle
-_CHUNK = 2048
+# eigenvectors per transform batch (a refined slice takes
+# _RANK_BATCH // refine^3 of them, so that no batch holds more output entries
+# than at refine 1, on the whole grid and on a window alike); complex entries
+# per phase block (support nodes x points) of current_at, and per field of
+# eval_direct's point blocks; entries per row block of every g-matrix product
+# (_row_blocks: the factorization's and the causal eval_direct oracle's)
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 16
 _G_ENTRIES = 1 << 20
@@ -184,8 +183,8 @@ class SupportData:
         """Scatter per-node values (..., n_sup) into the cube `cube`, of shape
         (..., s^3) and zero off the support nodes, which is reused: the values
         go into its leading part of their own shape, returned as a
-        (..., s, s, s) view.  The cube spans `box` = (lo, s, index): the
-        whole grid, (0, n, flat_idx), or the bounding box from box()."""
+        (..., s, s, s) view.  The cube spans the bounding box, box() =
+        (lo, s, index)."""
         _, s, index = box
         lead = node_values.shape[:-1]
         cube = cube[tuple(slice(0, k) for k in lead)]
@@ -226,9 +225,19 @@ def _phases(support: SupportData, x: np.ndarray) -> np.ndarray:
     return np.exp(-1j * (np.outer(support.eps, x[:, 0]) - support.points @ x[:, 1:].T))
 
 
-def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice) -> np.ndarray:
+def _gmatrix_block(kern: CausalKernel, support: SupportData, rows: slice,
+                   cols: Optional[SupportData] = None) -> np.ndarray:
+    """G rows `rows` of the support against the nodes of `cols` (default: the support)."""
+    cols = support if cols is None else cols
     return scalar_block(kern, support.points[rows], support.eps[rows],
-                        support.points, support.eps)
+                        cols.points, cols.eps)
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of an (n_rows, n_cols) g-matrix in blocks of at most
+    _G_ENTRIES entries (one row at least)."""
+    step = max(1, _G_ENTRIES // max(n_cols, 1))
+    return [slice(i0, min(i0 + step, n_rows)) for i0 in range(0, n_rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +270,14 @@ def eval_direct(spec: CurrentSpec, x):
 
 
 def _direct_causal(kern, support, values, X):
-    """The causal double sum at points X, (m, 4): each G row block of at
-    most _G_ENTRIES entries, built once, meets the points in blocks of at
-    most _PHASE_ENTRIES node-point entries, so the memory stays bounded for
-    any number of points and support nodes."""
+    """The causal double sum at points X, (m, 4): each G row block
+    (_row_blocks), built once, meets the points in blocks of at most
+    _PHASE_ENTRIES node-point entries, so the memory stays bounded for any
+    number of points and support nodes."""
     n = len(support.eps)
     step = max(1, _PHASE_ENTRIES // max(n, 1))
-    krows = max(1, _G_ENTRIES // max(n, 1))
     J = np.zeros((len(X), 4), dtype=complex)
-    for i0 in range(0, n, krows):
-        rows = slice(i0, min(i0 + krows, n))
+    for rows in _row_blocks(n, n):
         G = _gmatrix_block(kern, support, rows)
         for p0 in range(0, len(X), step):
             J[p0:p0 + step] += _direct_causal_rows(G, rows, support, values,
@@ -419,17 +426,17 @@ class FastBackend:
         Returns a real array of shape (components, M, M, M), the first
         `components` of (J0, J1, J2, J3): on the whole periodic grid, with
         M = refine * n, or, given `window_half`, on the centred window of
-        M = 2 window_half refine nodes per axis (position_window_mask).  The
-        whole grid takes one FFT per field (momentum_to_position); the window
-        takes a separable sum from the support's bounding box
-        (momentum_to_window), which computes no node outside the window.
+        M = 2 window_half refine nodes per axis (position_window_mask).  Each
+        field starts from the support's bounding box (SupportData.box): one
+        FFT of the whole grid (momentum_to_position), or a separable sum that
+        computes no node outside the window (momentum_to_window).
         """
         if not 1 <= components <= 4:
             raise ValueError(f"components must be 1 to 4, got {components}")
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
-        box = (0, sup.grid.n, sup.flat_idx) if window_half is None else sup.box()
+        box = sup.box()
         cube = None
 
         def transform(nodes):
@@ -440,7 +447,7 @@ class FastBackend:
                 cube = np.zeros(nodes.shape[:-1] + (box[1] ** 3,), dtype=complex)
             embedded = sup.embed(nodes, cube, box)
             if window_half is None:
-                return momentum_to_position(embedded, sup.grid, refine)
+                return momentum_to_position(embedded, sup.grid, refine, box[0])
             return momentum_to_window(embedded, sup.grid, box[0], window_half, refine)
 
         J = self._current(load, transform, components,
@@ -605,12 +612,7 @@ def _factorize(kern, support, rng, n_lm, tol, rank, final):
         mu, V = lam0, U0
         eig_res = np.zeros(len(mu))
     else:
-        Psi = np.empty((n, len(lam0)))
-        for i0 in range(0, n, _CHUNK):
-            rows = slice(i0, min(i0 + _CHUNK, n))
-            Psi[rows] = scalar_block(kern, support.points[rows], support.eps[rows],
-                                     sub.points, sub.eps) @ (U0 / lam0)
-        Q, _ = np.linalg.qr(Psi)
+        Q, _ = np.linalg.qr(_apply_gmatrix(kern, support, U0 / lam0, cols=sub))
         Y = _apply_gmatrix(kern, support, Q)
         Q, _ = np.linalg.qr(Y)
         Y = _apply_gmatrix(kern, support, Q)
@@ -630,12 +632,12 @@ def _factorize(kern, support, rng, n_lm, tol, rank, final):
     return mu, V, eig_res
 
 
-def _apply_gmatrix(kern, support, B):
-    n = len(support.eps)
-    out = np.empty((n, B.shape[1]))
-    for i0 in range(0, n, _CHUNK):
-        rows = slice(i0, min(i0 + _CHUNK, n))
-        out[rows] = _gmatrix_block(kern, support, rows) @ B
+def _apply_gmatrix(kern, support, B, cols=None):
+    """G B, with G as in _gmatrix_block, built in _row_blocks."""
+    cols = support if cols is None else cols
+    out = np.empty((len(support.eps), B.shape[1]))
+    for rows in _row_blocks(len(support.eps), len(cols.eps)):
+        out[rows] = _gmatrix_block(kern, support, rows, cols) @ B
     return out
 
 

@@ -9,17 +9,18 @@ the packets, the Poincare action and the current routes share: the node
 coordinates (`points`) and the map from momenta back to fractional grid
 indices (`index_of`).
 
-The core transform realizes F(x) = sum_p f(p) exp(i p.x) on the conjugate
-grid via a phase-dressed FFT; `refine` evaluates the same trigonometric sum
-on a grid `refine` times finer by zero-padded embedding (exact, since the
-embedded nodes carry zero amplitude).  The inverse FFT runs with
-norm="forward", which leaves the sum unscaled (no 1/M^3), and the pre- and
-post-phases are applied as one separable cube each.
+Both transforms evaluate F(x) = sum_p f(p) exp(i p.x) from a box of
+momentum nodes, the s^3 cube with grid indices lo to lo + s - 1 on every
+axis (f vanishes off it).  `momentum_to_position` covers the conjugate grid,
+`refine` times finer per axis, with one phase-dressed FFT: the box, times
+its pre-phase, goes into a zeroed (refine n)^3 cube; the inverse FFT runs
+with norm="forward", which leaves the sum unscaled (no 1/M^3), and the
+post-phase is applied as one separable cube.
 
 `momentum_to_window` evaluates the same sum at the nodes of a centred
-window only, from a box of momentum nodes: three dense matrix products, the
-output-pruned transform (Markel, "FFT pruning", 1971) in the regime where
-the box and the window are small enough that a DFT matrix beats the FFT.
+window only: three dense matrix products, the output-pruned transform
+(Markel, "FFT pruning", 1971) in the regime where the box and the window are
+small enough that a DFT matrix beats the FFT.
 """
 
 from __future__ import annotations
@@ -108,28 +109,34 @@ def _outer3(v: np.ndarray) -> np.ndarray:
     return v[:, None, None] * v[None, :, None] * v[None, None, :]
 
 
-def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1) -> np.ndarray:
+def _box_side(values: np.ndarray, grid: MomentumGrid, lo: int) -> int:
+    """The side s of the box of momentum nodes that `values`, of shape
+    (..., s, s, s), holds from grid index `lo` on every axis."""
+    s = values.shape[-1]
+    if values.shape[-3:] != (s, s, s) or not 0 <= lo <= grid.n - s:
+        raise ValueError(f"values shape {values.shape} is not a box of the grid at {lo}")
+    return s
+
+
+def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1,
+                         lo: int = 0) -> np.ndarray:
     """Evaluate F(x) = sum_p f(p) exp(i p.x) on the conjugate position grid.
 
-    `values` has shape (..., n, n, n); the result has shape
-    (..., refine*n, refine*n, refine*n).  No quadrature weight or (2 pi)
-    factor is applied.
+    `values` has shape (..., s, s, s) and holds f on the box of momentum
+    nodes with grid indices `lo` to lo + s - 1 on every axis (the whole grid
+    at s = n, lo = 0); the result has shape (..., refine*n, refine*n,
+    refine*n).  No quadrature weight or (2 pi) factor is applied.
     """
-    n = grid.n
-    m = n * refine
-    values = np.asarray(values)
-    if values.shape[-3:] != (n, n, n):
-        raise ValueError(f"values shape {values.shape} does not end in ({n},{n},{n})")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    pre, post = _axis_phases(n, m)
-    if refine > 1:
-        # zero-padded embedding: only the embedded block needs the pre-phase
-        inner = slice((m - n) // 2, (m - n) // 2 + n)
-        work = np.zeros(values.shape[:-3] + (m, m, m), dtype=complex)
-        work[..., inner, inner, inner] = values * _outer3(pre[inner])
-    else:
-        work = np.multiply(values, _outer3(pre), dtype=complex)
+    values = np.asarray(values)
+    s = _box_side(values, grid, lo)
+    m = grid.n * refine
+    pre, post = _axis_phases(grid.n, m)
+    # the box at its grid indices inside the centred n^3 block
+    box = slice((m - grid.n) // 2 + lo, (m - grid.n) // 2 + lo + s)
+    work = np.zeros(values.shape[:-3] + (m, m, m), dtype=complex)
+    work[..., box, box, box] = values * _outer3(pre[box])
     out = scipy.fft.ifftn(work, axes=(-3, -2, -1), norm="forward",
                           overwrite_x=True, workers=-1)
     out *= _outer3(post)
@@ -149,9 +156,7 @@ def momentum_to_window(values: np.ndarray, grid: MomentumGrid, lo: int, half_nod
     cell-centred phases exactly.  No quadrature weight or (2 pi) factor is
     applied.
     """
-    s = values.shape[-1]
-    if values.shape[-3:] != (s, s, s) or not 0 <= lo <= grid.n - s:
-        raise ValueError(f"values shape {values.shape} is not a box of the grid at {lo}")
+    s = _box_side(values, grid, lo)
     E = np.exp(1j * np.outer(grid.axis()[lo:lo + s],
                              position_window_axis(grid, half_nodes, refine)))
     w = E.shape[1]

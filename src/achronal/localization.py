@@ -9,13 +9,12 @@ realized as a Riemann sum over the window nodes of the conjugate position
 grid.  The flux needs the current only at the surface nodes (tau(x), x),
 and it is evaluated once per state and surface: a list of masks on one
 surface (a partition, say) shares that evaluation, on the union of their
-nodes, and the integrand is then summed per mask.  When tau is constant on
-those nodes (flat surfaces and the flat images of rotations and
-translations), one slice at that time covers the window: a separable sum
-from the support's momentum box to the window's nodes
-(FastBackend.slice_fields with window_half), which computes no node outside
-the window.  Where grad tau is also exactly zero (flat surfaces) the
-integrand is J0, and the slice transforms only J0's two auxiliary fields.
+nodes, and the integrand is then summed per mask.  When tau is constant
+and grad tau exactly zero on those nodes (flat surfaces and their images
+under rotations and translations), the integrand is J0 and one slice at
+that time covers the window: a separable sum from the support's momentum
+box to the window's nodes (FastBackend.slice_fields with window_half) of
+J0's two auxiliary fields, which computes no node outside the window.
 Otherwise the current is evaluated at the nodes themselves with the
 phase-matrix product of FastBackend.current_at.
 
@@ -260,19 +259,13 @@ def _flux_quadrature(spec: CurrentSpec, backend: FastBackend, half: int, union,
     (integrand, J0, {"slices": window slices used}).
     """
     tmin, tmax = float(np.min(tvals)), float(np.max(tvals))
-    if tmax - tmin < 1e-12:
-        # with grad tau exactly zero the integrand is J0: transform only its fields
-        flat = not np.any(grads)
-        J = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
-                                 components=1 if flat else 4, window_half=half)
-        Jn = J.reshape(len(J), -1)[:, union]
-        if flat:
-            return Jn[0], Jn[0], {"slices": 1}
-        n_slices = 1
-    else:
-        Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]))
-        n_slices = 0
-    return Jn[0] - np.sum(Jn[1:] * grads.T, axis=0), Jn[0], {"slices": n_slices}
+    if tmax - tmin < 1e-12 and not np.any(grads):
+        # a flat surface: the integrand is J0, one window slice of its fields
+        J0 = backend.slice_fields(spec.packet, 0.5 * (tmin + tmax), refine=refine,
+                                  components=1, window_half=half).reshape(-1)[union]
+        return J0, J0, {"slices": 1}
+    Jn = backend.current_at(spec.packet, np.column_stack([tvals, points]))
+    return Jn[0] - np.sum(Jn[1:] * grads.T, axis=0), Jn[0], {"slices": 0}
 
 
 def _region_fluxes(spec: CurrentSpec, surface: AchronalSurface, masks: Sequence[Mask],

@@ -11,7 +11,7 @@ from achronal.currents import (BackendMismatchError, CurrentSpec,
                                FactorizationError, SupportData, build_fast,
                                check_causal_pointwise, check_continuity,
                                covariance_pair, decay_scan, eval_direct)
-from achronal.grids import MomentumGrid, position_window_mask
+from achronal.grids import MomentumGrid, momentum_to_position, position_window_mask
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
                               kernel_Kn, parse_kernel_spec, scalar_block)
 from achronal.localization import _window_nodes
@@ -354,6 +354,29 @@ def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refin
     assert np.abs(win.reshape(components, -1) - cut).max() <= 1e-13 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("refine", [1, 2])
+def test_box_transform_is_the_whole_cube_transform(window_backends, refine):
+    # the off-centre packet's support box starts at lo > 0; the box holds the
+    # packet's amplitudes and random values, the whole cube the same values
+    # at the box's grid indices and zero elsewhere
+    pkt, fb = window_backends["causal", 1]
+    lo, s, _ = fb.support.box()
+    assert lo > 0 and lo + s < pkt.grid.n
+    inside = (slice(None),) + (slice(lo, lo + s),) * 3
+    rng = np.random.default_rng(7)
+    box = np.stack([pkt.amplitudes[inside[1:]],
+                    rng.standard_normal((s,) * 3) + 1j * rng.standard_normal((s,) * 3)])
+    whole = np.zeros((2,) + (pkt.grid.n,) * 3, dtype=complex)
+    whole[inside] = box
+    assert np.array_equal(momentum_to_position(box, pkt.grid, refine, lo),
+                          momentum_to_position(whole, pkt.grid, refine))
+
+
+def test_box_past_the_grid_edge(grid16):
+    with pytest.raises(ValueError):
+        momentum_to_position(np.zeros((4, 4, 4)), grid16, 1, 13)
+
+
 def test_window_wider_than_the_grid(spec16, fast16):
     with pytest.raises(ValueError):
         fast16.slice_fields(spec16.packet, 0.0, window_half=9)
@@ -366,6 +389,49 @@ def test_slice_refine_matches_direct(spec16, fast16):
     pt = np.array([0.1, ax[10], ax[17], ax[21]])
     d = eval_direct(spec16, pt)
     assert np.abs(J[:, 10, 17, 21] - d.value).max() / np.abs(d.value).max() < 1e-6
+
+
+# a budget below one 480-entry row, and one whose 7-row blocks do not divide
+# the 480 rows (and whose 22-row blocks against 150 columns do not either)
+_SMALL_BUDGETS = [100, 7 * 480 + 5]
+
+
+@pytest.mark.parametrize("entries", _SMALL_BUDGETS)
+def test_blocked_gmatrix_product_is_the_dense_product(spec16, support16, monkeypatch,
+                                                      entries):
+    kern = spec16.kernel
+    rng = np.random.default_rng(6)
+    sub = _subset_support(support16, rng.choice(480, size=150, replace=False), "landmarks")
+    monkeypatch.setattr(currents, "_G_ENTRIES", entries)
+    for cols in (None, sub):
+        nodes = support16 if cols is None else sub
+        dense = scalar_block(kern, support16.points, support16.eps, nodes.points, nodes.eps)
+        B = rng.standard_normal((len(nodes.eps), 5))
+        with mock.patch.object(currents, "_gmatrix_block",
+                               wraps=currents._gmatrix_block) as gmatrix:
+            got = currents._apply_gmatrix(kern, support16, B, cols=cols)
+        step = max(1, entries // len(nodes.eps))
+        assert gmatrix.call_count == -(-480 // step)
+        ref = dense @ B
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("entries", _SMALL_BUDGETS)
+def test_nystrom_build_in_small_gmatrix_blocks(spec16, monkeypatch, entries):
+    # 400 of the 480 nodes: the extension and both power steps run in blocks
+    ref = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=1)
+    monkeypatch.setattr(currents, "_G_ENTRIES", entries)
+    tracemalloc.start()
+    try:
+        fb = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fb.rank == ref.rank
+    assert np.abs(fb.eigvals - ref.eigvals).max() <= 1e-10 * abs(ref.eigvals[0])
+    # the unblocked 400^2 landmark block and its eigh peak at 9.3 MB; one
+    # 480^2 G block, as at the default budget, takes the build to 11.6 MB
+    assert peak < 10e6
 
 
 def test_factorization_error_for_oscillatory(grid16, packet16):

@@ -67,6 +67,24 @@ def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16):
     assert metrics["currents.eval_direct_node_points"] == 3 * 480
 
 
+def test_traced_nystrom_build_counts_its_gmatrix_entries(spec16):
+    # one attempt at 400 of the 480 nodes: the landmark block, the Nystrom
+    # extension against the landmarks, two power steps against the whole
+    # support (the three _apply_gmatrix calls) and the trace's g(m^2)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fast = currents.build_fast(spec16, tol=1e-6, n_landmarks=400, seed=1)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    n, n_lm = 480, 400
+    assert fast.meta["landmark_attempts"] == [n_lm]
+    assert metrics["currents.apply_gmatrix_calls"] == 3
+    assert metrics["kernels.scalar_entries"] == n_lm ** 2 + n * n_lm + 2 * n ** 2 + 1
+
+
 def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
     # the tracer reads the "slices" entry of the flux quadrature's meta: one
     # per flat flux, none for a curved flux evaluated at its nodes

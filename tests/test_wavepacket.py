@@ -46,7 +46,8 @@ def test_fft_transform_matches_direct_modes(grid16):
 
 
 def test_fft_transform_refined_matches_direct_modes(grid16):
-    # refine 2 takes the zero-padded path; a leading axis stacks two transforms
+    # refine 2 embeds the n^3 cube in a zero-padded (2n)^3 one; a leading axis
+    # stacks two transforms
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((2,) + (16,) * 3) + 1j * rng.standard_normal((2,) + (16,) * 3)
     F = momentum_to_position(vals, grid16, refine=2)
