@@ -338,6 +338,7 @@ def covariance(cfg, outdir):
     if not elements:
         raise ConfigError("covariance needs at least one group element")
     spec = CurrentSpec(kernel, packet)
+    backend = _make_backend(spec, cfg)
     norm2 = packet.norm_squared()
     checks, rows = [], [["element", "region", "lhs", "rhs", "relative"]]
     regions = cfg["regions"] or [{"surface": {"type": "flat", "t0": 0.0},
@@ -350,9 +351,9 @@ def covariance(cfg, outdir):
         for rd in regions:
             region = Region(surface_from_descriptor(rd["surface"]),
                             mask_from_descriptor(rd["mask"]))
-            lhs, rhs = covariance_check(
-                spec, g, region, backend_tol=float(cfg["factorization"]["tol"]),
-                **_quad_for_probability(cfg))
+            lhs, rhs = covariance_check(spec, g, region, backend=backend,
+                                        backend_tol=float(cfg["factorization"]["tol"]),
+                                        **_quad_for_probability(cfg))
             rel = abs(lhs.probability - rhs.probability) / norm2
             checks.append(_check(f"covariance_{name}", rel, tol))
             rows.append([name, region.mask.label(), lhs.probability,

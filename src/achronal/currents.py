@@ -13,7 +13,7 @@ independent:
   literal double sum (the oracle; arbitrary spacetime points);
 * the fast route factorizes the scalar profile g(eps(k) eps(p) - k.p) over
   the support nodes as sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then
-  block power + Rayleigh-Ritz against the full support matrix), after which
+  one product with the full support matrix and Rayleigh-Ritz), after which
   every current component becomes a rank sum of products of momentum sums
   that evaluate either at given spacetime points (FastBackend.current_at,
   through the phase matrix) or on position-grid slices
@@ -72,7 +72,7 @@ _G_ENTRIES = 1 << 20
 
 # landmark count of a causal build's first attempt: smaller supports are
 # factorized whole; at the CLI default config (3,648 support nodes, rank 306
-# at tol 1e-6) the count grows once, to 768
+# at tol 1e-6) the first attempt succeeds
 _LANDMARK_START = 512
 
 # the decay scan's rays: the six coordinate half-axes
@@ -346,8 +346,8 @@ class FastBackend:
     eigenvalues) / mu_0, from the exact trace, covering eigenvalues the
     build never resolved (see build_fast).  It is 0 for separable kernels
     and nan when meta["tail_certified"] is False.  For causal kernels `meta`
-    also records the landmark counts tried (`landmark_attempts`), the one
-    used (`n_landmarks`, at most build_fast's cap) and the largest exact
+    records the landmark counts tried (`landmark_attempts`; n_lm grows while
+    n_lm < 1.5 R0 + 16), the one used (`n_landmarks`) and the largest exact
     eigenpair residual (`eig_residual_max`), which with `spectral_tail`
     certifies the truncation.
     """
@@ -508,17 +508,18 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
 
     Stress-energy currents are exactly separable and return immediately.
     Causal-kernel currents get the scalar profile's support-node matrix G
-    eigendecomposed: a landmark seed fixes the subspace, one block power
-    step against the full matrix sharpens it, and Rayleigh-Ritz yields
-    eigenpairs whose exact residuals certify the truncation.
+    eigendecomposed: oversampled landmark eigenvectors, Nystrom-extended to
+    the support, span a basis that one product with G and Rayleigh-Ritz turn
+    into eigenpairs whose exact residuals certify the truncation.
 
     `n_landmarks` caps the landmark count.  A build starts at
     _LANDMARK_START landmarks (or the whole support, when it fits) and grows
-    the count by half while the landmarks' spectrum needs more than half of
-    them, or the refined spectrum does not reach `tol` (relative); it raises
-    FactorizationError when the spectrum still does not reach `tol` at the
-    cap, as happens for oscillatory profiles.  A build given `rank` keeps the
-    `rank` leading eigenpairs and uses the capped count in one attempt.
+    the count by half while n_lm < 1.5 R0 + 16, with R0 landmark eigenvalues
+    above `tol` (relative), or while the refined spectrum does not reach
+    `tol`; it raises FactorizationError when the spectrum still does not
+    reach `tol` at the cap, as happens for oscillatory profiles.  A build
+    given `rank` keeps the `rank` leading eigenpairs and uses the capped
+    count in one attempt.
 
     The refined eigenpairs below `tol` are dropped.  `spectral_tail` bounds
     the eigenvalue weight the backend leaves out, relative to the top one:
@@ -553,19 +554,10 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
                 raise
             n_lm = min(cap, n_lm * 3 // 2)
 
-    relmu = np.abs(mu) / np.abs(mu[0])
-    if rank is not None:
-        R = min(rank, len(mu))
-    else:
-        R = max(1, int(np.searchsorted(-relmu, -tol)))
     certified = bool(mu.min() >= -n * np.finfo(float).eps * np.abs(mu[0]))
-    if certified:
-        trace = n * float(kern.scalar(np.array([kern.mass ** 2]))[0])
-        tail = max(0.0, (trace - float(mu[:R].sum())) / np.abs(mu[0]))
-    else:
-        tail = float("nan")
-    eig_res = eig_res[:R]
-    mu, V = mu[:R], np.ascontiguousarray(V[:, :R])
+    trace = n * float(kern.scalar(np.array([kern.mass ** 2]))[0])
+    mu, V = mu[:V.shape[1]], np.ascontiguousarray(V)
+    tail = max(0.0, (trace - float(mu.sum())) / np.abs(mu[0])) if certified else float("nan")
     return FastBackend(
         support, kern, mu, V, tail,
         {"n_landmarks": n_lm, "landmark_attempts": attempts,
@@ -575,61 +567,55 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
 
 
 def _factorize(kern, support, rng, n_lm, tol, rank, final):
-    """Ritz pairs (mu, V) of G ordered by |mu|, with their exact relative
-    residuals, from n_lm random landmarks: the `rank` leading pairs, or a
-    refined set of 1.15 R0 + 8 pairs when R0 landmark eigenvalues exceed `tol`.
+    """Ritz values mu of G ordered by |mu|, the vectors V and exact relative
+    residuals of the pairs above `tol` (the `rank` leading pairs), from the
+    k = 2 R0 + 16 leading eigenpairs of n_lm random landmarks (at most those
+    above 1e-13 of the top), R0 of whose eigenvalues exceed `tol` (R0 =
+    `rank`).  Fewer landmarks than nodes take one pass over G: Q = G[:, lm]
+    U / lambda, Y = G Q, and Rayleigh-Ritz Q^T Y s = mu Q^T Q s through the
+    Cholesky factor of Q^T Q (Q's landmark rows are U, so its smallest
+    singular value is at least 1).
 
-    Raises FactorizationError when the refined set does not reach `tol`, or
+    Raises FactorizationError when the Ritz values do not reach `tol`, or
     when R0 needs 0.9 n_lm of the landmarks; below the cap (`final` False)
-    already when the refined set exceeds half of them, as fewer landmarks
-    than twice the refined set under-count the rank.
+    already when n_lm < 1.5 R0 + 16, as fewer landmarks under-count the rank.
     """
     n = len(support.eps)
     lm = np.sort(rng.choice(n, size=n_lm, replace=False))
     sub = SupportData(support.grid, support.mass, support.flat_idx[lm],
                       support.points[lm], support.eps[lm])
-    W = _gmatrix_block(kern, sub, slice(0, n_lm))
-    lam, U = np.linalg.eigh(W)
+    lam, U = np.linalg.eigh(_gmatrix_block(kern, sub, slice(0, n_lm)))
     order = np.argsort(-np.abs(lam))
     lam, U = lam[order], U[:, order]
     rel = np.abs(lam) / np.abs(lam[0])
-    if rank is not None:
-        R0 = min(rank, n_lm)
-    else:
-        R0 = max(1, int(np.searchsorted(-rel, -tol)))
-        R1 = min(n_lm, int(R0 * 1.15) + 8)
-        if n_lm < n and (R0 >= int(0.9 * n_lm) if final else 2 * R1 > n_lm):
-            raise FactorizationError(
-                f"g-kernel spectrum has not decayed to {tol:g} within "
-                f"{n_lm} landmarks (needs rank >= {R0}); profile "
-                f"{kern.label!r} does not admit this truncation"
-            )
-        R0 = R1
-
-    keep = np.abs(lam[:R0]) > 1e-13 * np.abs(lam[0])
-    lam0, U0 = lam[:R0][keep], U[:, :R0][:, keep]
-    if n_lm == n:
-        mu, V = lam0, U0
-        eig_res = np.zeros(len(mu))
-    else:
-        Q, _ = np.linalg.qr(_apply_gmatrix(kern, support, U0 / lam0, cols=sub))
+    R0 = min(rank, n_lm) if rank is not None else max(1, int(np.searchsorted(-rel, -tol)))
+    if rank is None and n_lm < n and (R0 >= int(0.9 * n_lm) if final
+                                      else n_lm < 1.5 * R0 + 16):
+        raise FactorizationError(
+            f"g-kernel spectrum has not decayed to {tol:g} within "
+            f"{n_lm} landmarks (needs rank >= {R0}); profile "
+            f"{kern.label!r} does not admit this truncation")
+    k = min(2 * R0 + 16, np.count_nonzero(np.abs(lam) > 1e-13 * np.abs(lam[0])))
+    mu, S = lam[:k], U[:, :k]
+    if n_lm < n:
+        Q = _apply_gmatrix(kern, support, S / mu, cols=sub)
         Y = _apply_gmatrix(kern, support, Q)
-        Q, _ = np.linalg.qr(Y)
-        Y = _apply_gmatrix(kern, support, Q)
-        Msmall = Q.T @ Y
-        Msmall = 0.5 * (Msmall + Msmall.T)
-        mu, S = np.linalg.eigh(Msmall)
+        Linv = np.linalg.inv(np.linalg.cholesky(Q.T @ Q))
+        M = Linv @ (Q.T @ Y) @ Linv.T
+        mu, S = np.linalg.eigh(0.5 * (M + M.T))
         order = np.argsort(-np.abs(mu))
-        mu, S = mu[order], S[:, order]
-        V = Q @ S
-        GV = Y @ S
-        eig_res = np.linalg.norm(GV - V * mu, axis=0) / np.abs(mu[0])
-
+        mu, S = mu[order], Linv.T @ S[:, order]
     relmu = np.abs(mu) / np.abs(mu[0])
     if rank is None and relmu[-1] > tol:
         raise FactorizationError(
             f"refined spectrum tail {relmu[-1]:.2e} exceeds {tol:g}")
-    return mu, V, eig_res
+    R = min(rank, len(mu)) if rank is not None else max(1, int(np.searchsorted(-relmu, -tol)))
+    S = S[:, :R]
+    if n_lm == n:
+        return mu, S, np.zeros(R)
+    GV, Y = Y @ S, None  # free Y, then Q, once used: less resident memory
+    V, Q = Q @ S, None
+    return mu, V, np.linalg.norm(GV - V * mu[:R], axis=0) / np.abs(mu[0])
 
 
 def _apply_gmatrix(kern, support, B, cols=None):

@@ -397,6 +397,7 @@ def _window_tail_fraction(results) -> float:
 
 
 def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
+                     backend: Optional[FastBackend] = None,
                      backend_tol: float = 1e-6, **quad):
     """Both sides of the flux covariance: the W(g)^{-1}-moved state on the
     original region versus the original state on the g-image region.
@@ -405,17 +406,37 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
     J'(phi, g x), with J' the current of covariant_spec(spec, g^{-1}), so
     its flux through the region is the flux of J'(phi) through the g-image.
     For a stress-energy current the image side therefore carries the member
-    Lambda n (Lambda = g.L).
+    Lambda n (Lambda = g.L).  Each side reuses `backend` or the other side's
+    when it covers that side, or builds one at `backend_tol`.
     """
     from .wavepacket import apply_poincare
     ginv = g.inverse()
     lhs_spec = spec.with_packet(apply_poincare(ginv, spec.packet))
-    lhs = probability(lhs_spec, region, backend=build_fast(lhs_spec, tol=backend_tol), **quad)
+    lhs_backend = _covering_backend(lhs_spec, [backend], tol=backend_tol)
+    lhs = probability(lhs_spec, region, backend=lhs_backend, **quad)
     rhs_spec = covariant_spec(spec, ginv)
+    rhs_backend = _covering_backend(rhs_spec, [backend, lhs_backend], tol=backend_tol)
     transform = SurfaceTransformResult(g, region.surface)
     rhs = probability_transformed(rhs_spec, transform, region.mask,
-                                  backend=build_fast(rhs_spec, tol=backend_tol), **quad)
+                                  backend=rhs_backend, **quad)
     return lhs, rhs
+
+
+def _covering_backend(spec: CurrentSpec, backends, packets=None, **build) -> FastBackend:
+    """The first of `backends` built for spec's kernel whose node set covers
+    the support of every packet (default spec's); otherwise
+    build_fast(spec, **build) on the union of the supports."""
+    packets = packets or [spec.packet]
+    for backend in backends:
+        if backend is None or backend.kernel.label != spec.kernel.label:
+            continue
+        try:
+            for packet in packets:
+                backend.support.values_of(packet)
+            return backend
+        except BackendMismatchError:
+            pass
+    return build_fast(spec, support=SupportData.from_packets(packets), **build)
 
 
 def additivity_check(spec: CurrentSpec, surface: AchronalSurface,
@@ -444,19 +465,11 @@ def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
 
     Hermitian sesquilinear in (phi, psi), conjugate-linear in phi; the
     diagonal psi = phi reproduces the probability computed with the same
-    backend.  A backend is reused when its node set covers both supports,
-    otherwise one is built on the support union.
+    backend.  A backend is reused when it covers both supports
+    (_covering_backend), otherwise one is built on the support union.
     """
     phi = spec.packet
-    if backend is not None:
-        try:
-            backend.support.values_of(psi)
-            backend.support.values_of(phi)
-        except BackendMismatchError:
-            backend = None
-    if backend is None:
-        support = SupportData.from_packets([phi, psi])
-        backend = build_fast(spec, support=support)
+    backend = _covering_backend(spec, [backend], [phi, psi])
     out = 0j
     for zeta in (1.0, -1.0, 1j, -1j):
         chi = combine(phi, psi, zeta)

@@ -418,7 +418,8 @@ def test_blocked_gmatrix_product_is_the_dense_product(spec16, support16, monkeyp
 
 @pytest.mark.parametrize("entries", _SMALL_BUDGETS)
 def test_nystrom_build_in_small_gmatrix_blocks(spec16, monkeypatch, entries):
-    # 400 of the 480 nodes: the extension and both power steps run in blocks
+    # 400 of the 480 nodes: the extension and the whole-support product run
+    # in blocks
     ref = build_fast(spec16, tol=1e-6, n_landmarks=400, seed=1)
     monkeypatch.setattr(currents, "_G_ENTRIES", entries)
     tracemalloc.start()
@@ -518,6 +519,19 @@ def test_landmark_growth_stops_at_cap(spec16, monkeypatch):
     kern = CausalKernel(GFunction.oscillatory(50.0, M), M)
     with pytest.raises(FactorizationError):
         build_fast(CurrentSpec(kern, spec16.packet), tol=1e-8, n_landmarks=400)
+
+
+@pytest.mark.parametrize("cap", [300, 320])
+def test_capped_build_keeps_the_whole_support_rank(spec16, gram16_spectrum, cap):
+    # a cap of 300 or 320 of the 480 nodes is well under twice the rank; the
+    # build still keeps every eigenpair above tol, with orthonormal vectors
+    full_rank = int((gram16_spectrum / gram16_spectrum[0] > 1e-6).sum())
+    assert full_rank == 184
+    for seed in range(10):
+        fb = build_fast(spec16, tol=1e-6, n_landmarks=cap, seed=seed)
+        assert fb.meta["landmark_attempts"] == [cap]
+        assert fb.rank == full_rank
+        assert np.abs(fb.eigvecs.T @ fb.eigvecs - np.eye(fb.rank)).max() <= 1e-10
 
 
 def test_backend_rejects_foreign_packet(fast16, grid16):

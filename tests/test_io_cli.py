@@ -258,6 +258,35 @@ def test_cli_covariance(cfg_file, tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
 
 
+def test_cli_covariance_builds_from_its_config(tmp_path, monkeypatch):
+    # in process, to count the builds: the config's backend (its landmarks
+    # and seed) serves both sides of the rotation and the translation, which
+    # keep the support, and the boost's image side; only the boosted state
+    # gets a build of its own
+    from click.testing import CliRunner
+
+    from achronal import cli, localization
+    builds = []
+
+    def counting_build(spec, **kw):
+        builds.append(kw)
+        return build_fast(spec, **kw)
+
+    monkeypatch.setattr(cli, "build_fast", counting_build)
+    monkeypatch.setattr(localization, "build_fast", counting_build)
+    cfg = dict(BASE_CONFIG, seed=3,
+               group={"rapidity": 0.25, "translation": [0.0, 0.4, 0.0, 0.0],
+                      "rotation": {"axis": [0, 0, 1], "angle": np.pi / 2}},
+               tolerances={"covariance_translation": 2e-2})
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(cfg))
+    r = CliRunner().invoke(cli.main, ["covariance", "--config", str(path),
+                                      "--out", str(tmp_path / "cov")])
+    assert r.exit_code == 0, r.output
+    assert len(builds) == 2
+    assert builds[0]["n_landmarks"] == 480 and builds[0]["seed"] == 3
+
+
 def test_cli_support_escape_is_a_config_error(tmp_path):
     # a boost that pushes the packet off the 16^3 grid: exit 2 (bad
     # configuration) with a message, not 1 (failed check) with a traceback

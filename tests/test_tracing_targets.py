@@ -69,8 +69,8 @@ def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16):
 
 def test_traced_nystrom_build_counts_its_gmatrix_entries(spec16):
     # one attempt at 400 of the 480 nodes: the landmark block, the Nystrom
-    # extension against the landmarks, two power steps against the whole
-    # support (the three _apply_gmatrix calls) and the trace's g(m^2)
+    # extension against the landmarks, one product with the whole support
+    # (the two _apply_gmatrix calls) and the trace's g(m^2)
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
@@ -81,8 +81,8 @@ def test_traced_nystrom_build_counts_its_gmatrix_entries(spec16):
     metrics = tracing.layer_metrics(tracer)
     n, n_lm = 480, 400
     assert fast.meta["landmark_attempts"] == [n_lm]
-    assert metrics["currents.apply_gmatrix_calls"] == 3
-    assert metrics["kernels.scalar_entries"] == n_lm ** 2 + n * n_lm + 2 * n ** 2 + 1
+    assert metrics["currents.apply_gmatrix_calls"] == 2
+    assert metrics["kernels.scalar_entries"] == n_lm ** 2 + n * n_lm + n ** 2 + 1
 
 
 def test_tracer_counts_time_slices_of_flat_fluxes_only(spec16, fast16):
