@@ -1,19 +1,33 @@
 """Config-driven command-line checks.
 
-Every subcommand reads a JSON experiment config (strictly validated:
-unknown keys are rejected), runs one family of checks, and writes next to
-its outputs the resolved config, a deterministic results.json, CSV tables
-where applicable, and a run manifest with timings, pass/fail flags and,
-for commands that factorize the current, the backend's rank, landmark
-counts and spectral tail.
+Every subcommand reads a JSON experiment config, runs one family of checks
+and writes to its output directory:
 
-The factorization key holds build_fast's `tol` and, as `landmarks`, the
-largest landmark count a build may use: it starts below that and grows
-only while its spectrum checks fail.
+* resolved_config.json: the config with every default filled in;
+* results.json, deterministic: the command, `config_hash` (of the resolved
+  config), `artifact_version`, `checks` (name, value, tolerance, pass) and
+  the command's figures;
+* a CSV table (report.csv; gram.csv for kernel-pd; field-dump writes the
+  binary field.achr instead);
+* manifest.json: the command, `config_hash`, `artifact_version`, `pass`
+  per check and `timings_s` (`build_s`, the time spent in the command's
+  own backend builds, not counting those covariance_check makes for a
+  moved state, and `total_s`, from loading the config to writing the
+  results); a command that factorizes the current adds `backend`: the
+  rank, landmark counts and spectral tail of its first build, and whether
+  that tail is certified.
+
+The config is strictly validated: unknown keys are rejected in every
+object except the free-form `packet.params` and `group`, tolerances
+included.  The factorization key holds build_fast's `tol` and, as
+`landmarks`, the largest landmark count a build may use: it starts below
+that and grows only while its spectrum checks fail.  `normalization_mode`
+is "raw", or "energy" for a tensor (stress-energy) kernel; every flux
+command applies it.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a kernel the configured factorization cannot truncate and a group
-element that moves the packet's support off the grid).
+(including a kernel the configured factorization cannot truncate or
+certify and a group element that moves the packet's support off the grid).
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from .grids import MomentumGrid
 from .kernels import (CausalKernel, TensorKernel, gram_extreme_eigenvalues,
                       parse_kernel_spec)
 from .localization import (BallMask, Region, covariance_check,
-                           flux_invariance_report, probability)
+                           flux_invariance_report, mask_from_descriptor, probability)
 from .minkowski import PoincareElement, boost_z, rotation
 from .surfaces import ConeSurface, FlatSurface, surface_from_descriptor
 from .wavepacket import SupportEscapeError, make_packet
@@ -49,30 +63,6 @@ from .wavepacket import SupportEscapeError, make_packet
 class ConfigError(ValueError):
     pass
 
-
-_COMMON_KEYS = {
-    "mass": 1.0,
-    "grid": {"n": 32, "p_max": 4.0},
-    "packet": {"kind": "mollified_gaussian", "params": {}, "margin": None},
-    "kernel": "basic:r=1.5",
-    "factorization": {"tol": 1e-6, "landmarks": 3000},
-    "window_half_nodes": None,
-    "refine": 1,
-    "seed": 0,
-    "normalization_mode": "raw",
-    "tolerances": {},
-}
-
-_COMMAND_KEYS = {
-    "normalize": {"refined_grid_n": None},
-    "invariance": {"surfaces": [{"type": "flat", "t0": 0.0}],
-                   "flatten_sweep": None},
-    "covariance": {"group": {}, "regions": [], "current_points": 4},
-    "kernel-pd": {"gram": {"points": 200, "ball_radius_over_mass": 3.0}},
-    "logic": {"logic": {"radius": 4.0, "gamma": 0.5, "samples": 10000,
-                        "eps_shell": 1e-3, "band": 2e-2}},
-    "field-dump": {"times": [0.0], "compare_points": 8},
-}
 
 _DEFAULT_TOLERANCES = {
     "normalization": 1e-2,
@@ -86,27 +76,49 @@ _DEFAULT_TOLERANCES = {
     "logic_band": 2e-2,
 }
 
+_COMMON_KEYS = {
+    "mass": 1.0,
+    "grid": {"n": 32, "p_max": 4.0},
+    "packet": {"kind": "mollified_gaussian", "params": {}, "margin": None},
+    "kernel": "basic:r=1.5",
+    "factorization": {"tol": 1e-6, "landmarks": 3000},
+    "window_half_nodes": None,
+    "refine": 1,
+    "seed": 0,
+    "normalization_mode": "raw",
+    "tolerances": _DEFAULT_TOLERANCES,
+}
 
-def _merge_defaults(defaults, given, path=""):
-    if isinstance(defaults, dict):
-        if not isinstance(given, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        unknown = set(given) - set(defaults)
-        if unknown:
-            raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
-        out = {}
-        for key, dval in defaults.items():
-            sub = f"{path}.{key}" if path else key
-            if key in given:
-                if isinstance(dval, dict) and not key in ("params", "tolerances",
-                                                          "group", "flatten_sweep"):
-                    out[key] = _merge_defaults(dval, given[key], sub)
-                else:
-                    out[key] = given[key]
-            else:
-                out[key] = dval
-        return out
-    return given
+_COMMAND_KEYS = {
+    "normalize": {"refined_grid_n": None},
+    "invariance": {"surfaces": [{"type": "flat", "t0": 0.0}],
+                   "flatten_sweep": None},
+    "covariance": {"group": {}, "regions": [], "current_points": 4},
+    "kernel-pd": {"gram": {"points": 200, "ball_radius_over_mass": 3.0}},
+    "logic": {"logic": {"radius": 4.0, "gamma": 0.5, "samples": 10000,
+                        "eps_shell": 1e-3}},
+    "field-dump": {"times": [0.0], "compare_points": 8},
+}
+
+
+def _merge_defaults(defaults: dict, given, path: str = "config") -> dict:
+    """`given` with the keys it lacks taken from `defaults`.  Where the
+    default is an object, so must the given value be; an object with keys
+    admits no others and is merged key by key, an empty one ({}) is
+    free-form."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if not defaults:
+        return given
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, dval in defaults.items():
+        value = given.get(key, dval)
+        out[key] = (_merge_defaults(dval, value, f"{path}.{key}")
+                    if isinstance(dval, dict) else value)
+    return out
 
 
 def load_config(path, command: str) -> dict:
@@ -114,122 +126,90 @@ def load_config(path, command: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    defaults = dict(_COMMON_KEYS)
-    defaults.update(_COMMAND_KEYS[command])
-    cfg = _merge_defaults(defaults, raw)
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(cfg["tolerances"] or {})
-    cfg["tolerances"] = tol
-    return cfg
+    return _merge_defaults({**_COMMON_KEYS, **_COMMAND_KEYS[command]}, raw)
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
+class _Run:
+    """One command's run: its config and state, timed builds, quadrature
+    options, checks and outputs."""
 
+    def __init__(self, command, config_path, seed, tolerance_scale, outdir):
+        self.start = time.perf_counter()
+        cfg = load_config(config_path, command)
+        if seed is not None:
+            cfg["seed"] = int(seed)
+        cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
+        self.command, self.cfg, self.outdir = command, cfg, outdir
+        self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
+        mode = cfg["normalization_mode"]
+        if mode != "raw" and not (mode == "energy" and isinstance(self.kernel, TensorKernel)):
+            raise ConfigError(f"normalization_mode {mode!r}: 'energy' applies to "
+                              f"tensor kernels only, otherwise use 'raw'")
+        self.quad = {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"]),
+                     "normalization": mode}
+        self.checks, self.backend, self.build_s = [], None, 0.0
 
-def _build_state(cfg, n=None):
-    """Grid (of n nodes per axis if given), packet and kernel of the config."""
-    grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
-    pk = cfg["packet"]
-    packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
-                         **(pk["params"] or {}))
-    kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
-    return grid, packet, kernel
+    def spec(self, n=None) -> CurrentSpec:
+        """The config's kernel and packet, on a grid of n nodes per axis if
+        given."""
+        cfg, pk = self.cfg, self.cfg["packet"]
+        grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
+        packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
+                             **pk["params"])
+        return CurrentSpec(self.kernel, packet)
 
+    def build(self, spec: CurrentSpec):
+        """build_fast with the config's factorization and seed, timed.  A
+        backend whose spectral tail is not certified (a profile that is not
+        positive semi-definite on the support) raises FactorizationError."""
+        fac = self.cfg["factorization"]
+        t0 = time.perf_counter()
+        backend = build_fast(spec, tol=float(fac["tol"]), n_landmarks=int(fac["landmarks"]),
+                             seed=int(self.cfg["seed"]))
+        self.build_s += time.perf_counter() - t0
+        if not backend.meta.get("tail_certified", True):
+            raise FactorizationError(
+                f"profile {spec.kernel.label!r} is not positive semi-definite on "
+                f"the support, so its truncation cannot be certified")
+        self.backend = self.backend or backend
+        return backend
 
-def _make_backend(spec, cfg):
-    fac = cfg["factorization"]
-    return build_fast(spec, tol=float(fac["tol"]), n_landmarks=int(fac["landmarks"]),
-                      seed=int(cfg["seed"]))
+    def check(self, name: str, value, tolerance, below=True) -> None:
+        """Record a check of value against tolerance, a number or the name of
+        a configured tolerance."""
+        if isinstance(tolerance, str):
+            tolerance = self.cfg["tolerances"][tolerance]
+        good = value <= tolerance if below else value >= tolerance
+        self.checks.append({"name": name, "value": float(value),
+                            "tolerance": float(tolerance), "pass": bool(good)})
 
-
-def _quad_for_probability(cfg):
-    return {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"])}
-
-
-def _emit(outdir: Path, cfg: dict, command: str, checks, extra=None,
-          timings=None, csv_rows=None, csv_name="report.csv", backend=None):
-    outdir.mkdir(parents=True, exist_ok=True)
-    resolved = dict(cfg)
-    chash = _config_hash(resolved)
-    achio.write_json(outdir / "resolved_config.json", resolved)
-    results = {"command": command, "config_hash": chash,
-               "artifact_version": __version__, "checks": checks}
-    if extra:
-        results.update(extra)
-    achio.write_json(outdir / "results.json", results)
-    if csv_rows:
-        with open(outdir / csv_name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in csv_rows:
-                writer.writerow(row)
-    manifest = {"command": command, "config_hash": chash,
-                "artifact_version": __version__,
-                "pass": {c["name"]: c["pass"] for c in checks},
-                "timings_s": timings or {}}
-    if backend is not None:
-        manifest["backend"] = {
-            "rank": backend.rank, "spectral_tail": backend.spectral_tail,
-            **{k: backend.meta.get(k)
-               for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
-    achio.write_json(outdir / "manifest.json", manifest)
-    ok = all(c["pass"] for c in checks)
-    for c in checks:
-        click.echo(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
-                   f"{c['value']:.3e} (tol {c['tolerance']:.3e})")
-    return 0 if ok else 1
-
-
-def _check(name, value, tolerance, below=True):
-    good = value <= tolerance if below else value >= tolerance
-    return {"name": name, "value": float(value), "tolerance": float(tolerance),
-            "pass": bool(good)}
-
-
-def _common_options(fn):
-    """Shared options and exit handling for a command body fn(cfg, outdir).
-
-    The config is loaded for the running command; a ConfigError anywhere,
-    a FactorizationError from a kernel whose spectrum the configured
-    factorization cannot reach, or a SupportEscapeError from a group element
-    that moves the packet off the grid, exits 2; otherwise the process exits
-    with the body's return code.
-    """
-    @functools.wraps(fn)
-    def run(config_path, seed, outdir, tolerance_scale):
-        try:
-            cfg = _prepare(config_path, click.get_current_context().command.name,
-                           seed, tolerance_scale)
-            code = fn(cfg, Path(outdir))
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except FactorizationError as exc:
-            click.echo(f"factorization error: {exc}", err=True)
-            sys.exit(2)
-        except SupportEscapeError as exc:
-            click.echo(f"support escape: {exc}", err=True)
-            sys.exit(2)
-        sys.exit(code)
-
-    run = click.option("--config", "config_path", required=True,
-                       type=click.Path(exists=False), help="JSON config file")(run)
-    run = click.option("--seed", type=int, default=None, help="override RNG seed")(run)
-    run = click.option("--out", "outdir", type=click.Path(), default="out",
-                       help="output directory")(run)
-    run = click.option("--tolerance-scale", type=float, default=1.0,
-                       help="multiply all pass/fail tolerances")(run)
-    return run
-
-
-def _prepare(config_path, command, seed, tolerance_scale):
-    cfg = load_config(config_path, command)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
-    return cfg
+    def emit(self, figures: dict, rows=None, csv_name="report.csv") -> int:
+        """Write the outputs, echo the checks and return the exit code."""
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        chash = hashlib.sha256(json.dumps(self.cfg, sort_keys=True, separators=(",", ":"))
+                               .encode()).hexdigest()[:16]
+        stamp = {"command": self.command, "config_hash": chash,
+                 "artifact_version": __version__}
+        achio.write_json(self.outdir / "resolved_config.json", self.cfg)
+        achio.write_json(self.outdir / "results.json",
+                         {**stamp, "checks": self.checks, **figures})
+        if rows:
+            with open(self.outdir / csv_name, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        manifest = {**stamp, "pass": {c["name"]: c["pass"] for c in self.checks},
+                    "timings_s": {"build_s": self.build_s,
+                                  "total_s": time.perf_counter() - self.start}}
+        if self.backend is not None:
+            b = self.backend
+            manifest["backend"] = {
+                "rank": b.rank, "spectral_tail": b.spectral_tail,
+                **{k: b.meta.get(k)
+                   for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
+        achio.write_json(self.outdir / "manifest.json", manifest)
+        for c in self.checks:
+            click.echo(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
+                       f"{c['value']:.3e} (tol {c['tolerance']:.3e})")
+        return 0 if all(c["pass"] for c in self.checks) else 1
 
 
 @click.group()
@@ -237,81 +217,96 @@ def main():
     """Checks for covariant achronal localization of the massive scalar boson."""
 
 
-@main.command()
-@_common_options
-def normalize(cfg, outdir):
+# errors that make a run exit 2, with the prefix of their message
+_EXIT_2 = ((ConfigError, "config error"), (FactorizationError, "factorization error"),
+           (SupportEscapeError, "support escape"))
+
+
+def _command(name: str):
+    """Register body(run) -> exit code as the subcommand `name`.
+
+    The subcommand takes the shared options and hands the body a _Run of
+    its config.  An error of _EXIT_2 anywhere exits 2 with its message;
+    otherwise the process exits with the body's code.
+    """
+    def register(body):
+        @main.command(name=name)
+        @click.option("--config", "config_path", required=True,
+                      type=click.Path(exists=False), help="JSON config file")
+        @click.option("--seed", type=int, default=None, help="override RNG seed")
+        @click.option("--out", "outdir", type=click.Path(), default="out",
+                      help="output directory")
+        @click.option("--tolerance-scale", type=float, default=1.0,
+                      help="multiply all pass/fail tolerances")
+        @functools.wraps(body)
+        def command(config_path, seed, outdir, tolerance_scale):
+            try:
+                code = body(_Run(name, config_path, seed, tolerance_scale, Path(outdir)))
+            except tuple(cls for cls, _ in _EXIT_2) as exc:
+                prefix = next(p for cls, p in _EXIT_2 if isinstance(exc, cls))
+                click.echo(f"{prefix}: {exc}", err=True)
+                sys.exit(2)
+            sys.exit(code)
+        return command
+    return register
+
+
+@_command("normalize")
+def normalize(run):
     """Full-surface normalization: flux through flat(0) equals the norm."""
-    grid, packet, kernel = _build_state(cfg)
-    if packet.norm_squared() == 0.0:
+    spec = run.spec()
+    norm2 = spec.packet.norm_squared()
+    if norm2 == 0.0:
         raise ConfigError("zero packet: normalization check needs a non-trivial state")
-    t0 = time.perf_counter()
-    spec = CurrentSpec(kernel, packet)
-    fb = _make_backend(spec, cfg)
-    t_build = time.perf_counter() - t0
-    mode = cfg["normalization_mode"] if isinstance(kernel, TensorKernel) else "raw"
-    res = probability(spec, Region(FlatSurface(0.0)), backend=fb,
-                      normalization=mode, **_quad_for_probability(cfg))
-    norm2 = packet.norm_squared()
+    res = probability(spec, Region(FlatSurface(0.0)), backend=run.build(spec), **run.quad)
     resid = abs(res.probability - norm2) / norm2
-    checks = [_check("normalization_residual", resid,
-                     cfg["tolerances"]["normalization"])]
+    run.check("normalization_residual", resid, "normalization")
     rows = [["grid_n", "window_half", "probability", "norm_squared", "residual"],
-            [grid.n, res.meta["window_half_nodes"], res.probability, norm2, resid]]
-    extra = {"probability": res.probability, "norm_squared": norm2,
-             "normalization_mode": mode, "meta": res.meta}
-    if cfg["refined_grid_n"]:
-        n2 = int(cfg["refined_grid_n"])
-        _, packet2, _ = _build_state(cfg, n2)
-        spec2 = CurrentSpec(kernel, packet2)
-        fb2 = _make_backend(spec2, cfg)
-        quad = _quad_for_probability(cfg)
-        quad["window_half"] = res.meta["window_half_nodes"]
-        res2 = probability(spec2, Region(FlatSurface(0.0)), backend=fb2,
-                           normalization=mode, **quad)
-        n2sq = packet2.norm_squared()
+            [spec.packet.grid.n, res.meta["window_half_nodes"], res.probability, norm2,
+             resid]]
+    figures = {"probability": res.probability, "norm_squared": norm2,
+               "normalization_mode": run.quad["normalization"], "meta": res.meta}
+    if run.cfg["refined_grid_n"]:
+        spec2 = run.spec(int(run.cfg["refined_grid_n"]))
+        res2 = probability(spec2, Region(FlatSurface(0.0)), backend=run.build(spec2),
+                           **{**run.quad, "window_half": res.meta["window_half_nodes"]})
+        n2sq = spec2.packet.norm_squared()
         resid2 = abs(res2.probability - n2sq) / n2sq
-        rows.append([n2, res2.meta["window_half_nodes"], res2.probability, n2sq, resid2])
-        extra["refined_residual"] = resid2
-        checks.append(_check("refinement_reduces_residual", resid2, resid))
-    return _emit(outdir, cfg, "normalize", checks, extra,
-                 {"backend_build": t_build}, rows, backend=fb)
+        rows.append([spec2.packet.grid.n, res2.meta["window_half_nodes"], res2.probability,
+                     n2sq, resid2])
+        figures["refined_residual"] = resid2
+        run.check("refinement_reduces_residual", resid2, resid)
+    return run.emit(figures, rows)
 
 
-@main.command()
-@_common_options
-def invariance(cfg, outdir):
+@_command("invariance")
+def invariance(run):
     """Flux invariance across maximal achronal surfaces."""
-    grid, packet, kernel = _build_state(cfg)
-    surfaces = [surface_from_descriptor(d) for d in cfg["surfaces"]]
-    spec = CurrentSpec(kernel, packet)
-    t0 = time.perf_counter()
-    fb = _make_backend(spec, cfg)
-    rep = flux_invariance_report(spec, surfaces, backend=fb,
-                                 tolerance_budget=cfg["tolerances"]["invariance"],
-                                 **_quad_for_probability(cfg))
-    t_run = time.perf_counter() - t0
-    checks = [_check("flux_invariance_max_deviation",
-                     rep["max_pairwise_relative_deviation"],
-                     cfg["tolerances"]["invariance"])]
+    spec = run.spec()
+    backend = run.build(spec)
+    surfaces = [surface_from_descriptor(d) for d in run.cfg["surfaces"]]
+    rep = flux_invariance_report(spec, surfaces, backend=backend,
+                                 tolerance_budget=run.cfg["tolerances"]["invariance"],
+                                 **run.quad)
+    run.check("flux_invariance_max_deviation", rep["max_pairwise_relative_deviation"],
+              "invariance")
     rows = [["surface", "probability", "error_estimate"]]
-    for r in rep["results"]:
-        rows.append([r.surface, r.probability, r.error_estimate])
-    extra = {"probabilities": rep["probabilities"],
-             "boundary_flux_fraction": rep["boundary_flux_fraction"],
-             "warnings": rep["warnings"]}
-    if cfg["flatten_sweep"]:
-        sw = cfg["flatten_sweep"]
+    rows += [[r.surface, r.probability, r.error_estimate] for r in rep["results"]]
+    figures = {"probabilities": rep["probabilities"],
+               "boundary_flux_fraction": rep["boundary_flux_fraction"],
+               "warnings": rep["warnings"]}
+    sw = run.cfg["flatten_sweep"]
+    if sw:
         base = surface_from_descriptor(sw["surface"])
         rows.append(["flatten_gamma", "probability", "error_estimate"])
         sweep = []
         for gamma in sw["gammas"]:
-            r = probability(spec, Region(base.flatten(float(gamma))), backend=fb,
-                            **_quad_for_probability(cfg))
+            r = probability(spec, Region(base.flatten(float(gamma))), backend=backend,
+                            **run.quad)
             rows.append([gamma, r.probability, r.error_estimate])
             sweep.append({"gamma": gamma, "probability": r.probability})
-        extra["flatten_sweep"] = sweep
-    return _emit(outdir, cfg, "invariance", checks, extra,
-                 {"sweep": t_run}, rows, backend=fb)
+        figures["flatten_sweep"] = sweep
+    return run.emit(figures, rows)
 
 
 def _group_elements(gcfg):
@@ -329,33 +324,27 @@ def _group_elements(gcfg):
     return out
 
 
-@main.command()
-@_common_options
-def covariance(cfg, outdir):
+@_command("covariance")
+def covariance(run):
     """Flux covariance under Poincare transforms, plus current-level checks."""
-    grid, packet, kernel = _build_state(cfg)
-    elements = _group_elements(cfg["group"] or {})
+    cfg = run.cfg
+    elements = _group_elements(cfg["group"])
     if not elements:
         raise ConfigError("covariance needs at least one group element")
-    spec = CurrentSpec(kernel, packet)
-    backend = _make_backend(spec, cfg)
-    norm2 = packet.norm_squared()
-    checks, rows = [], [["element", "region", "lhs", "rhs", "relative"]]
+    spec = run.spec()
+    backend = run.build(spec)
+    norm2 = spec.packet.norm_squared()
+    rows = [["element", "region", "lhs", "rhs", "relative"]]
     regions = cfg["regions"] or [{"surface": {"type": "flat", "t0": 0.0},
                                   "mask": {"type": "ball", "center": [0, 0, 0],
                                            "radius": 4.0}}]
-    from .localization import mask_from_descriptor
-    t0 = time.perf_counter()
     for name, g in elements:
-        tol = cfg["tolerances"][f"covariance_{name}"]
         for rd in regions:
             region = Region(surface_from_descriptor(rd["surface"]),
                             mask_from_descriptor(rd["mask"]))
-            lhs, rhs = covariance_check(spec, g, region, backend=backend,
-                                        backend_tol=float(cfg["factorization"]["tol"]),
-                                        **_quad_for_probability(cfg))
+            lhs, rhs = covariance_check(spec, g, region, backend=backend, **run.quad)
             rel = abs(lhs.probability - rhs.probability) / norm2
-            checks.append(_check(f"covariance_{name}", rel, tol))
+            run.check(f"covariance_{name}", rel, f"covariance_{name}")
             rows.append([name, region.mask.label(), lhs.probability,
                          rhs.probability, rel])
     # current-level covariance at sample points
@@ -365,79 +354,64 @@ def covariance(cfg, outdir):
     for name, g in elements:
         lhsv, rhsv = covariance_pair(spec, g, pts)
         rel = float(np.abs(lhsv - rhsv).max() / (np.abs(rhsv).max() + 1e-300))
-        checks.append(_check(f"current_covariance_{name}", rel,
-                             cfg["tolerances"]["current_covariance"]))
+        run.check(f"current_covariance_{name}", rel, "current_covariance")
         rows.append([f"current_{name}", "points", float(np.abs(lhsv).max()),
                      float(np.abs(rhsv).max()), rel])
-    return _emit(outdir, cfg, "covariance", checks, {},
-                 {"total": time.perf_counter() - t0}, rows)
+    return run.emit({}, rows)
 
 
-@main.command(name="kernel-pd")
-@_common_options
-def kernel_pd(cfg, outdir):
+@_command("kernel-pd")
+def kernel_pd(run):
     """Gram positive-definiteness probe for the kernel's zeroth component."""
-    mass = float(cfg["mass"])
-    kernel = parse_kernel_spec(cfg["kernel"], mass)
-    if not isinstance(kernel, CausalKernel):
+    if not isinstance(run.kernel, CausalKernel):
         raise ConfigError("gram test applies to scalar-profile kernels")
-    gcfg = cfg["gram"]
-    rng = np.random.default_rng(int(cfg["seed"]))
+    gcfg = run.cfg["gram"]
+    rng = np.random.default_rng(int(run.cfg["seed"]))
     n_pts = int(gcfg["points"])
-    radius = float(gcfg["ball_radius_over_mass"]) * mass
+    radius = float(gcfg["ball_radius_over_mass"]) * float(run.cfg["mass"])
     pts = rng.normal(size=(n_pts, 3))
     pts *= (radius * rng.uniform(0, 1, n_pts) ** (1 / 3) /
             np.linalg.norm(pts, axis=1))[:, None]
-    lo, hi = gram_extreme_eigenvalues(pts, kernel)
-    checks = [_check("gram_min_eigenvalue", lo,
-                     cfg["tolerances"]["gram_min_eigenvalue"], below=False)]
+    lo, hi = gram_extreme_eigenvalues(pts, run.kernel)
+    run.check("gram_min_eigenvalue", lo, "gram_min_eigenvalue", below=False)
     phash = hashlib.sha256(pts.tobytes()).hexdigest()[:12]
     rows = [["points_hash", "size", "min_eigenvalue", "max_eigenvalue"],
             [phash, n_pts, lo, hi]]
-    return _emit(outdir, cfg, "kernel-pd", checks,
-                 {"min_eigenvalue": lo, "max_eigenvalue": hi,
-                  "points_hash": phash}, None, rows, csv_name="gram.csv")
+    return run.emit({"min_eigenvalue": lo, "max_eigenvalue": hi, "points_hash": phash},
+                    rows, csv_name="gram.csv")
 
 
-@main.command()
-@_common_options
-def logic(cfg, outdir):
+@_command("logic")
+def logic(run):
     """Causal-logic predicates and RCL well-definedness."""
-    grid, packet, kernel = _build_state(cfg)
-    lcfg = cfg["logic"]
+    lcfg, seed = run.cfg["logic"], int(run.cfg["seed"])
     r = float(lcfg["radius"])
     gamma = float(lcfg["gamma"])
     report = completion_equals_determinacy_check(
         BallInPlane(0.0, (0, 0, 0), r), n_samples=int(lcfg["samples"]),
-        seed=int(cfg["seed"]), eps_shell=float(lcfg["eps_shell"]))
-    checks = [_check("determinacy_completion_agreement", report.agreement_ratio,
-                     1.0, below=False)]
-    spec = CurrentSpec(kernel, packet)
-    fb = _make_backend(spec, cfg)
+        seed=seed, eps_shell=float(lcfg["eps_shell"]))
+    run.check("determinacy_completion_agreement", report.agreement_ratio, 1.0,
+              below=False)
+    spec = run.spec()
     flat_patch = GraphPatch(FlatSurface(0.0), BallMask((0, 0, 0), r))
     cone_patch = GraphPatch(ConeSurface(-gamma, (0, 0, 0), gamma * r),
                             BallMask((0, 0, 0), r))
-    p1, p2 = rcl_well_defined_check(spec, flat_patch, cone_patch, backend=fb,
-                                    seed=int(cfg["seed"]),
-                                    **_quad_for_probability(cfg))
-    band = abs(p1.probability - p2.probability) / packet.norm_squared()
-    checks.append(_check("rcl_flat_vs_cone_band", band,
-                         cfg["tolerances"]["logic_band"]))
+    p1, p2 = rcl_well_defined_check(spec, flat_patch, cone_patch, backend=run.build(spec),
+                                    seed=seed, **run.quad)
+    band = abs(p1.probability - p2.probability) / spec.packet.norm_squared()
+    run.check("rcl_flat_vs_cone_band", band, "logic_band")
     rows = [["check", "value"],
             ["agreement_ratio", report.agreement_ratio],
             ["shell_skipped", report.shell_skipped],
             ["p_flat_ball", p1.probability],
             ["p_cone_patch", p2.probability]]
-    return _emit(outdir, cfg, "logic", checks,
-                 {"agreement": report.agreement_ratio,
-                  "counterexamples": report.counterexamples,
-                  "p_flat": p1.probability, "p_cone": p2.probability}, None, rows,
-                 backend=fb)
+    return run.emit({"agreement": report.agreement_ratio,
+                     "counterexamples": report.counterexamples,
+                     "p_flat": p1.probability, "p_cone": p2.probability}, rows)
 
 
-@main.command(name="field-dump")
-@_common_options
-def field_dump(cfg, outdir):
+@_command("field-dump")
+def field_dump(run):
     """Dump current slices to the binary container, with an oracle diff.
 
     The oracle figure is max|fast - direct| over the compared nodes of the
@@ -447,17 +421,16 @@ def field_dump(cfg, outdir):
     ``build_fast`` certifies its truncation relative to the top of the
     spectrum, not to the local field size at far-field nodes.
     """
-    grid, packet, kernel = _build_state(cfg)
-    spec = CurrentSpec(kernel, packet)
-    fb = _make_backend(spec, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    slices = [(float(t), fb.slice_fields(packet, float(t), refine=int(cfg["refine"])))
+    cfg, refine = run.cfg, int(run.cfg["refine"])
+    spec = run.spec()
+    fb = run.build(spec)
+    slices = [(float(t), fb.slice_fields(spec.packet, float(t), refine=refine))
               for t in cfg["times"]]
-    achio.save_field_slices(outdir / "field.achr", slices)
-    checks = []
-    if packet.norm_squared() > 0 and cfg["compare_points"]:
+    run.outdir.mkdir(parents=True, exist_ok=True)
+    achio.save_field_slices(run.outdir / "field.achr", slices)
+    if spec.packet.norm_squared() > 0 and cfg["compare_points"]:
         rng = np.random.default_rng(int(cfg["seed"]))
-        ax = grid.position_axis(int(cfg["refine"]))
+        ax = spec.packet.grid.position_axis(refine)
         k = int(cfg["compare_points"])
         J = slices[0][1]
         peak = np.unravel_index(np.argmax(np.abs(J[0])), J[0].shape)
@@ -468,12 +441,10 @@ def field_dump(cfg, outdir):
         direct = np.array([s.value for s in eval_direct(spec, pts)])
         fast = np.stack([J[:, i, j, kk] for i, j, kk in idx])
         rel = float(np.abs(fast - direct).max() / (np.abs(direct).max() + 1e-300))
-        checks.append(_check("dump_direct_vs_fast", rel, cfg["tolerances"]["oracle"]))
+        run.check("dump_direct_vs_fast", rel, "oracle")
     else:
-        checks.append(_check("dump_written", 0.0, 1.0))
-    return _emit(outdir, cfg, "field-dump", checks,
-                 {"slices": [s[0] for s in slices]},
-                 None, None, backend=fb)
+        run.check("dump_written", 0.0, 1.0)
+    return run.emit({"slices": [s[0] for s in slices]})
 
 
 if __name__ == "__main__":

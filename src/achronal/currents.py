@@ -345,7 +345,9 @@ class FastBackend:
     relative to the top eigenvalue: (n_sup g(m^2) - sum of the kept
     eigenvalues) / mu_0, from the exact trace, covering eigenvalues the
     build never resolved (see build_fast).  It is 0 for separable kernels
-    and nan when meta["tail_certified"] is False.  For causal kernels `meta`
+    and nan when meta["tail_certified"] is False.  `meta["build"]` holds
+    the `tol`, `n_landmarks` and `seed` it was built with, so that a backend
+    for another support can be built alike.  For causal kernels `meta`
     records the landmark counts tried (`landmark_attempts`; n_lm grows while
     n_lm < 1.5 R0 + 16), the one used (`n_landmarks`) and the largest exact
     eigenpair residual (`eig_residual_max`), which with `spectral_tail`
@@ -517,9 +519,11 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     the count by half while n_lm < 1.5 R0 + 16, with R0 landmark eigenvalues
     above `tol` (relative), or while the refined spectrum does not reach
     `tol`; it raises FactorizationError when the spectrum still does not
-    reach `tol` at the cap, as happens for oscillatory profiles.  A build
-    given `rank` keeps the `rank` leading eigenpairs and uses the capped
-    count in one attempt.
+    reach `tol` at a cap below the support size, as happens for oscillatory
+    profiles.  Landmarks that are the whole support give every eigenpair
+    exactly, so that build keeps the pairs above `tol`, however many.  A
+    build given `rank` keeps the `rank` leading eigenpairs and uses the
+    capped count in one attempt.
 
     The refined eigenpairs below `tol` are dropped.  `spectral_tail` bounds
     the eigenvalue weight the backend leaves out, relative to the top one:
@@ -531,14 +535,16 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     positive semi-definite on the support; the backend then records
     meta["tail_certified"] = False and its spectral_tail is nan.
     """
+    build = {"tol": tol, "n_landmarks": n_landmarks, "seed": seed}
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
-        return FastBackend(support, spec.kernel, None, None, 0.0, {"separable": True})
+        return FastBackend(support, spec.kernel, None, None, 0.0,
+                           {"separable": True, "build": build})
     kern = spec.kernel
     n = len(support.eps)
     if n == 0:
         return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)), 0.0,
-                           {"empty_support": True})
+                           {"empty_support": True, "build": build})
     rng = np.random.default_rng(seed)
     cap = min(n_landmarks, n)
     n_lm = cap if rank is not None else min(cap, _LANDMARK_START)
@@ -562,7 +568,7 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
         support, kern, mu, V, tail,
         {"n_landmarks": n_lm, "landmark_attempts": attempts,
          "eig_residual_max": float(eig_res.max(initial=0.0)),
-         "tail_certified": certified},
+         "tail_certified": certified, "build": build},
     )
 
 
@@ -576,9 +582,10 @@ def _factorize(kern, support, rng, n_lm, tol, rank, final):
     Cholesky factor of Q^T Q (Q's landmark rows are U, so its smallest
     singular value is at least 1).
 
-    Raises FactorizationError when the Ritz values do not reach `tol`, or
-    when R0 needs 0.9 n_lm of the landmarks; below the cap (`final` False)
-    already when n_lm < 1.5 R0 + 16, as fewer landmarks under-count the rank.
+    With fewer landmarks than nodes, raises FactorizationError when the
+    Ritz values do not reach `tol`, or when R0 needs 0.9 n_lm of the
+    landmarks; below the cap (`final` False) already when n_lm < 1.5 R0 + 16,
+    as fewer landmarks under-count the rank.
     """
     n = len(support.eps)
     lm = np.sort(rng.choice(n, size=n_lm, replace=False))
@@ -606,7 +613,7 @@ def _factorize(kern, support, rng, n_lm, tol, rank, final):
         order = np.argsort(-np.abs(mu))
         mu, S = mu[order], Linv.T @ S[:, order]
     relmu = np.abs(mu) / np.abs(mu[0])
-    if rank is None and relmu[-1] > tol:
+    if rank is None and n_lm < n and relmu[-1] > tol:
         raise FactorizationError(
             f"refined spectrum tail {relmu[-1]:.2e} exceeds {tol:g}")
     R = min(rank, len(mu)) if rank is not None else max(1, int(np.searchsorted(-relmu, -tol)))

@@ -40,14 +40,26 @@ def _unpack(fmt: str, raw: bytes, offset: int) -> tuple:
         raise FormatError(f"header cut off at offset {offset}") from exc
 
 
+def _write_header(fh, fmt: str, *fields) -> None:
+    """Magic and version, then `fields` packed little-endian by `fmt`."""
+    fh.write(MAGIC + struct.pack("<I" + fmt, VERSION, *fields))
+
+
+def _read_header(raw: bytes, fmt: str):
+    """The `fmt` fields after a checked magic and version, and the offset
+    past them."""
+    if raw[:4] != MAGIC:
+        raise FormatError("bad magic")
+    version, *fields = _unpack("<I" + fmt, raw, 4)
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}")
+    return fields, 4 + struct.calcsize("<I" + fmt)
+
+
 def save_packet(path, packet: WavePacket) -> None:
-    n = packet.grid.n
+    n, p_max = packet.grid.n, packet.grid.p_max
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<d", packet.mass))
-        for _ in range(3):
-            fh.write(struct.pack("<Id", n, packet.grid.p_max))
+        _write_header(fh, "d" + "Id" * 3, packet.mass, *(n, p_max) * 3)
         amp = np.ascontiguousarray(packet.amplitudes, dtype=np.complex128)
         inter = np.empty(amp.size * 2)
         inter[0::2] = amp.real.reshape(-1)
@@ -57,19 +69,9 @@ def save_packet(path, packet: WavePacket) -> None:
 
 def load_packet(path) -> WavePacket:
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError("bad magic")
-    (version,) = _unpack("<I", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    (mass,) = _unpack("<d", raw, 8)
-    off = 16
-    dims = []
-    for _ in range(3):
-        n, p = _unpack("<Id", raw, off)
-        dims.append((n, p))
-        off += 12
-    if len({d for d in dims}) != 1:
+    (mass, *axes), off = _read_header(raw, "d" + "Id" * 3)
+    dims = list(zip(axes[0::2], axes[1::2]))
+    if len(set(dims)) != 1:
         raise FormatError(f"anisotropic grids unsupported: {dims}")
     n, p_max = dims[0]
     data = np.frombuffer(raw, dtype="<f8", offset=off)
@@ -85,8 +87,7 @@ def save_field_slices(path, slices) -> None:
     """slices: iterable of (x0, array shaped (4, n1, n2, n3))."""
     slices = list(slices)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(slices)))
+        _write_header(fh, "I", len(slices))
         for x0, J in slices:
             J = np.asarray(J, dtype=float)
             if J.ndim != 4 or J.shape[0] != 4:
@@ -97,12 +98,7 @@ def save_field_slices(path, slices) -> None:
 
 def load_field_slices(path):
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError("bad magic")
-    version, count = _unpack("<II", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    off = 12
+    (count,), off = _read_header(raw, "I")
     out = []
     for _ in range(count):
         x0, n1, n2, n3 = _unpack("<dIII", raw, off)
@@ -121,29 +117,18 @@ def load_field_slices(path):
 def save_scalar_field(path, values, origin, spacing: float) -> None:
     values = np.asarray(values, dtype=float)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<III", *values.shape))
-        fh.write(struct.pack("<ddd", *origin))
-        fh.write(struct.pack("<d", spacing))
+        _write_header(fh, "IIIdddd", *values.shape, *origin, spacing)
         fh.write(values.astype("<f8").tobytes())
 
 
 def load_scalar_field(path):
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError("bad magic")
-    (version,) = _unpack("<I", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    dims = _unpack("<III", raw, 8)
-    origin = _unpack("<ddd", raw, 20)
-    (spacing,) = _unpack("<d", raw, 44)
+    (*dims, ox, oy, oz, spacing), off = _read_header(raw, "IIIdddd")
     expected = 8 * dims[0] * dims[1] * dims[2]
-    if len(raw) - 52 != expected:
-        raise FormatError(f"payload holds {len(raw) - 52} bytes, expected {expected}")
-    values = np.frombuffer(raw, dtype="<f8", offset=52).reshape(dims).copy()
-    return values, origin, spacing
+    if len(raw) - off != expected:
+        raise FormatError(f"payload holds {len(raw) - off} bytes, expected {expected}")
+    values = np.frombuffer(raw, dtype="<f8", offset=off).reshape(dims).copy()
+    return values, (ox, oy, oz), spacing
 
 
 # -- JSON descriptors -------------------------------------------------------

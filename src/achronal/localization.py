@@ -407,7 +407,8 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
     its flux through the region is the flux of J'(phi) through the g-image.
     For a stress-energy current the image side therefore carries the member
     Lambda n (Lambda = g.L).  Each side reuses `backend` or the other side's
-    when it covers that side, or builds one at `backend_tol`.
+    when it covers that side, or builds one with `backend`'s build options;
+    `backend_tol` is the tolerance of that build when no backend is given.
     """
     from .wavepacket import apply_poincare
     ginv = g.inverse()
@@ -415,20 +416,23 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
     lhs_backend = _covering_backend(lhs_spec, [backend], tol=backend_tol)
     lhs = probability(lhs_spec, region, backend=lhs_backend, **quad)
     rhs_spec = covariant_spec(spec, ginv)
-    rhs_backend = _covering_backend(rhs_spec, [backend, lhs_backend], tol=backend_tol)
+    rhs_backend = _covering_backend(rhs_spec, [backend, lhs_backend])
     transform = SurfaceTransformResult(g, region.surface)
     rhs = probability_transformed(rhs_spec, transform, region.mask,
                                   backend=rhs_backend, **quad)
     return lhs, rhs
 
 
-def _covering_backend(spec: CurrentSpec, backends, packets=None, **build) -> FastBackend:
+def _covering_backend(spec: CurrentSpec, backends, packets=None,
+                      tol: float = 1e-6) -> FastBackend:
     """The first of `backends` built for spec's kernel whose node set covers
-    the support of every packet (default spec's); otherwise
-    build_fast(spec, **build) on the union of the supports."""
+    the support of every packet (default spec's); otherwise a build_fast of
+    spec on the union of the supports, with the build options of the first
+    backend given (build_fast's defaults at `tol` when none is)."""
     packets = packets or [spec.packet]
-    for backend in backends:
-        if backend is None or backend.kernel.label != spec.kernel.label:
+    given = [backend for backend in backends if backend is not None]
+    for backend in given:
+        if backend.kernel.label != spec.kernel.label:
             continue
         try:
             for packet in packets:
@@ -436,6 +440,7 @@ def _covering_backend(spec: CurrentSpec, backends, packets=None, **build) -> Fas
             return backend
         except BackendMismatchError:
             pass
+    build = given[0].meta["build"] if given else {"tol": tol}
     return build_fast(spec, support=SupportData.from_packets(packets), **build)
 
 
@@ -466,7 +471,8 @@ def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
     Hermitian sesquilinear in (phi, psi), conjugate-linear in phi; the
     diagonal psi = phi reproduces the probability computed with the same
     backend.  A backend is reused when it covers both supports
-    (_covering_backend), otherwise one is built on the support union.
+    (_covering_backend), otherwise one is built on the support union, with
+    the given backend's build options.
     """
     phi = spec.packet
     backend = _covering_backend(spec, [backend], [phi, psi])

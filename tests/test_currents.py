@@ -534,6 +534,21 @@ def test_capped_build_keeps_the_whole_support_rank(spec16, gram16_spectrum, cap)
         assert np.abs(fb.eigvecs.T @ fb.eigvecs - np.eye(fb.rank)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("mass", [0.25, 0.5])
+def test_whole_support_build_keeps_every_pair(grid16, mass):
+    # at light mass every eigenvalue of the 480-node g-matrix lies above
+    # 1e-8 of the top; landmarks that are the whole support hold them all
+    # exactly, so the build keeps them instead of raising
+    packet = make_packet(grid16, mass, "mollified_gaussian",
+                         sigma=1.0, core_radius=0.9, support_radius=1.8)
+    kern = CausalKernel(GFunction.basic(1.5, mass), mass)
+    fb = build_fast(CurrentSpec(kern, packet), tol=1e-8, n_landmarks=480)
+    assert fb.meta["landmark_attempts"] == [480]
+    assert fb.rank == len(fb.support.eps) == 480
+    assert fb.meta["tail_certified"]
+    assert fb.spectral_tail < 1e-12
+
+
 def test_backend_rejects_foreign_packet(fast16, grid16):
     # support reaches outside the factorized node ball
     other = make_packet(grid16, M, sigma=0.5, center=(0, 0, 1.4),

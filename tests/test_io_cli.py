@@ -44,11 +44,26 @@ def test_packet_header_layout(tmp_path, packet16):
     assert len(raw) == 16 + 3 * 12 + 16 ** 3 * 16
 
 
-def test_packet_format_errors(tmp_path):
-    bad = tmp_path / "bad.achr"
-    bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(achio.FormatError):
-        achio.load_packet(bad)
+def _containers(tmp_path, packet16):
+    """One file of each container, with its loader."""
+    rng = np.random.default_rng(0)
+    paths = {name: tmp_path / f"{name}.achr" for name in ("packet", "field", "scalar")}
+    achio.save_packet(paths["packet"], packet16)
+    achio.save_field_slices(paths["field"], [(0.0, rng.standard_normal((4, 3, 3, 3)))])
+    achio.save_scalar_field(paths["scalar"], rng.standard_normal((3, 3, 3)), (0, 0, 0), 0.5)
+    return [(paths["packet"], achio.load_packet), (paths["field"], achio.load_field_slices),
+            (paths["scalar"], achio.load_scalar_field)]
+
+
+def test_packet_format_errors(tmp_path, packet16):
+    # every container checks its magic and its version
+    for damage, message in ((lambda raw: b"NOPE" + raw[4:], "bad magic"),
+                            (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+                             "unsupported version 2")):
+        for path, load in _containers(tmp_path, packet16):
+            path.write_bytes(damage(path.read_bytes()))
+            with pytest.raises(achio.FormatError, match=message):
+                load(path)
 
 
 def test_field_slices_roundtrip(tmp_path):
@@ -80,16 +95,10 @@ def test_scalar_field_roundtrip(tmp_path):
                                     lambda raw: raw[:14]],
                          ids=["truncated", "padded", "header_cut"])
 def test_containers_reject_size_mismatch(tmp_path, packet16, damage):
-    rng = np.random.default_rng(0)
-    paths = {name: tmp_path / f"{name}.achr" for name in ("packet", "field", "scalar")}
-    achio.save_packet(paths["packet"], packet16)
-    achio.save_field_slices(paths["field"], [(0.0, rng.standard_normal((4, 3, 3, 3)))])
-    achio.save_scalar_field(paths["scalar"], rng.standard_normal((3, 3, 3)), (0, 0, 0), 0.5)
-    for name, load in (("packet", achio.load_packet), ("field", achio.load_field_slices),
-                       ("scalar", achio.load_scalar_field)):
-        paths[name].write_bytes(damage(paths[name].read_bytes()))
+    for path, load in _containers(tmp_path, packet16):
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(achio.FormatError):
-            load(paths[name])
+            load(path)
 
 
 def test_packet_descriptor_roundtrip(grid16):
@@ -183,10 +192,17 @@ def test_cli_deterministic_results(cfg_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("key", ["mystery", "backend", "slice_dt", "eval_tol"])
+@pytest.mark.parametrize("key", ["mystery", "backend", "slice_dt", "eval_tol",
+                                 "tolerances.normalisation"])
 def test_cli_rejects_unknown_keys(tmp_path, key):
-    cfg = dict(BASE_CONFIG)
-    cfg[key] = 1
+    # a dotted key is nested: a misspelt tolerance must not fall back to
+    # the default silently
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    *parents, leaf = key.split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[leaf] = 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     r = run_cli(["normalize", "--config", str(path), "--out", str(tmp_path / "o")],
@@ -241,6 +257,34 @@ def test_cli_invariance_and_sweep(cfg_file, tmp_path):
     assert (out / "report.csv").read_text().count("flatten_gamma") == 1
 
 
+def test_cli_invariance_normalizes_stress_energy(tmp_path):
+    # "energy" divides each flux by the state's n-energy, so that the flux
+    # through every surface reads the squared norm
+    cfg = dict(BASE_CONFIG, kernel="tensor:n=(1,0,0,0)", normalization_mode="energy",
+               surfaces=[{"type": "flat", "t0": 0.0}, {"type": "tilted", "e": [0, 0, 0.4]}])
+    path = tmp_path / "tinv.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "tinv"
+    r = run_cli(["invariance", "--config", str(path), "--out", str(out)], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    packet = make_packet(MomentumGrid(16, 3.0), M, "mollified_gaussian",
+                         **BASE_CONFIG["packet"]["params"])
+    probs = json.loads((out / "results.json").read_text())["probabilities"]
+    assert probs == pytest.approx([packet.norm_squared()] * 2, rel=5e-3)
+
+
+@pytest.mark.parametrize("command", ["normalize", "invariance", "covariance", "logic"])
+def test_cli_energy_normalization_of_a_causal_kernel_is_a_config_error(tmp_path, command):
+    cfg = dict(BASE_CONFIG, normalization_mode="energy")
+    if command == "covariance":
+        cfg["group"] = {"rapidity": 0.25}
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")], tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("config error: normalization_mode 'energy'")
+
+
 def test_cli_covariance(cfg_file, tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["group"] = {"rapidity": 0.25,
@@ -284,7 +328,14 @@ def test_cli_covariance_builds_from_its_config(tmp_path, monkeypatch):
                                       "--out", str(tmp_path / "cov")])
     assert r.exit_code == 0, r.output
     assert len(builds) == 2
-    assert builds[0]["n_landmarks"] == 480 and builds[0]["seed"] == 3
+    # the boosted state's 508-node support needs a build of its own, with
+    # the same options as the config's
+    for build in builds:
+        assert build["n_landmarks"] == 480 and build["seed"] == 3
+        assert build["tol"] == 1e-8
+    manifest = json.loads((tmp_path / "cov" / "manifest.json").read_text())
+    assert manifest["backend"]["n_landmarks"] == 480
+    assert set(manifest["timings_s"]) == {"build_s", "total_s"}
 
 
 def test_cli_support_escape_is_a_config_error(tmp_path):
@@ -336,7 +387,7 @@ def test_cli_logic(tmp_path):
     cfg = dict(BASE_CONFIG)
     cfg["factorization"] = {"tol": 1e-5, "landmarks": 480}
     cfg["logic"] = {"radius": 3.0, "gamma": 0.5, "samples": 1500,
-                    "eps_shell": 1e-3, "band": 2e-2}
+                    "eps_shell": 1e-3}
     path = tmp_path / "logic.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "logic"
