@@ -71,9 +71,6 @@ class SpacetimeRegion:
     def contains(self, x):
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
     def complement_member(self, x):
         """Closed-form membership in the causal complement, if available."""
         raise NotImplementedError
@@ -170,10 +167,6 @@ class BallInPlane(SpacetimeRegion):
         c4 = g.act(np.array([self.t0, *self.center]))
         return BallInPlane(float(c4[0]), tuple(c4[1:]), self.radius)
 
-    def descriptor(self):
-        return {"type": "ball_in_plane", "t0": self.t0,
-                "center": list(self.center), "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Diamond(SpacetimeRegion):
@@ -225,9 +218,6 @@ class Diamond(SpacetimeRegion):
         return Diamond(tuple(g.act(np.asarray(self.bottom))),
                        tuple(g.act(np.asarray(self.top))))
 
-    def descriptor(self):
-        return {"type": "diamond", "bottom": list(self.bottom), "top": list(self.top)}
-
 
 @dataclass(frozen=True)
 class GraphPatch(SpacetimeRegion):
@@ -245,10 +235,6 @@ class GraphPatch(SpacetimeRegion):
 
     def region(self) -> Region:
         return Region(self.surface, self.mask)
-
-    def descriptor(self):
-        return {"type": "graph_patch", "surface": self.surface.descriptor(),
-                "mask": self.mask.descriptor()}
 
 
 # the scan's geometric scales (multiples of a point's reach), its fixed axis

@@ -25,9 +25,11 @@ that and grows only while its spectrum checks fail.  `normalization_mode`
 is "raw", or "energy" for a tensor (stress-energy) kernel; every flux
 command applies it.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a kernel the configured factorization cannot truncate or
-certify and a group element that moves the packet's support off the grid).
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
+reported in one line without a traceback: an unknown key, a malformed value
+(kernel selector, packet, surface or mask descriptor, flattening factor), a
+kernel the configured factorization cannot truncate or certify, or a group
+element that moves the packet's support off the grid.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .currents import (CurrentSpec, FactorizationError, build_fast, covariance_p
 from .grids import MomentumGrid
 from .kernels import (CausalKernel, TensorKernel, gram_extreme_eigenvalues,
                       parse_kernel_spec)
-from .localization import (BallMask, Region, covariance_check,
-                           flux_invariance_report, mask_from_descriptor, probability)
+from .localization import (BallMask, Mask, Region, covariance_check,
+                           flux_invariance_report, probability)
 from .minkowski import PoincareElement, boost_z, rotation
-from .surfaces import ConeSurface, FlatSurface, surface_from_descriptor
+from .surfaces import AchronalSurface, ConeSurface, DescriptorError, FlatSurface, flatten
 from .wavepacket import SupportEscapeError, make_packet
 
 
@@ -140,7 +142,10 @@ class _Run:
             cfg["seed"] = int(seed)
         cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
         self.command, self.cfg, self.outdir = command, cfg, outdir
-        self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
+        try:
+            self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
+        except ValueError as exc:
+            raise ConfigError(f"kernel: {exc}")
         mode = cfg["normalization_mode"]
         if mode != "raw" and not (mode == "energy" and isinstance(self.kernel, TensorKernel)):
             raise ConfigError(f"normalization_mode {mode!r}: 'energy' applies to "
@@ -154,8 +159,11 @@ class _Run:
         given."""
         cfg, pk = self.cfg, self.cfg["packet"]
         grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
-        packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
-                             **pk["params"])
+        try:
+            packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
+                                 **pk["params"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"packet: {exc}")
         return CurrentSpec(self.kernel, packet)
 
     def build(self, spec: CurrentSpec):
@@ -218,8 +226,8 @@ def main():
 
 
 # errors that make a run exit 2, with the prefix of their message
-_EXIT_2 = ((ConfigError, "config error"), (FactorizationError, "factorization error"),
-           (SupportEscapeError, "support escape"))
+_EXIT_2 = ((ConfigError, "config error"), (DescriptorError, "config error"),
+           (FactorizationError, "factorization error"), (SupportEscapeError, "support escape"))
 
 
 def _command(name: str):
@@ -282,9 +290,16 @@ def normalize(run):
 @_command("invariance")
 def invariance(run):
     """Flux invariance across maximal achronal surfaces."""
+    surfaces = [AchronalSurface.from_descriptor(d) for d in run.cfg["surfaces"]]
+    sw = run.cfg["flatten_sweep"]
+    if sw:
+        base = AchronalSurface.from_descriptor(sw["surface"])
+        try:
+            swept = [(gamma, flatten(base, float(gamma))) for gamma in sw["gammas"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"flatten_sweep: {exc}")
     spec = run.spec()
     backend = run.build(spec)
-    surfaces = [surface_from_descriptor(d) for d in run.cfg["surfaces"]]
     rep = flux_invariance_report(spec, surfaces, backend=backend,
                                  tolerance_budget=run.cfg["tolerances"]["invariance"],
                                  **run.quad)
@@ -295,17 +310,13 @@ def invariance(run):
     figures = {"probabilities": rep["probabilities"],
                "boundary_flux_fraction": rep["boundary_flux_fraction"],
                "warnings": rep["warnings"]}
-    sw = run.cfg["flatten_sweep"]
     if sw:
-        base = surface_from_descriptor(sw["surface"])
+        sweep = [(gamma, probability(spec, Region(surface), backend=backend, **run.quad))
+                 for gamma, surface in swept]
         rows.append(["flatten_gamma", "probability", "error_estimate"])
-        sweep = []
-        for gamma in sw["gammas"]:
-            r = probability(spec, Region(base.flatten(float(gamma))), backend=backend,
-                            **run.quad)
-            rows.append([gamma, r.probability, r.error_estimate])
-            sweep.append({"gamma": gamma, "probability": r.probability})
-        figures["flatten_sweep"] = sweep
+        rows += [[gamma, r.probability, r.error_estimate] for gamma, r in sweep]
+        figures["flatten_sweep"] = [{"gamma": gamma, "probability": r.probability}
+                                    for gamma, r in sweep]
     return run.emit(figures, rows)
 
 
@@ -331,17 +342,14 @@ def covariance(run):
     elements = _group_elements(cfg["group"])
     if not elements:
         raise ConfigError("covariance needs at least one group element")
+    regions = [Region(AchronalSurface.from_descriptor(rd["surface"]),
+                      Mask.from_descriptor(rd["mask"])) for rd in cfg["regions"]]
     spec = run.spec()
     backend = run.build(spec)
     norm2 = spec.packet.norm_squared()
     rows = [["element", "region", "lhs", "rhs", "relative"]]
-    regions = cfg["regions"] or [{"surface": {"type": "flat", "t0": 0.0},
-                                  "mask": {"type": "ball", "center": [0, 0, 0],
-                                           "radius": 4.0}}]
     for name, g in elements:
-        for rd in regions:
-            region = Region(surface_from_descriptor(rd["surface"]),
-                            mask_from_descriptor(rd["mask"]))
+        for region in regions or [Region(FlatSurface(0.0), BallMask((0, 0, 0), 4.0))]:
             lhs, rhs = covariance_check(spec, g, region, backend=backend, **run.quad)
             rel = abs(lhs.probability - rhs.probability) / norm2
             run.check(f"covariance_{name}", rel, f"covariance_{name}")

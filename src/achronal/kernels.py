@@ -225,33 +225,38 @@ def gram_extreme_eigenvalues(points, kern: CausalKernel):
     return float(w[0]), float(w[-1])
 
 
+# the option keys and flags of each kernel selector head, and the tensor variants
+_SELECTORS = {"basic": ({"r"}, {"printed"}), "oscillatory": ({"omega"}, set()),
+              "tensor": ({"n", "variant"}, set())}
+_VARIANTS = {"standard": "stress_energy_standard", "printed": "as_printed"}
+
+
 def parse_kernel_spec(text: str, mass: float):
-    """Parse CLI kernel selectors.
+    """Parse CLI kernel selectors; ValueError for an unknown head, option
+    key, flag or variant.
 
     Forms: "basic:r=1.5", "basic:r=1.5:printed",
     "oscillatory:omega=50",
     "tensor:n=(1,0,0,0):variant=standard" (or variant=printed).
     """
-    parts = text.strip().split(":")
-    head, opts = parts[0], parts[1:]
-    kv = {}
-    flags = set()
-    for item in opts:
-        if "=" in item:
-            key, val = item.split("=", 1)
-            kv[key] = val
-        else:
-            flags.add(item)
+    head, *opts = text.strip().split(":")
+    if head not in _SELECTORS:
+        raise ValueError(f"unknown kernel spec {text!r}")
+    kv = dict(item.split("=", 1) for item in opts if "=" in item)
+    flags = {item for item in opts if "=" not in item}
+    keys, known_flags = _SELECTORS[head]
+    unknown = sorted(set(kv) - keys) + sorted(flags - known_flags)
+    if unknown:
+        raise ValueError(f"kernel spec {text!r}: unknown options {unknown}")
     if head == "basic":
         r = float(kv.get("r", 1.5))
         return CausalKernel(GFunction.basic(r, mass, printed="printed" in flags), mass)
     if head == "oscillatory":
         omega = float(kv.get("omega", 50.0))
         return CausalKernel(GFunction.oscillatory(omega, mass), mass)
-    if head == "tensor":
-        nspec = kv.get("n", "(1,0,0,0)").strip("()")
-        n = np.array([float(v) for v in nspec.split(",")])
-        variant = {"standard": "stress_energy_standard",
-                   "printed": "as_printed"}[kv.get("variant", "standard")]
-        return TensorKernel(n, mass, variant)
-    raise ValueError(f"unknown kernel spec {text!r}")
+    nspec = kv.get("n", "(1,0,0,0)").strip("()")
+    n = np.array([float(v) for v in nspec.split(",")])
+    variant = kv.get("variant", "standard")
+    if variant not in _VARIANTS:
+        raise ValueError(f"kernel spec {text!r}: unknown variant {variant!r}")
+    return TensorKernel(n, mass, _VARIANTS[variant])

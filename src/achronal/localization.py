@@ -54,7 +54,7 @@ from .currents import (BackendMismatchError, CurrentSpec, FastBackend, SupportDa
                        build_fast, covariant_spec)
 from .grids import position_window_axis
 from .minkowski import PoincareElement
-from .surfaces import AchronalSurface, FlatSurface, SurfaceTransformResult
+from .surfaces import AchronalSurface, Described, FlatSurface, SurfaceTransformResult
 from .wavepacket import WavePacket, combine
 
 
@@ -71,11 +71,10 @@ class UnsupportedGeometryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Mask:
-    def contains(self, pts):
-        raise NotImplementedError
+class Mask(Described):
+    keys = {"inner": "of"}
 
-    def descriptor(self) -> dict:
+    def contains(self, pts):
         raise NotImplementedError
 
     def label(self) -> str:
@@ -84,37 +83,32 @@ class Mask:
 
 @dataclass(frozen=True)
 class FullMask(Mask):
+    kind = "full"
+
     def contains(self, pts):
         return np.ones(np.asarray(pts).shape[:-1], dtype=bool)
-
-    def descriptor(self):
-        return {"type": "full"}
 
 
 @dataclass(frozen=True)
 class BallMask(Mask):
     center: tuple
     radius: float
+    kind = "ball"
 
     def contains(self, pts):
         d = np.asarray(pts, dtype=float) - np.asarray(self.center)
         return np.sum(d * d, axis=-1) <= self.radius ** 2
-
-    def descriptor(self):
-        return {"type": "ball", "center": list(self.center), "radius": self.radius}
 
 
 @dataclass(frozen=True)
 class BoxMask(Mask):
     lo: tuple
     hi: tuple
+    kind = "box"
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.all((pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)), axis=-1)
-
-    def descriptor(self):
-        return {"type": "box", "lo": list(self.lo), "hi": list(self.hi)}
 
 
 @dataclass(frozen=True)
@@ -123,51 +117,37 @@ class HalfSpaceMask(Mask):
 
     normal: tuple
     offset: float = 0.0
+    kind = "half_space"
 
     def contains(self, pts):
         return np.asarray(pts, dtype=float) @ np.asarray(self.normal) > self.offset
-
-    def descriptor(self):
-        return {"type": "half_space", "normal": list(self.normal), "offset": self.offset}
 
 
 @dataclass(frozen=True)
 class ComplementMask(Mask):
     inner: Mask
+    kind = "complement"
 
     def contains(self, pts):
         return ~self.inner.contains(pts)
-
-    def descriptor(self):
-        return {"type": "complement", "of": self.inner.descriptor()}
 
 
 @dataclass(frozen=True)
 class UnionMask(Mask):
     parts: tuple
+    kind = "union"
 
     def contains(self, pts):
-        out = self.parts[0].contains(pts)
-        for p in self.parts[1:]:
-            out = out | p.contains(pts)
-        return out
-
-    def descriptor(self):
-        return {"type": "union", "parts": [p.descriptor() for p in self.parts]}
+        return np.logical_or.reduce([p.contains(pts) for p in self.parts])
 
 
 @dataclass(frozen=True)
 class IntersectionMask(Mask):
     parts: tuple
+    kind = "intersection"
 
     def contains(self, pts):
-        out = self.parts[0].contains(pts)
-        for p in self.parts[1:]:
-            out = out & p.contains(pts)
-        return out
-
-    def descriptor(self):
-        return {"type": "intersection", "parts": [p.descriptor() for p in self.parts]}
+        return np.logical_and.reduce([p.contains(pts) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -177,31 +157,10 @@ class ImageMask(Mask):
 
     inner: Mask
     transform: SurfaceTransformResult
+    kind = "image_mask"
 
     def contains(self, pts):
         return self.inner.contains(self.transform.s_inverse(pts))
-
-    def descriptor(self):
-        return {"type": "image", "of": self.inner.descriptor()}
-
-
-def mask_from_descriptor(d: dict) -> Mask:
-    kind = d["type"]
-    if kind == "full":
-        return FullMask()
-    if kind == "ball":
-        return BallMask(tuple(d["center"]), float(d["radius"]))
-    if kind == "box":
-        return BoxMask(tuple(d["lo"]), tuple(d["hi"]))
-    if kind == "half_space":
-        return HalfSpaceMask(tuple(d["normal"]), float(d.get("offset", 0.0)))
-    if kind == "complement":
-        return ComplementMask(mask_from_descriptor(d["of"]))
-    if kind == "union":
-        return UnionMask(tuple(mask_from_descriptor(p) for p in d["parts"]))
-    if kind == "intersection":
-        return IntersectionMask(tuple(mask_from_descriptor(p) for p in d["parts"]))
-    raise ValueError(f"unknown mask descriptor {d!r}")
 
 
 @dataclass(frozen=True)

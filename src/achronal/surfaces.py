@@ -24,7 +24,7 @@ equation (`SurfaceTransformResult.s_inverse`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,10 +41,79 @@ class SurfaceDomainError(ValueError):
     """Point outside the surface's spatial domain."""
 
 
-class AchronalSurface:
-    """Base for graph surfaces; subclasses define tau/gradient/flatten."""
+class DescriptorError(ValueError):
+    """A descriptor of unknown type, with unknown or missing keys or a rejected value."""
 
-    kind = "abstract"
+
+def _subclasses(cls):
+    return [s for sub in cls.__subclasses__() for s in (sub, *_subclasses(sub))]
+
+
+class Described:
+    """Dataclasses written to and read from JSON descriptors.
+
+    A descriptor is {"type": kind, field: value, ...}, one key per field in
+    field order, renamed where `keys` says (a mask's `inner` is "of").  A
+    nested Described value is written as its descriptor, a PoincareElement
+    as {"a": [4 floats], "L": [4 rows of 4]}, tuples and arrays as lists and
+    numpy scalars as plain numbers.  Reading turns lists into tuples and
+    `float` fields into floats and calls the class, so the dataclass owns
+    every default and every check of a value.  Kinds are unique among all
+    Described classes; a class without one is not read.
+    """
+
+    kind = None
+    keys = {}
+
+    def descriptor(self) -> dict:
+        return {"type": self.kind,
+                **{self.keys.get(f.name, f.name): _write(getattr(self, f.name))
+                   for f in fields(self)}}
+
+    @classmethod
+    def from_descriptor(cls, d):
+        """The object of descriptor d, of a subclass of cls."""
+        kind = d.get("type") if isinstance(d, dict) else None
+        sub = next((c for c in _subclasses(cls) if kind is not None and c.kind == kind), None)
+        if sub is None:
+            raise DescriptorError(f"unknown {cls.__name__} descriptor {d!r}")
+        named = {sub.keys.get(f.name, f.name): f for f in fields(sub) if f.init}
+        unknown = set(d) - set(named) - {"type"}
+        if unknown:
+            raise DescriptorError(f"{sub.kind}: unknown keys {sorted(unknown)}")
+        try:
+            return sub(**{named[k].name: _read(v, named[k].type)
+                          for k, v in d.items() if k != "type"})
+        except (TypeError, ValueError) as exc:
+            raise DescriptorError(f"{sub.kind}: {exc}") from exc
+
+
+def _write(v):
+    if isinstance(v, Described):
+        return v.descriptor()
+    if isinstance(v, PoincareElement):
+        return {"a": _write(v.a), "L": _write(v.L)}
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_write(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _read(v, annotation=None):
+    if annotation in (float, "float"):
+        return float(v)
+    if isinstance(v, list):
+        return tuple(_read(x) for x in v)
+    if not isinstance(v, dict):
+        return v
+    if "type" in v:
+        return Described.from_descriptor(v)
+    if set(v) != {"a", "L"}:
+        raise DescriptorError(f"neither a descriptor nor a Poincare element: {v!r}")
+    return PoincareElement(v["a"], v["L"])
+
+
+class AchronalSurface(Described):
+    """Base for graph surfaces; subclasses define tau/gradient/flatten."""
 
     def tau(self, x):
         raise NotImplementedError
@@ -57,9 +126,6 @@ class AchronalSurface:
         raise NotImplementedError
 
     def flatten(self, gamma: float) -> "AchronalSurface":
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -87,8 +153,6 @@ class FlatSurface(AchronalSurface):
     def flatten(self, gamma):
         return FlatSurface(gamma * self.t0)
 
-    def descriptor(self):
-        return {"type": "flat", "t0": self.t0}
 
 
 @dataclass(frozen=True)
@@ -120,8 +184,6 @@ class TiltedSurface(AchronalSurface):
     def flatten(self, gamma):
         return TiltedSurface(tuple(gamma * v for v in self.e), gamma * self.offset)
 
-    def descriptor(self):
-        return {"type": "tilted", "e": list(self.e), "offset": self.offset}
 
 
 @dataclass(frozen=True)
@@ -156,8 +218,6 @@ class BumpSurface(AchronalSurface):
     def flatten(self, gamma):
         return BumpSurface(gamma * self.amplitude, self.scale)
 
-    def descriptor(self):
-        return {"type": "bump", "amplitude": self.amplitude, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -200,9 +260,6 @@ class ConeSurface(AchronalSurface):
     def flatten(self, gamma):
         return ConeSurface(gamma * self.gamma, self.apex, gamma * self.offset)
 
-    def descriptor(self):
-        return {"type": "cone", "gamma": self.gamma, "apex": list(self.apex),
-                "offset": self.offset}
 
 
 _NEIGHBOR_DIRS = [np.array(d) for d in
@@ -284,20 +341,6 @@ class SampledSurface(AchronalSurface):
                 "origin": list(self.origin), "spacing": self.spacing}
 
 
-def surface_from_descriptor(d: dict) -> AchronalSurface:
-    kind = d["type"]
-    if kind == "flat":
-        return FlatSurface(float(d.get("t0", 0.0)))
-    if kind == "tilted":
-        return TiltedSurface(tuple(d["e"]), float(d.get("offset", 0.0)))
-    if kind == "bump":
-        return BumpSurface(float(d["amplitude"]), float(d.get("scale", 2.0)))
-    if kind == "cone":
-        return ConeSurface(float(d["gamma"]), tuple(d.get("apex", (0, 0, 0))),
-                           float(d.get("offset", 0.0)))
-    raise ValueError(f"unknown surface descriptor {d!r}")
-
-
 def flatten(surface: AchronalSurface, gamma: float) -> AchronalSurface:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
@@ -362,6 +405,7 @@ class SurfaceTransformResult(AchronalSurface):
     g: PoincareElement
     surface: AchronalSurface
     kind = "image"
+    keys = {"surface": "of"}
 
     def _image(self, x):
         """g . (tau(x), x), shape (..., 4)."""
@@ -412,9 +456,6 @@ class SurfaceTransformResult(AchronalSurface):
     def jacobian_det(self, x):
         return transform_gradient_data(self.g.L, self.surface.gradient(x))[1]
 
-    def descriptor(self):
-        return {"type": "image", "g": {"a": self.g.a.tolist(), "L": self.g.L.tolist()},
-                "of": self.surface.descriptor()}
 
     def label(self):
         return f"image({self.surface.label()})"

@@ -350,6 +350,39 @@ def test_cli_support_escape_is_a_config_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command, change", [
+    ("normalize", {"kernel": "basik:r=1.5"}),
+    ("normalize", {"kernel": "basic:rr=2"}),
+    ("normalize", {"kernel": "basic:r=2.5:printd"}),
+    ("normalize", {"kernel": "tensor:n=(1,0,0,0):variant=std"}),
+    ("normalize", {"packet": {"params": {"sigmaa": 1.0}}}),
+    ("normalize", {"packet": {"kind": "gaussian"}}),
+    ("normalize", {"packet": {"params": {"support_radius": 9.0}}}),
+    ("invariance", {"surfaces": [{"type": "flatt"}]}),
+    ("invariance", {"surfaces": [{"type": "flat", "t": 1}]}),
+    ("invariance", {"flatten_sweep": {"surface": {"type": "cone", "gamma": 1.0},
+                                      "gammas": [0.5, 1.5]}}),
+    ("covariance", {"group": {"rapidity": 0.25},
+                    "regions": [{"surface": {"type": "flat"},
+                                 "mask": {"type": "ball", "center": [0, 0, 0]}}]}),
+], ids=["kernel_head", "kernel_key", "kernel_flag", "kernel_variant", "packet_param",
+        "packet_kind", "packet_support", "surface_type", "surface_key", "sweep_gamma",
+        "mask_missing_key"])
+def test_cli_malformed_values_are_config_errors(tmp_path, command, change):
+    # a malformed value inside an accepted key exits 2 with one line, not 1
+    # with a traceback or 0 with the value dropped
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **change}))
+    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
+
+
 def test_cli_kernel_pd_and_oscillatory(tmp_path):
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(BASE_CONFIG))

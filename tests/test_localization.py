@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
                                    MaskOverlapError, Region, UnionMask,
                                    UnsupportedGeometryError, additivity_check,
                                    causal_monotonicity_check, covariance_check,
-                                   flux_invariance_report, mask_from_descriptor,
-                                   matrix_element, probability,
-                                   probability_transformed)
-from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
-from achronal.surfaces import (BumpSurface, ConeSurface, FlatSurface,
-                               SurfaceTransformResult, TiltedSurface)
+                                   Mask, flux_invariance_report, matrix_element,
+                                   probability, probability_transformed)
+from achronal.minkowski import PoincareElement, boost_axis, boost_z, fourvector, rotation
+from achronal.surfaces import (AchronalSurface, BumpSurface, ConeSurface, Described,
+                               FlatSurface, SampledSurface, SurfaceTransformResult,
+                               TiltedSurface)
 from achronal.wavepacket import make_packet
 
 M = 1.0
@@ -263,7 +264,7 @@ def test_mask_descriptor_roundtrip():
              UnionMask((BallMask((0, 0, 0), 1.0), BallMask((2, 0, 0), 1.0))),
              IntersectionMask((HalfSpaceMask((1, 0, 0)), HalfSpaceMask((0, 1, 0))))]
     for m in masks:
-        assert mask_from_descriptor(m.descriptor()) == m
+        assert Mask.from_descriptor(m.descriptor()) == m
 
 
 _COORD = st.floats(-3, 3)
@@ -280,14 +281,70 @@ _MASKS = st.recursive(
     max_leaves=8)
 
 
+# images of drawn masks under a boost along a drawn axis, a rotation about
+# another and a translation, of a flat, bumped or conical surface
+_AXES = _VEC.filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: np.array(v) / np.linalg.norm(v))
+_TRANSFORMS = st.builds(
+    lambda a, b_axis, rho, r_axis, angle, surface: SurfaceTransformResult(
+        PoincareElement(np.array(a), boost_axis(b_axis, rho) @ rotation(r_axis, angle)),
+        surface),
+    st.tuples(_COORD, _COORD, _COORD, _COORD), _AXES, st.floats(-1.5, 1.5), _AXES,
+    st.floats(0.0, 2 * np.pi),
+    st.sampled_from([FlatSurface(0.2), BumpSurface(0.6, 1.5), ConeSurface(-0.5, (0.5, 0, 0), 1.0)]))
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(_MASKS, st.lists(_VEC, min_size=1, max_size=20))
+@given(st.one_of(_MASKS, st.builds(ImageMask, _MASKS, _TRANSFORMS)),
+       st.lists(_VEC, min_size=1, max_size=20))
 def test_mask_descriptor_roundtrip_drawn(m, pts):
-    # through JSON, as a config file stores it
-    back = mask_from_descriptor(json.loads(json.dumps(m.descriptor())))
-    assert back == m
+    # through JSON, as a config file stores it; an image mask holds arrays,
+    # so it is compared by its descriptor and its membership
+    back = Mask.from_descriptor(json.loads(json.dumps(m.descriptor())))
+    assert type(back) is type(m) and back.descriptor() == m.descriptor()
+    assert isinstance(m, ImageMask) or back == m
     x = np.array(pts)
     assert np.array_equal(back.contains(x), m.contains(x))
+
+
+def _subclasses(cls):
+    return [s for sub in cls.__subclasses__() for s in (sub, *_subclasses(sub))]
+
+
+# a value for each field annotation of a Described class; a new surface or
+# mask whose fields use these annotations needs no change below
+_G = PoincareElement(np.array([0.1, -0.2, 0.3, 0.4]),
+                     boost_axis((1 / 3, 2 / 3, 2 / 3), 0.4) @ rotation((0, 0.6, 0.8), 0.7))
+_FIELD_VALUES = {
+    "float": 0.375,
+    "tuple": (0.25, -0.5, 0.75),
+    "Mask": BallMask((0.5, 0, 0), 1.5),
+    "AchronalSurface": BumpSurface(0.5, 1.5),
+    "PoincareElement": _G,
+    "SurfaceTransformResult": SurfaceTransformResult(_G, ConeSurface(-0.5, (0, 0.5, 0), 1.0)),
+}
+_PART_VALUES = (BallMask((0.5, 0, 0), 1.5), HalfSpaceMask((0, 0, 1), 0.25))
+
+
+def test_every_described_kind_is_unique_and_reads_back():
+    kinds = [cls for cls in _subclasses(Described) if cls.kind is not None]
+    names = [cls.kind for cls in kinds]
+    assert len(set(names)) == len(names), names
+    # SampledSurface writes its value cube's shape only, so it is not read
+    readable = [cls for cls in kinds if cls is not SampledSurface]
+    assert {AchronalSurface, Mask} <= {base for cls in readable for base in cls.__mro__}
+    pts = np.random.default_rng(3).uniform(-3, 3, (50, 3))
+    for cls in readable:
+        # `parts` fields hold masks
+        obj = cls(**{f.name: _PART_VALUES if f.name == "parts" else _FIELD_VALUES[f.type]
+                     for f in fields(cls) if f.init})
+        back = Described.from_descriptor(json.loads(json.dumps(obj.descriptor())))
+        assert type(back) is cls and back.descriptor() == obj.descriptor(), cls
+        if isinstance(obj, Mask):
+            assert np.array_equal(back.contains(pts), obj.contains(pts)), cls
+        else:
+            assert np.array_equal(back.tau(pts), obj.tau(pts)), cls
+            assert np.array_equal(back.gradient(pts), obj.gradient(pts)), cls
 
 
 def test_result_range_invariant(spec16, fast16):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from achronal.minkowski import (PoincareElement, apply_lorentz, boost_axis, boost_z,
                                 rotation)
-from achronal.surfaces import (AchronalSurface, BumpSurface, ConeSurface, FlatSurface,
-                               FoldOverError, SampledSurface, SurfaceDomainError,
-                               SurfaceTransformResult, TiltedSurface, flatten,
-                               is_spacelike_cauchy, surface_from_descriptor,
-                               transform_gradient_data)
+from achronal.surfaces import (AchronalSurface, BumpSurface, ConeSurface, DescriptorError,
+                               FlatSurface, FoldOverError, SampledSurface,
+                               SurfaceDomainError, SurfaceTransformResult, TiltedSurface,
+                               flatten, is_spacelike_cauchy, transform_gradient_data)
 
 
 def test_flat_closed_forms():
@@ -108,11 +107,28 @@ def test_sampled_surface_domain_error():
 def test_descriptor_roundtrip():
     for s in (FlatSurface(0.3), TiltedSurface((0, 0.2, 0.5), 0.1),
               BumpSurface(0.6, 2.0), ConeSurface(0.8, (1, 0, 0), 0.2)):
-        assert surface_from_descriptor(s.descriptor()) == s
+        assert AchronalSurface.from_descriptor(s.descriptor()) == s
+
+
+def test_labels_carry_plain_numbers():
+    # numpy scalars in a field print as plain numbers, not np.float64(...)
+    assert TiltedSurface((0, 0, 0.4)).label() == "tilted(e=[0.0, 0.0, 0.4],offset=0.0)"
+    assert BumpSurface(0.5).label() == "bump(amplitude=0.5,scale=2.0)"
+    assert ConeSurface(-0.5, (0, 0, 0), 2.0).label() == \
+        "cone(gamma=-0.5,apex=[0.0, 0.0, 0.0],offset=2.0)"
 
 
 _COORD = st.floats(-3, 3)
 _VEC = st.tuples(_COORD, _COORD, _COORD)
+_AXES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
+    lambda a: np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]),
+                        np.cos(a[0])]))
+# translation, then rotation, then boost: g = (a, boost(rho) rotation(angle))
+_ELEMENTS = st.builds(
+    lambda a, b_axis, rho, r_axis, angle: PoincareElement(
+        np.array(a), boost_axis(b_axis, rho) @ rotation(r_axis, angle)),
+    st.tuples(_COORD, _COORD, _COORD, _COORD), _AXES, st.floats(-1.5, 1.5), _AXES,
+    st.floats(0.0, 2 * np.pi))
 _SURFACES = st.one_of(
     st.builds(FlatSurface, _COORD),
     st.builds(TiltedSurface, st.tuples(*[st.floats(-1, 1)] * 3)
@@ -123,13 +139,43 @@ _SURFACES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(_SURFACES, st.lists(_VEC, min_size=1, max_size=10))
+@given(st.one_of(_SURFACES, st.builds(SurfaceTransformResult, _ELEMENTS, _SURFACES)),
+       st.lists(_VEC, min_size=1, max_size=10))
 def test_descriptor_roundtrip_drawn(s, pts):
-    # through JSON, as a config file stores it
-    back = surface_from_descriptor(json.loads(json.dumps(s.descriptor())))
-    assert back == s
+    # through JSON, as a config file stores it; an image holds arrays, so it
+    # is compared by its descriptor and its values
+    back = AchronalSurface.from_descriptor(json.loads(json.dumps(s.descriptor())))
+    assert type(back) is type(s) and back.descriptor() == s.descriptor()
+    assert isinstance(s, SurfaceTransformResult) or back == s
     x = np.array(pts)
     assert np.array_equal(back.tau(x), s.tau(x))
+    assert np.array_equal(back.gradient(x), s.gradient(x))
+
+
+_BOOST = {"a": [0.0, 0.0, 0.0, 0.5], "L": boost_z(0.3).tolist()}
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"type": "flatt"}, "unknown AchronalSurface descriptor"),
+    ({"type": "ball", "center": [0, 0, 0], "radius": 1.0}, "unknown AchronalSurface"),
+    ([0.0], "unknown AchronalSurface descriptor"),
+    ({"type": "flat", "t": 1.0}, r"flat: unknown keys \['t'\]"),
+    ({"type": "bump", "amplitude": 0.5, "scal": 9}, r"bump: unknown keys \['scal'\]"),
+    ({"type": "bump", "scale": 2.0}, "missing 1 required positional argument"),
+    ({"type": "bump", "amplitude": 1.5}, "amplitude"),
+    ({"type": "flat", "t0": "one"}, "could not convert"),
+    ({"type": "image", "g": {"a": [0.0] * 4}, "of": {"type": "flat"}},
+     "neither a descriptor nor a Poincare element"),
+    ({"type": "image", "g": {**_BOOST, "L": np.diag([1.0, 2.0, 1.0, 1.0]).tolist()},
+      "of": {"type": "flat"}}, "image: "),
+    ({"type": "image", "g": _BOOST, "of": {"type": "flat", "t0": 0.0, "x": 1}},
+     r"flat: unknown keys \['x'\]"),
+], ids=["unknown_type", "mask_type", "not_an_object", "unknown_key", "misspelt_key",
+        "missing_key", "rejected_value", "malformed_value", "nested_object",
+        "rejected_element", "nested_unknown_key"])
+def test_strict_descriptor_reader(d, message):
+    with pytest.raises(DescriptorError, match=message):
+        AchronalSurface.from_descriptor(d)
 
 
 def test_transform_identity():
@@ -238,11 +284,6 @@ def test_fold_over_on_invalid_input():
     res = SurfaceTransformResult(g, bad)
     with pytest.raises((FoldOverError, SurfaceDomainError)):
         res.s_inverse(np.array([[0.0, 0.0, -1.0]]))
-
-
-_AXES = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
-    lambda a: np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]),
-                        np.cos(a[0])]))
 
 
 @settings(max_examples=30, deadline=None, database=None)
