@@ -18,18 +18,23 @@ and writes to its output directory:
   that tail is certified.
 
 The config is strictly validated: unknown keys are rejected in every
-object except the free-form `packet.params` and `group`, tolerances
-included.  The factorization key holds build_fast's `tol` and, as
-`landmarks`, the largest landmark count a build may use: it starts below
-that and grows only while its spectrum checks fail.  `normalization_mode`
+object except the free-form `packet.params`, tolerances included.  A
+`covariance` region takes a `surface` and a `mask` descriptor, a
+`flatten_sweep` a `surface` and its `gammas`, and `group` any of
+`rapidity`, `rotation` (an `angle` and a unit `axis`, by default z) and
+`translation` (a 4-vector); a missing or unknown key there is an error too.
+The factorization key holds build_fast's `tol` and, as `landmarks`, the
+largest landmark count a build may use: it starts below that and grows
+only while its spectrum checks fail.  `normalization_mode`
 is "raw", or "energy" for a tensor (stress-energy) kernel; every flux
 command applies it.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-reported in one line without a traceback: an unknown key, a malformed value
-(kernel selector, packet, surface or mask descriptor, flattening factor), a
-kernel the configured factorization cannot truncate or certify, or a group
-element that moves the packet's support off the grid.
+reported in one line without a traceback: an unknown or missing key, a
+malformed value (kernel selector, packet, surface or mask descriptor,
+flattening factor, group element), a kernel the configured factorization
+cannot truncate or certify, or a group element that moves the packet's
+support off the grid.
 """
 
 from __future__ import annotations
@@ -123,6 +128,20 @@ def _merge_defaults(defaults: dict, given, path: str = "config") -> dict:
     return out
 
 
+def _object(value, path: str, required=(), optional=()) -> dict:
+    """`value`, which must be an object with every key of `required` and
+    no key outside `required` and `optional`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"{path}: missing keys {missing}")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    return value
+
+
 def load_config(path, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -142,6 +161,8 @@ class _Run:
             cfg["seed"] = int(seed)
         cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
         self.command, self.cfg, self.outdir = command, cfg, outdir
+        if not isinstance(cfg["kernel"], str):
+            raise ConfigError(f"kernel: expected a selector string, got {cfg['kernel']!r}")
         try:
             self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
         except ValueError as exc:
@@ -293,6 +314,7 @@ def invariance(run):
     surfaces = [AchronalSurface.from_descriptor(d) for d in run.cfg["surfaces"]]
     sw = run.cfg["flatten_sweep"]
     if sw:
+        _object(sw, "config.flatten_sweep", ("surface", "gammas"))
         base = AchronalSurface.from_descriptor(sw["surface"])
         try:
             swept = [(gamma, flatten(base, float(gamma))) for gamma in sw["gammas"]]
@@ -321,17 +343,25 @@ def invariance(run):
 
 
 def _group_elements(gcfg):
-    out = []
-    if "rapidity" in gcfg:
-        out.append(("boost", PoincareElement.from_lorentz(boost_z(float(gcfg["rapidity"])))))
+    """The config's group elements as (name, element): a boost along z, a
+    rotation and a translation, those that `group` names."""
+    _object(gcfg, "config.group", optional=("rapidity", "rotation", "translation"))
     if "rotation" in gcfg:
-        rc = gcfg["rotation"]
-        out.append(("rotation", PoincareElement.from_lorentz(
-            rotation(np.asarray(rc.get("axis", [0, 0, 1]), dtype=float),
-                     float(rc["angle"])))))
-    if "translation" in gcfg:
-        out.append(("translation",
-                    PoincareElement.translation(np.asarray(gcfg["translation"], dtype=float))))
+        _object(gcfg["rotation"], "config.group.rotation", ("angle",), ("axis",))
+    out = []
+    try:
+        if "rapidity" in gcfg:
+            out.append(("boost", PoincareElement.from_lorentz(boost_z(float(gcfg["rapidity"])))))
+        if "rotation" in gcfg:
+            rc = gcfg["rotation"]
+            out.append(("rotation", PoincareElement.from_lorentz(
+                rotation(np.asarray(rc.get("axis", [0, 0, 1]), dtype=float),
+                         float(rc["angle"])))))
+        if "translation" in gcfg:
+            out.append(("translation",
+                        PoincareElement.translation(np.asarray(gcfg["translation"], dtype=float))))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"group: {exc}")
     return out
 
 
@@ -342,8 +372,13 @@ def covariance(run):
     elements = _group_elements(cfg["group"])
     if not elements:
         raise ConfigError("covariance needs at least one group element")
-    regions = [Region(AchronalSurface.from_descriptor(rd["surface"]),
-                      Mask.from_descriptor(rd["mask"])) for rd in cfg["regions"]]
+    if not isinstance(cfg["regions"], list):
+        raise ConfigError("config.regions: expected a list")
+    regions = []
+    for i, rd in enumerate(cfg["regions"]):
+        _object(rd, f"config.regions[{i}]", ("surface", "mask"))
+        regions.append(Region(AchronalSurface.from_descriptor(rd["surface"]),
+                              Mask.from_descriptor(rd["mask"])))
     spec = run.spec()
     backend = run.build(spec)
     norm2 = spec.packet.norm_squared()

@@ -17,28 +17,45 @@ independent:
   every current component becomes a rank sum of products of momentum sums
   that evaluate either at given spacetime points (FastBackend.current_at,
   through the phase matrix) or on position-grid slices
-  (FastBackend.slice_fields: from the support's momentum box, FFTs of the
-  whole periodic grid or separable sums to a centred window of nodes, the
-  route of flat fluxes).  Stress-energy kernels are exactly
-  separable and need no factorization: four auxiliary fields with weights
-  p_mu/sqrt(eps) plus one with 1/sqrt(eps) rebuild the current
-  algebraically.
+  (FastBackend.slice_fields: separable sums from the support's momentum box
+  to a centred window of nodes, the route of flat fluxes, or pairs of
+  support nodes binned by lattice difference for the whole periodic grid).
+  Stress-energy kernels are exactly separable and need no factorization:
+  four auxiliary fields with weights p_mu/sqrt(eps) plus one with
+  1/sqrt(eps) rebuild the current algebraically; their whole-grid slices
+  take FFTs of those fields.
 
 Component mu of the causal current pairs the 1/sqrt(eps) field B with the
-mu-th of (sqrt(eps), p_i / sqrt(eps)).  A slice transforms the auxiliary
-fields of each eigenvector, a batch of eigenvectors per stacked transform
-call, and only the fields its first `components` components need: J0 alone
-takes two fields per eigenvector instead of five.  At the CLI default config
-(n=32) the window of a flat flux is 20^3 of the 32^3 nodes and the support
-fills a 20^3 box, so a J0 window slice takes 0.23-0.28 CPU-s against
-0.76-0.84 for the FFT slice (2-vCPU host).  Points need the factorization
-on the B field alone: the rank-R G goes onto the phase-loaded nodes with two
-real GEMMs, and each component is then one weighted node sum.  Their phase
-blocks come from separable tables (SupportData.phases): the support nodes
-lie on the momentum grid, so a block takes one exp per point and distinct
-energy or axis value, not one per node and point.  The direct route keeps
-the plain exp of the full phase argument, so the oracle shares no phase code
-with the fast route.
+mu-th of (sqrt(eps), p_i / sqrt(eps)).  A window slice transforms the
+auxiliary fields of each eigenvector, a batch of eigenvectors per stacked
+transform call, and only the fields its first `components` components need:
+J0 alone takes two fields per eigenvector instead of five.  At the CLI
+default config (n=32) the window of a flat flux is 20^3 of the 32^3 nodes
+and the support fills a 20^3 box, so a J0 window slice takes 0.23-0.28
+CPU-s (2-vCPU host).
+
+A whole-grid causal slice transforms no eigenvector.  Every support node
+lies on the momentum lattice, so the regrouped rank sum depends on x only
+through the grid-index difference of a node pair (FastBackend._pair_slice):
+the upper rows of G_R = V diag(mu) V^T, one GEMM of n_sup^2 R / 2
+multiply-adds, are binned into (2s - 1)^3 bins per component by
+np.bincount, with 5 passes over the n_sup^2 / 2 pairs for their common
+weight and code and 5 per component, and three small matrix products take
+the bins to the grid.  The FFT route it replaces cost 5 R FFTs of
+(refine n)^3 cubes.  At n=32 (3,648 support nodes, rank 306) a 4-component
+slice takes 0.74-0.84 CPU-s against 1.12-1.45 for the FFTs, and at refine 2
+0.75-0.86 against 9.8-13.0; at n=40 (7,208 nodes) 2.5-2.8 against
+2.6-3.1, and at n=48 (12,568 nodes), where pairs grow as n^6, 7.2-7.6
+against 5.7-5.9 (2-vCPU host).  The paper-check sizes are n <= 32, so no
+size switch is kept.
+
+Points need the factorization on the B field alone: the rank-R G goes onto
+the phase-loaded nodes with two real GEMMs, and each component is then one
+weighted node sum.  Their phase blocks come from separable tables
+(SupportData.phases): the support nodes lie on the momentum grid, so a
+block takes one exp per point and distinct energy or axis value, not one
+per node and point.  The direct route keeps the plain exp of the full phase
+argument, so the oracle shares no phase code with the fast route.
 
 Both routes share the phase convention above: the single-field transform is
 u(x) = sum_p h(p) exp(-i (eps(p) x0 - p.x)), so the conjugated k-side factor
@@ -60,12 +77,14 @@ from .wavepacket import WavePacket, apply_poincare, energy
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# eigenvectors per transform batch (a refined slice takes
+# eigenvectors per window-slice transform batch (a refined window takes
 # _RANK_BATCH // refine^3 of them, so that no batch holds more output entries
-# than at refine 1, on the whole grid and on a window alike); complex entries
-# per phase block (support nodes x points) of current_at, and per field of
-# eval_direct's point blocks; entries per row block of every g-matrix product
-# (_row_blocks: the factorization's and the causal eval_direct oracle's)
+# than at refine 1; whole-grid causal slices bin node pairs instead and
+# transform no eigenvector); complex entries per phase block (support nodes
+# x points) of current_at, and per field of eval_direct's point blocks;
+# entries per row block of every g-matrix product (_row_blocks: the
+# factorization's and the causal eval_direct oracle's) and per pair block
+# of a whole-grid causal slice (_upper_row_blocks)
 _RANK_BATCH = 24
 _PHASE_ENTRIES = 1 << 16
 _G_ENTRIES = 1 << 20
@@ -238,6 +257,18 @@ def _row_blocks(n_rows: int, n_cols: int):
     _G_ENTRIES entries (one row at least)."""
     step = max(1, _G_ENTRIES // max(n_cols, 1))
     return [slice(i0, min(i0 + step, n_rows)) for i0 in range(0, n_rows, step)]
+
+
+def _upper_row_blocks(n: int):
+    """Row slices of the upper triangle of an (n, n) matrix: rows i0 to i1
+    against the columns i0 to n, in blocks of at most _G_ENTRIES entries
+    (one row at least)."""
+    blocks, i0 = [], 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _G_ENTRIES // (n - i0)))
+        blocks.append(slice(i0, i1))
+        i0 = i1
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +459,23 @@ class FastBackend:
         Returns a real array of shape (components, M, M, M), the first
         `components` of (J0, J1, J2, J3): on the whole periodic grid, with
         M = refine * n, or, given `window_half`, on the centred window of
-        M = 2 window_half refine nodes per axis (position_window_mask).  Each
-        field starts from the support's bounding box (SupportData.box): one
-        FFT of the whole grid (momentum_to_position), or a separable sum that
-        computes no node outside the window (momentum_to_window).
+        M = 2 window_half refine nodes per axis (position_window_mask).  A
+        window slice transforms each field from the support's bounding box
+        (SupportData.box) with a separable sum that computes no node outside
+        the window (momentum_to_window).  A causal slice of the whole grid
+        bins the pairs of support nodes by lattice difference (_pair_slice):
+        n_sup^2 R / 2 multiply-adds for the upper rows of G_R and 5 + 5
+        `components` passes over the n_sup^2 / 2 pairs, whatever `refine`,
+        where the FFT route took 5 R FFTs of the grid; a stress-energy one
+        takes one FFT of the whole grid per field (momentum_to_position).
         """
         if not 1 <= components <= 4:
             raise ValueError(f"components must be 1 to 4, got {components}")
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
+        if window_half is None and not self.separable:
+            return self._pair_slice(load, refine, components) / TWO_PI_CUBED
         box = sup.box()
         cube = None
 
@@ -455,6 +493,49 @@ class FastBackend:
         J = self._current(load, transform, components,
                           batch=max(1, _RANK_BATCH // refine ** 3))
         return J / TWO_PI_CUBED
+
+    def _pair_slice(self, load, refine, components):
+        """(2 pi)^3 times the causal current (components, M, M, M) on the
+        whole grid, from the pairs k <= p of support nodes binned by lattice
+        difference.
+
+        With B = load / sqrt(eps), P = (eps, p) and G_R = V diag(mu) V^T,
+        sum_r mu_r Re(conj(F_r) B_r) regroups as
+
+            (2 pi)^3 J^mu(x) = Re sum_{k <= p} c_kp (P^mu_k + P^mu_p)
+                               conj(B_k) (G_R)_kp B_p exp(-i h (i_k - i_p).x)
+
+        with c = 1 off the diagonal and 1/2 on it, so it depends on x only
+        through the grid-index difference i_k - i_p: one bin of (2s - 1)^3
+        per component and real or imaginary part, filled block by block of
+        the upper rows of G_R (_upper_row_blocks, _bin_pairs), then three
+        products with exp(-i h d x) on the M = refine n nodes per axis.  The
+        cell-centred offsets of both grids cancel in the difference.
+        """
+        sup = self.support
+        n, M = len(load), refine * sup.grid.n
+        if n == 0:
+            return np.zeros((components, M, M, M))
+        lo, s, _ = sup.box()
+        nb = 2 * s - 1
+        # each node's mixed-radix code in the (2s - 1)^3 box of differences
+        code = np.ravel_multi_index(tuple(sup._grid_idx - lo), (nb, nb, nb))
+        B = load / np.sqrt(sup.eps)
+        P = np.vstack([sup.eps, sup.points.T])[:components]
+        Vmu = self.eigvecs * self.eigvals
+        bins = np.zeros((components, 2, nb ** 3))
+        for rows in _upper_row_blocks(n):
+            _bin_pairs(Vmu[rows] @ self.eigvecs[rows.start:].T, rows, B, P, code, bins)
+        # sum_d D_d exp(-i h d x) axis by axis, the last one first; the
+        # first axis's product keeps the real part only
+        d = np.arange(nb) - (s - 1)
+        E = np.exp(-1j * sup.grid.spacing * np.outer(d, sup.grid.position_axis(refine)))
+        D = bins[:, 0] + 1j * bins[:, 1]
+        t = D.reshape(components * nb * nb, nb) @ E
+        t = E.T @ t.reshape(components * nb, nb, M)
+        t = t.reshape(components, nb, M * M)
+        J = E.real.T @ t.real - E.imag.T @ t.imag
+        return J.reshape(components, M, M, M)
 
     def _current(self, load, transform, components=4, batch=_RANK_BATCH):
         """Real current components (components, ...) at the points `transform`
@@ -478,6 +559,34 @@ class FastBackend:
             rs = slice(r0, min(r0 + batch, R))
             J = J + _rank_sum(self.eigvals[rs], transform(self.eigvecs[:, rs].T * wl))
         return J
+
+
+def _bin_pairs(G, rows, B, P, code, bins):
+    """Add the pairs of one block of G_R's upper rows to `bins`, of shape
+    (components, 2, (2s - 1)^3), real and imaginary parts apart: G holds
+    the rows `rows` against the columns rows.start to n_sup, and pair
+    (k, p) goes to the bin of code_k - code_p, offset so that the zero
+    difference sits in the middle bin.  The block's arrays are released on
+    return, before the next block is built."""
+    cols = slice(rows.start, None)
+    # the leading square also holds the pairs k > p: drop them and halve
+    # the diagonal
+    square = G[:, :rows.stop - rows.start]
+    square[...] = np.triu(square)
+    square[np.diag_indices_from(square)] *= 0.5
+    # the weights conj(B_k) G_kp B_p, the real part in G's buffer
+    u = np.multiply.outer(np.conj(B[rows]), B[cols])
+    parts = (G, u.imag * G)
+    G *= u.real
+    # u's buffer then takes P_k + P_p and each weight array
+    S, w = u.view(np.float64).reshape((2,) + G.shape)
+    idx = np.subtract.outer(code[rows], code[cols]).ravel()
+    idx += bins.shape[-1] // 2
+    for mu, out in enumerate(bins):
+        np.add.outer(P[mu, rows], P[mu, cols], out=S)
+        for part, part_bins in zip(parts, out):
+            np.multiply(S, part, out=w)
+            part_bins += np.bincount(idx, weights=w.ravel(), minlength=len(part_bins))
 
 
 def _rank_sum(mu, fields):

@@ -134,7 +134,7 @@ class ComplementMask(Mask):
 
 @dataclass(frozen=True)
 class UnionMask(Mask):
-    parts: tuple
+    parts: tuple[Mask, ...]
     kind = "union"
 
     def contains(self, pts):
@@ -143,7 +143,7 @@ class UnionMask(Mask):
 
 @dataclass(frozen=True)
 class IntersectionMask(Mask):
-    parts: tuple
+    parts: tuple[Mask, ...]
     kind = "intersection"
 
     def contains(self, pts):

@@ -123,7 +123,7 @@ def rotation(axis, angle: float):
 
 
 def _unit_axis(axis):
-    axis = np.asarray(axis, dtype=float)
+    axis = np.asarray(axis, dtype=float).reshape(3)
     norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"axis must be a unit vector, |axis| = {norm}")

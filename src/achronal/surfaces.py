@@ -24,6 +24,7 @@ equation (`SurfaceTransformResult.s_inverse`).
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -56,10 +57,13 @@ class Described:
     field order, renamed where `keys` says (a mask's `inner` is "of").  A
     nested Described value is written as its descriptor, a PoincareElement
     as {"a": [4 floats], "L": [4 rows of 4]}, tuples and arrays as lists and
-    numpy scalars as plain numbers.  Reading turns lists into tuples and
-    `float` fields into floats and calls the class, so the dataclass owns
-    every default and every check of a value.  Kinds are unique among all
-    Described classes; a class without one is not read.
+    numpy scalars as plain numbers.  Reading goes by each field's
+    annotation (_read): lists become tuples, `float` fields floats, and a
+    nested object is read by the family its field names (`Mask`,
+    `tuple[Mask, ...]`, `AchronalSurface`, `PoincareElement`); then the
+    class is called, so the dataclass owns every default and every check of
+    a value.  Kinds are unique among all Described classes; a class without
+    one is not read.
     """
 
     kind = None
@@ -72,17 +76,19 @@ class Described:
 
     @classmethod
     def from_descriptor(cls, d):
-        """The object of descriptor d, of a subclass of cls."""
+        """The object of descriptor d, of cls or a subclass."""
         kind = d.get("type") if isinstance(d, dict) else None
-        sub = next((c for c in _subclasses(cls) if kind is not None and c.kind == kind), None)
+        sub = next((c for c in (cls, *_subclasses(cls))
+                    if kind is not None and c.kind == kind), None)
         if sub is None:
             raise DescriptorError(f"unknown {cls.__name__} descriptor {d!r}")
-        named = {sub.keys.get(f.name, f.name): f for f in fields(sub) if f.init}
+        named = {sub.keys.get(f.name, f.name): f.name for f in fields(sub) if f.init}
         unknown = set(d) - set(named) - {"type"}
         if unknown:
             raise DescriptorError(f"{sub.kind}: unknown keys {sorted(unknown)}")
+        types = typing.get_type_hints(sub)
         try:
-            return sub(**{named[k].name: _read(v, named[k].type)
+            return sub(**{named[k]: _read(v, types[named[k]])
                           for k, v in d.items() if k != "type"})
         except (TypeError, ValueError) as exc:
             raise DescriptorError(f"{sub.kind}: {exc}") from exc
@@ -98,18 +104,27 @@ def _write(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def _read(v, annotation=None):
-    if annotation in (float, "float"):
+def _read(v, annotation):
+    """The value of a field annotated `annotation` from its JSON value v: a
+    float; a member of a Described family, read by that family; a
+    PoincareElement from {"a", "L"}; a tuple from a list, its elements read
+    as T for tuple[T, ...]; anything else as it is.  An object where the
+    annotation admits none, or not of the annotated family, raises
+    DescriptorError."""
+    if annotation is float:
         return float(v)
+    if isinstance(annotation, type) and issubclass(annotation, Described):
+        return annotation.from_descriptor(v)
+    if annotation is PoincareElement and isinstance(v, dict) and set(v) == {"a", "L"}:
+        return PoincareElement(v["a"], v["L"])
     if isinstance(v, list):
-        return tuple(_read(x) for x in v)
-    if not isinstance(v, dict):
-        return v
-    if "type" in v:
-        return Described.from_descriptor(v)
-    if set(v) != {"a", "L"}:
+        element = (typing.get_args(annotation) or (None,))[0]
+        return tuple(_read(x, element) for x in v)
+    if typing.get_origin(annotation) is tuple:
+        raise DescriptorError(f"expected a list, got {v!r}")
+    if isinstance(v, dict) or annotation is PoincareElement:
         raise DescriptorError(f"neither a descriptor nor a Poincare element: {v!r}")
-    return PoincareElement(v["a"], v["L"])
+    return v
 
 
 class AchronalSurface(Described):

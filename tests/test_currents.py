@@ -354,6 +354,32 @@ def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refin
     assert np.abs(win.reshape(components, -1) - cut).max() <= 1e-13 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("components", [1, 2, 3, 4])
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("backend", ["centred", "off_centre", "fast16_loose"])
+def test_whole_grid_slice_is_the_rank_contraction(request, window_backends, backend, refine,
+                                                  components):
+    # a causal slice of the whole grid bins the pairs of support nodes by
+    # lattice difference; the reference transforms every eigenvector's
+    # fields at 200 random nodes and the |J0| peak
+    if backend == "fast16_loose":
+        pkt, fb = request.getfixturevalue("packet16"), request.getfixturevalue(backend)
+    else:
+        pkt, fb = window_backends["causal", ["centred", "off_centre"].index(backend)]
+    rng = np.random.default_rng([refine, components, len(backend)])
+    x0 = rng.uniform(-3.0, 3.0)
+    J = fb.slice_fields(pkt, x0, refine=refine, components=components)
+    m = pkt.grid.n * refine
+    assert J.shape == (components, m, m, m) and J.dtype == np.float64
+    assert J.flags.c_contiguous
+    peak = np.unravel_index(np.argmax(np.abs(J[0])), J[0].shape)
+    nodes = np.vstack([rng.integers(0, m, size=(200, 3)), peak])
+    X = np.column_stack([np.full(len(nodes), x0), pkt.grid.position_axis(refine)[nodes]])
+    ref = rank_batched_points(fb, pkt, X)[:components]
+    got = J[(slice(None),) + tuple(nodes.T)]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(J).max()
+
+
 @pytest.mark.parametrize("refine", [1, 2])
 def test_box_transform_is_the_whole_cube_transform(window_backends, refine):
     # the off-centre packet's support box starts at lo > 0; the box holds the

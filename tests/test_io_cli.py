@@ -383,6 +383,46 @@ def test_cli_malformed_values_are_config_errors(tmp_path, command, change):
     assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
 
 
+_BALL = {"type": "ball", "center": [0, 0, 0], "radius": 4.0}
+
+
+@pytest.mark.parametrize("command, change", [
+    ("normalize", {"kernel": 5}),
+    ("invariance", {"flatten_sweep": {"surface": {"type": "flat"}}}),
+    ("invariance", {"flatten_sweep": {"surface": {"type": "flat"}, "gammas": [0.5],
+                                      "gamma": [1.0]}}),
+    ("covariance", {"group": {"rapidity": 0.25},
+                    "regions": [{"surface": {"type": "flat"}}]}),
+    ("covariance", {"group": {"rapidity": 0.25},
+                    "regions": [{"surface": {"type": "flat"}, "mask": _BALL, "weight": 1}]}),
+    ("covariance", {"group": {"rapidity": 0.25}, "regions": {"surface": {"type": "flat"},
+                                                            "mask": _BALL}}),
+    ("covariance", {"group": {"rotation": {"axis": [0, 0, 2], "angle": 1.0}}}),
+    ("covariance", {"group": {"rotation": {"axis": [0, 1], "angle": 1.0}}}),
+    ("covariance", {"group": {"rotation": {"axis": [0, 0, 1]}}}),
+    ("covariance", {"group": {"rotation": {"angle": 1.0, "axes": [0, 0, 1]}}}),
+    ("covariance", {"group": {"rapidity": 0.25, "rotaton": {"angle": 1.0}}}),
+    ("covariance", {"group": {"translation": [0.0, 0.4, 0.0]}}),
+], ids=["kernel_not_a_string", "sweep_missing_gammas", "sweep_misspelt_key",
+        "region_missing_mask", "region_unknown_key", "regions_not_a_list",
+        "rotation_axis_not_unit", "rotation_axis_short", "rotation_missing_angle",
+        "rotation_misspelt_key", "group_misspelt_key", "translation_short"])
+def test_cli_values_outside_the_merged_keys_are_config_errors(tmp_path, command, change):
+    # the keys of regions, sweeps and group elements and the kernel selector's
+    # type are checked before the build: exit 2 with one line, not 1 with a
+    # traceback or 0 with the key dropped
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **change}))
+    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
+
+
 def test_cli_kernel_pd_and_oscillatory(tmp_path):
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(BASE_CONFIG))

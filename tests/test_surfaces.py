@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from achronal.localization import Mask
 from achronal.minkowski import (PoincareElement, apply_lorentz, boost_axis, boost_z,
                                 rotation)
 from achronal.surfaces import (AchronalSurface, BumpSurface, ConeSurface, DescriptorError,
@@ -155,27 +156,47 @@ def test_descriptor_roundtrip_drawn(s, pts):
 _BOOST = {"a": [0.0, 0.0, 0.0, 0.5], "L": boost_z(0.3).tolist()}
 
 
-@pytest.mark.parametrize("d, message", [
-    ({"type": "flatt"}, "unknown AchronalSurface descriptor"),
-    ({"type": "ball", "center": [0, 0, 0], "radius": 1.0}, "unknown AchronalSurface"),
-    ([0.0], "unknown AchronalSurface descriptor"),
-    ({"type": "flat", "t": 1.0}, r"flat: unknown keys \['t'\]"),
-    ({"type": "bump", "amplitude": 0.5, "scal": 9}, r"bump: unknown keys \['scal'\]"),
-    ({"type": "bump", "scale": 2.0}, "missing 1 required positional argument"),
-    ({"type": "bump", "amplitude": 1.5}, "amplitude"),
-    ({"type": "flat", "t0": "one"}, "could not convert"),
-    ({"type": "image", "g": {"a": [0.0] * 4}, "of": {"type": "flat"}},
+_BALL = {"type": "ball", "center": [0, 0, 0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("family, d, message", [
+    (AchronalSurface, {"type": "flatt"}, "unknown AchronalSurface descriptor"),
+    (AchronalSurface, _BALL, "unknown AchronalSurface"),
+    (AchronalSurface, [0.0], "unknown AchronalSurface descriptor"),
+    (AchronalSurface, {"type": "flat", "t": 1.0}, r"flat: unknown keys \['t'\]"),
+    (AchronalSurface, {"type": "bump", "amplitude": 0.5, "scal": 9},
+     r"bump: unknown keys \['scal'\]"),
+    (AchronalSurface, {"type": "bump", "scale": 2.0}, "missing 1 required positional argument"),
+    (AchronalSurface, {"type": "bump", "amplitude": 1.5}, "amplitude"),
+    (AchronalSurface, {"type": "flat", "t0": "one"}, "could not convert"),
+    (AchronalSurface, {"type": "image", "g": {"a": [0.0] * 4}, "of": {"type": "flat"}},
      "neither a descriptor nor a Poincare element"),
-    ({"type": "image", "g": {**_BOOST, "L": np.diag([1.0, 2.0, 1.0, 1.0]).tolist()},
-      "of": {"type": "flat"}}, "image: "),
-    ({"type": "image", "g": _BOOST, "of": {"type": "flat", "t0": 0.0, "x": 1}},
+    (AchronalSurface, {"type": "image", "g": {**_BOOST, "L": np.diag([1.0, 2.0, 1.0, 1.0]).tolist()},
+                       "of": {"type": "flat"}}, "image: "),
+    (AchronalSurface, {"type": "image", "g": _BOOST, "of": {"type": "flat", "t0": 0.0, "x": 1}},
      r"flat: unknown keys \['x'\]"),
+    # nested objects are read by the family of their field
+    (AchronalSurface, {"type": "image", "g": _BOOST, "of": _BALL},
+     "image: unknown AchronalSurface descriptor"),
+    (AchronalSurface, {"type": "image", "g": {"type": "flat"}, "of": {"type": "flat"}},
+     "image: neither a descriptor nor a Poincare element"),
+    (Mask, {"type": "complement", "of": {"type": "flat"}},
+     "complement: unknown Mask descriptor"),
+    (Mask, {"type": "union", "parts": [_BALL, {"type": "flat"}]},
+     "union: unknown Mask descriptor"),
+    (Mask, {"type": "intersection", "parts": [_BALL, 3]},
+     "intersection: unknown Mask descriptor 3"),
+    (Mask, {"type": "union", "parts": _BALL}, "union: expected a list"),
+    (Mask, {"type": "image_mask", "of": _BALL, "transform": {"type": "flat"}},
+     "image_mask: unknown SurfaceTransformResult descriptor"),
 ], ids=["unknown_type", "mask_type", "not_an_object", "unknown_key", "misspelt_key",
         "missing_key", "rejected_value", "malformed_value", "nested_object",
-        "rejected_element", "nested_unknown_key"])
-def test_strict_descriptor_reader(d, message):
+        "rejected_element", "nested_unknown_key", "mask_as_surface",
+        "descriptor_as_element", "surface_as_complement", "surface_as_part",
+        "number_as_part", "parts_not_a_list", "surface_as_transform"])
+def test_strict_descriptor_reader(family, d, message):
     with pytest.raises(DescriptorError, match=message):
-        AchronalSurface.from_descriptor(d)
+        family.from_descriptor(d)
 
 
 def test_transform_identity():

@@ -136,20 +136,34 @@ def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
     assert tracing.layer_metrics(tracer)["grids.m2p_transforms"] == 0
 
 
-def test_refined_slice_batches_fewer_eigenvectors(spec16, fast16):
-    # a refine-2 cube holds 8 times the entries, so a call takes 24 // 8
-    # eigenvectors of five fields each
-    tracer = _load_tracing().Tracer()
-    per_call = []
-    tracer.wrap(currents, "momentum_to_position", "grids.m2p",
-                lambda tr, args, kwargs, out: per_call.append(
-                    int(np.prod(np.shape(args[0])[:-3]))))
-    try:
-        fast16.slice_fields(spec16.packet, 0.0, refine=2)
-    finally:
-        tracer.uninstall()
-    assert sum(per_call) == 5 * fast16.rank
-    assert max(per_call) <= 5 * (24 // 8)
+def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monkeypatch):
+    # a causal slice of the whole grid bins pairs of support nodes and
+    # transforms no eigenvector field: at refine 2 it makes no FFT, and its
+    # blocks of the upper rows of G_R are those of refine 1, of at most
+    # _G_ENTRIES entries, at the default budget and at one that splits the
+    # 480 rows into blocks of 7
+    n = len(fast16.support.eps)
+    whole = fast16.slice_fields(spec16.packet, 0.0, refine=2)
+    for entries in (currents._G_ENTRIES, 7 * n + 5):
+        monkeypatch.setattr(currents, "_G_ENTRIES", entries)
+        sizes = {}
+        for refine in (1, 2):
+            tracer = _load_tracing().Tracer()
+            ffts, blocks = [], []
+            tracer.wrap(currents, "momentum_to_position", "grids.m2p",
+                        lambda tr, args, kwargs, out: ffts.append(out.shape))
+            tracer.wrap(currents, "_upper_row_blocks", "pairs",
+                        lambda tr, args, kwargs, out: blocks.extend(out))
+            try:
+                J = fast16.slice_fields(spec16.packet, 0.0, refine=refine)
+            finally:
+                tracer.uninstall()
+            assert not ffts
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == n
+            sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
+        assert sizes[2] == sizes[1] and max(sizes[2]) <= entries
+        assert np.abs(J - whole).max() <= 1e-14 * np.abs(whole).max()
 
 
 def test_refined_window_batches_hold_no_more_entries(spec16, fast16):
