@@ -32,9 +32,12 @@ command applies it.
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 reported in one line without a traceback: an unknown or missing key, a
 malformed value (kernel selector, packet, surface or mask descriptor,
-flattening factor, group element), a kernel the configured factorization
-cannot truncate or certify, or a group element that moves the packet's
-support off the grid.
+flattening factor, group element), a value out of range (an odd grid size
+or one below 8, a `refine`, seed or point count that is not an integer
+large enough, a window past half the grid, `times` that is not a
+non-empty list of numbers), a kernel the configured factorization cannot
+truncate or certify, or a group element that moves the packet's support
+off the grid.
 """
 
 from __future__ import annotations
@@ -142,6 +145,38 @@ def _object(value, path: str, required=(), optional=()) -> dict:
     return value
 
 
+def _integer(value, path: str, least: int, most=None) -> int:
+    """`value`, which must be an integer from `least` to `most` (no upper
+    bound when None)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < least
+            or (most is not None and value > most)):
+        bounds = f"from {least} to {most}" if most is not None else f">= {least}"
+        raise ConfigError(f"{path}: expected an integer {bounds}, got {value!r}")
+    return value
+
+
+# integer keys and their least values; a key absent from the command's
+# config is skipped
+_COUNTS = {"refine": 1, "seed": 0, "current_points": 1, "compare_points": 0}
+
+
+def _check_values(cfg: dict) -> None:
+    """Raise ConfigError for a grid size, count or time list out of range,
+    before anything is built."""
+    for path, n in (("grid.n", cfg["grid"]["n"]), ("refined_grid_n", cfg.get("refined_grid_n"))):
+        if n is not None and (_integer(n, path, 8) % 2):
+            raise ConfigError(f"{path}: expected an even integer, got {n}")
+    for key, least in _COUNTS.items():
+        if key in cfg:
+            _integer(cfg[key], key, least)
+    if cfg["window_half_nodes"] is not None:
+        _integer(cfg["window_half_nodes"], "window_half_nodes", 1, cfg["grid"]["n"] // 2)
+    times = cfg.get("times")
+    if "times" in cfg and (not isinstance(times, list) or not times or any(
+            isinstance(t, bool) or not isinstance(t, (int, float)) for t in times)):
+        raise ConfigError(f"times: expected a non-empty list of numbers, got {times!r}")
+
+
 def load_config(path, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -158,7 +193,8 @@ class _Run:
         self.start = time.perf_counter()
         cfg = load_config(config_path, command)
         if seed is not None:
-            cfg["seed"] = int(seed)
+            cfg["seed"] = seed
+        _check_values(cfg)
         cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
         self.command, self.cfg, self.outdir = command, cfg, outdir
         if not isinstance(cfg["kernel"], str):
@@ -171,7 +207,7 @@ class _Run:
         if mode != "raw" and not (mode == "energy" and isinstance(self.kernel, TensorKernel)):
             raise ConfigError(f"normalization_mode {mode!r}: 'energy' applies to "
                               f"tensor kernels only, otherwise use 'raw'")
-        self.quad = {"window_half": cfg["window_half_nodes"], "refine": int(cfg["refine"]),
+        self.quad = {"window_half": cfg["window_half_nodes"], "refine": cfg["refine"],
                      "normalization": mode}
         self.checks, self.backend, self.build_s = [], None, 0.0
 
@@ -179,7 +215,7 @@ class _Run:
         """The config's kernel and packet, on a grid of n nodes per axis if
         given."""
         cfg, pk = self.cfg, self.cfg["packet"]
-        grid = MomentumGrid(int(n or cfg["grid"]["n"]), float(cfg["grid"]["p_max"]))
+        grid = MomentumGrid(n or cfg["grid"]["n"], float(cfg["grid"]["p_max"]))
         try:
             packet = make_packet(grid, float(cfg["mass"]), pk["kind"], margin=pk["margin"],
                                  **pk["params"])
@@ -194,7 +230,7 @@ class _Run:
         fac = self.cfg["factorization"]
         t0 = time.perf_counter()
         backend = build_fast(spec, tol=float(fac["tol"]), n_landmarks=int(fac["landmarks"]),
-                             seed=int(self.cfg["seed"]))
+                             seed=self.cfg["seed"])
         self.build_s += time.perf_counter() - t0
         if not backend.meta.get("tail_certified", True):
             raise FactorizationError(
@@ -296,7 +332,7 @@ def normalize(run):
     figures = {"probability": res.probability, "norm_squared": norm2,
                "normalization_mode": run.quad["normalization"], "meta": res.meta}
     if run.cfg["refined_grid_n"]:
-        spec2 = run.spec(int(run.cfg["refined_grid_n"]))
+        spec2 = run.spec(run.cfg["refined_grid_n"])
         res2 = probability(spec2, Region(FlatSurface(0.0)), backend=run.build(spec2),
                            **{**run.quad, "window_half": res.meta["window_half_nodes"]})
         n2sq = spec2.packet.norm_squared()
@@ -391,7 +427,7 @@ def covariance(run):
             rows.append([name, region.mask.label(), lhs.probability,
                          rhs.probability, rel])
     # current-level covariance at sample points
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     pts = np.column_stack([rng.uniform(-0.5, 0.5, cfg["current_points"]),
                            rng.uniform(-1.5, 1.5, (cfg["current_points"], 3))])
     for name, g in elements:
@@ -409,7 +445,7 @@ def kernel_pd(run):
     if not isinstance(run.kernel, CausalKernel):
         raise ConfigError("gram test applies to scalar-profile kernels")
     gcfg = run.cfg["gram"]
-    rng = np.random.default_rng(int(run.cfg["seed"]))
+    rng = np.random.default_rng(run.cfg["seed"])
     n_pts = int(gcfg["points"])
     radius = float(gcfg["ball_radius_over_mass"]) * float(run.cfg["mass"])
     pts = rng.normal(size=(n_pts, 3))
@@ -427,7 +463,7 @@ def kernel_pd(run):
 @_command("logic")
 def logic(run):
     """Causal-logic predicates and RCL well-definedness."""
-    lcfg, seed = run.cfg["logic"], int(run.cfg["seed"])
+    lcfg, seed = run.cfg["logic"], run.cfg["seed"]
     r = float(lcfg["radius"])
     gamma = float(lcfg["gamma"])
     report = completion_equals_determinacy_check(
@@ -464,7 +500,7 @@ def field_dump(run):
     ``build_fast`` certifies its truncation relative to the top of the
     spectrum, not to the local field size at far-field nodes.
     """
-    cfg, refine = run.cfg, int(run.cfg["refine"])
+    cfg, refine = run.cfg, run.cfg["refine"]
     spec = run.spec()
     fb = run.build(spec)
     slices = [(float(t), fb.slice_fields(spec.packet, float(t), refine=refine))
@@ -472,9 +508,9 @@ def field_dump(run):
     run.outdir.mkdir(parents=True, exist_ok=True)
     achio.save_field_slices(run.outdir / "field.achr", slices)
     if spec.packet.norm_squared() > 0 and cfg["compare_points"]:
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         ax = spec.packet.grid.position_axis(refine)
-        k = int(cfg["compare_points"])
+        k = cfg["compare_points"]
         J = slices[0][1]
         peak = np.unravel_index(np.argmax(np.abs(J[0])), J[0].shape)
         idx = np.vstack([rng.integers(0, len(ax), size=(k, 3)), peak])

@@ -18,12 +18,12 @@ independent:
   that evaluate either at given spacetime points (FastBackend.current_at,
   through the phase matrix) or on position-grid slices
   (FastBackend.slice_fields: separable sums from the support's momentum box
-  to a centred window of nodes, the route of flat fluxes, or pairs of
-  support nodes binned by lattice difference for the whole periodic grid).
+  to a centred window of nodes, the one momentum-to-position transform,
+  whose window of half n/2 is the whole periodic grid; a causal slice of
+  the whole grid bins pairs of support nodes by lattice difference instead).
   Stress-energy kernels are exactly separable and need no factorization:
   four auxiliary fields with weights p_mu/sqrt(eps) plus one with
-  1/sqrt(eps) rebuild the current algebraically; their whole-grid slices
-  take FFTs of those fields.
+  1/sqrt(eps) rebuild the current algebraically, on any window.
 
 Component mu of the causal current pairs the 1/sqrt(eps) field B with the
 mu-th of (sqrt(eps), p_i / sqrt(eps)).  A window slice transforms the
@@ -41,13 +41,14 @@ the upper rows of G_R = V diag(mu) V^T, one GEMM of n_sup^2 R / 2
 multiply-adds, are binned into (2s - 1)^3 bins per component by
 np.bincount, with 5 passes over the n_sup^2 / 2 pairs for their common
 weight and code and 5 per component, and three small matrix products take
-the bins to the grid.  The FFT route it replaces cost 5 R FFTs of
-(refine n)^3 cubes.  At n=32 (3,648 support nodes, rank 306) a 4-component
-slice takes 0.74-0.84 CPU-s against 1.12-1.45 for the FFTs, and at refine 2
-0.75-0.86 against 9.8-13.0; at n=40 (7,208 nodes) 2.5-2.8 against
-2.6-3.1, and at n=48 (12,568 nodes), where pairs grow as n^6, 7.2-7.6
-against 5.7-5.9 (2-vCPU host).  The paper-check sizes are n <= 32, so no
-size switch is kept.
+the bins to the grid.  Transforming the fields of every eigenvector
+instead takes 5 R transforms of the grid.  At n=32 (3,648 support nodes,
+rank 306) a 4-component slice takes 0.74-0.84 CPU-s against 1.12-1.45 for
+5 R FFTs of (refine n)^3 cubes and 1.81 for the window transform at half
+n/2, and at refine 2 0.75-0.86 against 9.8-13.0 for the FFTs; at n=40
+(7,208 nodes) 2.5-2.8 against 2.6-3.1, and at n=48 (12,568 nodes), where
+pairs grow as n^6, 7.2-7.6 against 5.7-5.9 (2-vCPU host).  The
+paper-check sizes are n <= 32, so no size switch is kept.
 
 Points need the factorization on the B field alone: the rank-R G goes onto
 the phase-loaded nodes with two real GEMMs, and each component is then one
@@ -70,7 +71,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grids import MomentumGrid, momentum_to_position, momentum_to_window
+from .grids import MomentumGrid, momentum_to_position
 from .kernels import CausalKernel, TensorKernel, scalar_block
 from .minkowski import PoincareElement, apply_lorentz
 from .wavepacket import WavePacket, apply_poincare, energy
@@ -457,25 +458,27 @@ class FastBackend:
         """Current components on the conjugate position grid at time x0.
 
         Returns a real array of shape (components, M, M, M), the first
-        `components` of (J0, J1, J2, J3): on the whole periodic grid, with
-        M = refine * n, or, given `window_half`, on the centred window of
-        M = 2 window_half refine nodes per axis (position_window_mask).  A
-        window slice transforms each field from the support's bounding box
-        (SupportData.box) with a separable sum that computes no node outside
-        the window (momentum_to_window).  A causal slice of the whole grid
-        bins the pairs of support nodes by lattice difference (_pair_slice):
-        n_sup^2 R / 2 multiply-adds for the upper rows of G_R and 5 + 5
-        `components` passes over the n_sup^2 / 2 pairs, whatever `refine`,
-        where the FFT route took 5 R FFTs of the grid; a stress-energy one
-        takes one FFT of the whole grid per field (momentum_to_position).
+        `components` of (J0, J1, J2, J3) on the centred window of
+        M = 2 window_half refine nodes per axis (position_window_mask); the
+        default, window_half = None, is the whole periodic grid: the window
+        of half n/2, M = refine n.  A causal slice of the whole grid bins the
+        pairs of support nodes by lattice difference (_pair_slice):
+        n_sup^2 R / 2 multiply-adds for the upper rows of G_R and
+        5 + 5 `components` passes over the n_sup^2 / 2 pairs, whatever
+        `refine`.  Every other slice transforms each field from the
+        support's bounding box (SupportData.box) with a separable sum that
+        computes no node outside the window (momentum_to_position).
         """
         if not 1 <= components <= 4:
             raise ValueError(f"components must be 1 to 4, got {components}")
+        if refine < 1:
+            raise ValueError(f"refine must be >= 1, got {refine}")
         sup = self.support
         values = sup.values_of(packet) * packet.grid.weight
         load = values * np.exp(-1j * sup.eps * x0)
         if window_half is None and not self.separable:
             return self._pair_slice(load, refine, components) / TWO_PI_CUBED
+        half = sup.grid.n // 2 if window_half is None else window_half
         box = sup.box()
         cube = None
 
@@ -485,10 +488,8 @@ class FastBackend:
                 # zeroed once per call and sized by the first (largest) batch:
                 # every batch writes the same support entries
                 cube = np.zeros(nodes.shape[:-1] + (box[1] ** 3,), dtype=complex)
-            embedded = sup.embed(nodes, cube, box)
-            if window_half is None:
-                return momentum_to_position(embedded, sup.grid, refine, box[0])
-            return momentum_to_window(embedded, sup.grid, box[0], window_half, refine)
+            return momentum_to_position(sup.embed(nodes, cube, box), sup.grid, refine,
+                                        box[0], half)
 
         J = self._current(load, transform, components,
                           batch=max(1, _RANK_BATCH // refine ** 3))

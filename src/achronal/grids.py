@@ -9,18 +9,13 @@ the packets, the Poincare action and the current routes share: the node
 coordinates (`points`) and the map from momenta back to fractional grid
 indices (`index_of`).
 
-Both transforms evaluate F(x) = sum_p f(p) exp(i p.x) from a box of
+`momentum_to_position` evaluates F(x) = sum_p f(p) exp(i p.x) from a box of
 momentum nodes, the s^3 cube with grid indices lo to lo + s - 1 on every
-axis (f vanishes off it).  `momentum_to_position` covers the conjugate grid,
-`refine` times finer per axis, with one phase-dressed FFT: the box, times
-its pre-phase, goes into a zeroed (refine n)^3 cube; the inverse FFT runs
-with norm="forward", which leaves the sum unscaled (no 1/M^3), and the
-post-phase is applied as one separable cube.
-
-`momentum_to_window` evaluates the same sum at the nodes of a centred
-window only: three dense matrix products, the output-pruned transform
-(Markel, "FFT pruning", 1971) in the regime where the box and the window are
-small enough that a DFT matrix beats the FFT.
+axis (f vanishes off it), at the nodes of a centred window of the conjugate
+position grid, `refine` times finer per axis: three dense matrix products,
+the output-pruned transform (Markel, "FFT pruning", 1971) in the regime
+where the box and the window are small enough that a DFT matrix beats the
+FFT.  The whole conjugate grid is the window of half n/2.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -95,20 +89,6 @@ class MomentumGrid:
         return self.n == other.n and self.p_max == other.p_max
 
 
-def _axis_phases(n: int, m: int):
-    """Pre/post phase vectors turning an ifft into the cell-centered transform."""
-    c = (1 - m) / 2.0
-    j = np.arange(m)
-    pre = np.exp(2j * np.pi * c * j / m)
-    post = np.exp(2j * np.pi * c * (j + c) / m)
-    return pre, post
-
-
-def _outer3(v: np.ndarray) -> np.ndarray:
-    """The separable cube v_i v_j v_k."""
-    return v[:, None, None] * v[None, :, None] * v[None, None, :]
-
-
 def _box_side(values: np.ndarray, grid: MomentumGrid, lo: int) -> int:
     """The side s of the box of momentum nodes that `values`, of shape
     (..., s, s, s), holds from grid index `lo` on every axis."""
@@ -118,43 +98,18 @@ def _box_side(values: np.ndarray, grid: MomentumGrid, lo: int) -> int:
     return s
 
 
-def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int = 1,
-                         lo: int = 0) -> np.ndarray:
-    """Evaluate F(x) = sum_p f(p) exp(i p.x) on the conjugate position grid.
-
-    `values` has shape (..., s, s, s) and holds f on the box of momentum
-    nodes with grid indices `lo` to lo + s - 1 on every axis (the whole grid
-    at s = n, lo = 0); the result has shape (..., refine*n, refine*n,
-    refine*n).  No quadrature weight or (2 pi) factor is applied.
-    """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    values = np.asarray(values)
-    s = _box_side(values, grid, lo)
-    m = grid.n * refine
-    pre, post = _axis_phases(grid.n, m)
-    # the box at its grid indices inside the centred n^3 block
-    box = slice((m - grid.n) // 2 + lo, (m - grid.n) // 2 + lo + s)
-    work = np.zeros(values.shape[:-3] + (m, m, m), dtype=complex)
-    work[..., box, box, box] = values * _outer3(pre[box])
-    out = scipy.fft.ifftn(work, axes=(-3, -2, -1), norm="forward",
-                          overwrite_x=True, workers=-1)
-    out *= _outer3(post)
-    return out
-
-
-def momentum_to_window(values: np.ndarray, grid: MomentumGrid, lo: int, half_nodes: int,
-                       refine: int = 1) -> np.ndarray:
+def momentum_to_position(values: np.ndarray, grid: MomentumGrid, refine: int, lo: int,
+                         half_nodes: int) -> np.ndarray:
     """Evaluate F(x) = sum_p f(p) exp(i p.x) at the nodes of the centred
     position window of 2*half_nodes*refine nodes per axis.
 
     `values` has shape (..., s, s, s) and holds f on the box of momentum
     nodes whose grid indices run from `lo` to lo + s - 1 on every axis; the
-    result has shape (..., W, W, W) with W = 2 half_nodes refine.  The sum
-    is separable, so it takes three matrix products against one
-    E = exp(i p_box x_window) of shape (s, W), which carries the
-    cell-centred phases exactly.  No quadrature weight or (2 pi) factor is
-    applied.
+    result has shape (..., W, W, W) with W = 2 half_nodes refine, the whole
+    conjugate grid at half_nodes = n/2.  The sum is separable, so it takes
+    three matrix products against one E = exp(i p_box x_window) of shape
+    (s, W), which carries the cell-centred phases exactly.  No quadrature
+    weight or (2 pi) factor is applied.
     """
     s = _box_side(values, grid, lo)
     E = np.exp(1j * np.outer(grid.axis()[lo:lo + s],
@@ -170,18 +125,10 @@ def momentum_to_window(values: np.ndarray, grid: MomentumGrid, lo: int, half_nod
     return t.reshape(lead + (w, w, w))
 
 
-def momentum_to_position_direct(node_values: np.ndarray, nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Reference mode sum F(x) = sum_p f(p) exp(i p.x) at arbitrary points.
-
-    nodes: (k, 3) momentum nodes, node_values: (..., k), points: (j, 3).
-    Slow; used as the oracle for the FFT path and for off-grid evaluation.
-    """
-    phases = np.exp(1j * (points @ nodes.T))
-    return node_values @ phases.T
-
-
 def _window_range(grid: MomentumGrid, half_nodes: int, refine: int) -> slice:
     """Indices of the centred window's 2*half_nodes*refine nodes per axis."""
+    if half_nodes < 1 or refine < 1:
+        raise ValueError(f"window half {half_nodes} and refine {refine} must be >= 1")
     m = grid.n * refine
     k = half_nodes * refine
     if 2 * k > m:
@@ -191,7 +138,8 @@ def _window_range(grid: MomentumGrid, half_nodes: int, refine: int) -> slice:
 
 def position_window_axis(grid: MomentumGrid, half_nodes: int, refine: int = 1) -> np.ndarray:
     """Coordinates of the centred window's nodes along one axis."""
-    return grid.position_axis(refine)[_window_range(grid, half_nodes, refine)]
+    window = _window_range(grid, half_nodes, refine)
+    return grid.position_axis(refine)[window]
 
 
 def position_window_mask(grid: MomentumGrid, half_nodes: int, refine: int = 1) -> np.ndarray:

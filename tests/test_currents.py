@@ -14,9 +14,9 @@ from achronal.currents import (BackendMismatchError, CurrentSpec,
 from achronal.grids import MomentumGrid, momentum_to_position, position_window_mask
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
                               kernel_Kn, parse_kernel_spec, scalar_block)
-from achronal.localization import _window_nodes
+from achronal.localization import Region, _window_nodes, probability
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
-from achronal.surfaces import BumpSurface
+from achronal.surfaces import BumpSurface, FlatSurface
 from achronal.wavepacket import WavePacket, energy, make_packet
 
 M = 1.0
@@ -111,9 +111,10 @@ BACKENDS = pytest.mark.parametrize("spec_name, fast_name", [
 
 @BACKENDS
 def test_slice_fields_match_points(request, spec_name, fast_name):
-    # two independent contractions of one factorization: a slice transforms
-    # every eigenvector's fields by FFT, a point applies the rank-R G to the
-    # B field through the phase matrix
+    # two independent contractions of one factorization: a slice bins the
+    # pairs of G_R (causal) or transforms the five fields on the window of
+    # half n/2 (stress-energy), a point applies the rank-R G to the B field
+    # through the phase matrix
     spec = request.getfixturevalue(spec_name)
     fast = request.getfixturevalue(fast_name)
     ax = spec.packet.grid.position_axis()
@@ -343,8 +344,9 @@ def window_backends(grid16, kern_basic, kern_tensor):
        st.integers(1, 2), st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(1, 8))
 def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refine,
                                             components, x0, half):
-    # the separable sum over the support's box against the FFT of the whole
-    # grid, cut to the window that position_window_mask selects
+    # the window slice against the whole-grid slice (pair bins for the causal
+    # kernel, the window of half n/2 for the stress-energy one), cut to the
+    # window that position_window_mask selects
     pkt, fb = window_backends[kind, center]
     full = fb.slice_fields(pkt, x0, refine=refine, components=components)
     win = fb.slice_fields(pkt, x0, refine=refine, components=components, window_half=half)
@@ -394,23 +396,36 @@ def test_box_transform_is_the_whole_cube_transform(window_backends, refine):
                     rng.standard_normal((s,) * 3) + 1j * rng.standard_normal((s,) * 3)])
     whole = np.zeros((2,) + (pkt.grid.n,) * 3, dtype=complex)
     whole[inside] = box
-    assert np.array_equal(momentum_to_position(box, pkt.grid, refine, lo),
-                          momentum_to_position(whole, pkt.grid, refine))
+    half = pkt.grid.n // 2
+    assert np.array_equal(momentum_to_position(box, pkt.grid, refine, lo, half),
+                          momentum_to_position(whole, pkt.grid, refine, 0, half))
 
 
 def test_box_past_the_grid_edge(grid16):
     with pytest.raises(ValueError):
-        momentum_to_position(np.zeros((4, 4, 4)), grid16, 1, 13)
+        momentum_to_position(np.zeros((4, 4, 4)), grid16, 1, 13, 8)
 
 
-def test_window_wider_than_the_grid(spec16, fast16):
-    with pytest.raises(ValueError):
-        fast16.slice_fields(spec16.packet, 0.0, window_half=9)
+def test_window_wider_than_the_grid(spec16, fast16, tfast16):
+    # windows wider than the grid, empty or negative, and refinements below 1,
+    # on both slice routes and on a flux
+    for fb in (fast16, tfast16):
+        for kwargs in ({"window_half": 9}, {"window_half": 0}, {"window_half": -2},
+                       {"refine": 0}, {"refine": -1}, {"refine": 0, "window_half": 4}):
+            with pytest.raises(ValueError):
+                fb.slice_fields(spec16.packet, 0.0, **kwargs)
+    for kwargs in ({"window_half": 0}, {"window_half": 9}, {"refine": 0}):
+        with pytest.raises(ValueError):
+            probability(spec16, Region(FlatSurface(0.0)), backend=fast16, **kwargs)
 
 
-def test_slice_refine_matches_direct(spec16, fast16):
+@pytest.mark.parametrize("backend", ["fast16", "tfast16"])
+def test_slice_refine_matches_direct(request, backend):
+    # the causal slice bins node pairs; the stress-energy one is the window
+    # transform at half n/2
+    spec16 = request.getfixturevalue("tspec16" if backend == "tfast16" else "spec16")
     grid = spec16.packet.grid
-    J = fast16.slice_fields(spec16.packet, 0.1, refine=2)
+    J = request.getfixturevalue(backend).slice_fields(spec16.packet, 0.1, refine=2)
     ax = grid.position_axis(refine=2)
     pt = np.array([0.1, ax[10], ax[17], ax[21]])
     d = eval_direct(spec16, pt)

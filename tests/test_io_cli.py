@@ -423,6 +423,40 @@ def test_cli_values_outside_the_merged_keys_are_config_errors(tmp_path, command,
     assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, change", [
+    ("normalize", {"grid": {"n": 15, "p_max": 3.0}}),
+    ("normalize", {"refined_grid_n": 15}),
+    ("normalize", {"refine": 0}),
+    ("normalize", {"refine": -1}),
+    ("normalize", {"refine": 1.5}),
+    ("normalize", {"window_half_nodes": 0}),
+    ("normalize", {"window_half_nodes": -3}),
+    ("normalize", {"window_half_nodes": 9}),
+    ("normalize", {"seed": -1}),
+    ("covariance", {"group": {"rapidity": 0.25}, "current_points": 0}),
+    ("field-dump", {"compare_points": -1}),
+    ("field-dump", {"times": "0"}),
+], ids=["grid_n_odd", "refined_grid_n_odd", "refine_zero", "refine_negative",
+        "refine_fraction", "window_zero", "window_negative", "window_past_half_n",
+        "seed_negative", "current_points_zero", "compare_points_negative",
+        "times_a_string"])
+def test_cli_values_out_of_range_are_config_errors(tmp_path, command, change):
+    # grid sizes, counts, the window and the dump times are checked before
+    # the build: exit 2 with one line, not 1 with a traceback or 0 with the
+    # value truncated or iterated as a string
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **change}))
+    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_kernel_pd_and_oscillatory(tmp_path):
     path = tmp_path / "pd.json"
     path.write_text(json.dumps(BASE_CONFIG))

@@ -521,7 +521,7 @@ def test_partition_parts_match_their_own_fluxes(spec16, fast16, surface, mask):
     for m, part in zip(parts, out["results"]):
         own = probability(spec16, Region(surface, m), backend=fast16, window_half=5)
         if surface.kind == "flat":
-            # one FFT slice on both routes: the same values summed in order
+            # one window slice on both routes: the same values summed in order
             assert (part.probability, part.error_estimate) == (own.probability,
                                                              own.error_estimate)
         else:

@@ -3,13 +3,15 @@
 Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
 ``perfbench/tracing.py`` ``TARGETS`` and the others run traced builds,
-direct sums, fluxes, slices and image-surface inversions.  The window
-transform of flat fluxes (``momentum_to_window``) has no tracer target; the
-tests that count its transforms wrap it themselves.
+direct sums, fluxes, slices and image-surface inversions.  The one
+momentum-to-position transform, which every window slice and every
+stress-energy slice of the whole grid takes, is the tracer's ``grids.m2p``
+target; the tests that count its transforms read that target's counters.
 """
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -114,34 +116,25 @@ def test_partition_takes_one_time_slice(spec16, fast16):
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
 
 
-def _window_transforms(tracer, per_call):
-    """Wrap the window transform; per_call gets each call's output shape."""
-    tracer.wrap(currents, "momentum_to_window", "grids.m2w",
-                lambda tr, args, kwargs, out: per_call.append(out.shape))
-
-
 def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
     # J0 pairs the 1/sqrt(eps) field with the sqrt(eps) field: two window
-    # transforms per eigenvector, not five, and no FFT of the whole grid
+    # transforms per eigenvector, not five
     tracing = _load_tracing()
     tracer = tracing.Tracer()
-    per_call = []
     tracer.install()
-    _window_transforms(tracer, per_call)
     try:
         loc.probability(spec16, loc.Region(FlatSurface(0.0)), backend=fast16, window_half=4)
     finally:
         tracer.uninstall()
-    assert sum(int(np.prod(shape[:-3])) for shape in per_call) == 2 * fast16.rank
-    assert tracing.layer_metrics(tracer)["grids.m2p_transforms"] == 0
+    assert tracing.layer_metrics(tracer)["grids.m2p_transforms"] == 2 * fast16.rank
 
 
 def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monkeypatch):
     # a causal slice of the whole grid bins pairs of support nodes and
-    # transforms no eigenvector field: at refine 2 it makes no FFT, and its
-    # blocks of the upper rows of G_R are those of refine 1, of at most
-    # _G_ENTRIES entries, at the default budget and at one that splits the
-    # 480 rows into blocks of 7
+    # transforms no eigenvector field: at refine 2 it makes no call of the
+    # momentum-to-position transform, and its blocks of the upper rows of G_R
+    # are those of refine 1, of at most _G_ENTRIES entries, at the default
+    # budget and at one that splits the 480 rows into blocks of 7
     n = len(fast16.support.eps)
     whole = fast16.slice_fields(spec16.packet, 0.0, refine=2)
     for entries in (currents._G_ENTRIES, 7 * n + 5):
@@ -149,16 +142,16 @@ def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monk
         sizes = {}
         for refine in (1, 2):
             tracer = _load_tracing().Tracer()
-            ffts, blocks = [], []
+            transforms, blocks = [], []
             tracer.wrap(currents, "momentum_to_position", "grids.m2p",
-                        lambda tr, args, kwargs, out: ffts.append(out.shape))
+                        lambda tr, args, kwargs, out: transforms.append(out.shape))
             tracer.wrap(currents, "_upper_row_blocks", "pairs",
                         lambda tr, args, kwargs, out: blocks.extend(out))
             try:
                 J = fast16.slice_fields(spec16.packet, 0.0, refine=refine)
             finally:
                 tracer.uninstall()
-            assert not ffts
+            assert not transforms
             assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
             assert blocks[-1].stop == n
             sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
@@ -168,18 +161,31 @@ def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monk
 
 def test_refined_window_batches_hold_no_more_entries(spec16, fast16):
     # a refine-2 window holds 8 times the nodes of a refine-1 window, so its
-    # batches take an eighth of the eigenvectors
+    # batches take an eighth of the eigenvectors; the tracer's grids.m2p
+    # observer adds each call's transforms to its counter, one step per call
+    tracing = _load_tracing()
     entries = {}
     for refine in (1, 2):
-        tracer = _load_tracing().Tracer()
-        per_call = []
-        _window_transforms(tracer, per_call)
+        tracer = tracing.Tracer()
+        steps = []
+
+        class Counts(defaultdict):
+            def __setitem__(self, key, value):
+                # the first += sets the missing key to 0.0 before its step
+                if key == "grids.m2p_transforms" and key in self:
+                    steps.append(value - self[key])
+                super().__setitem__(key, value)
+
+        tracer.counts = Counts(float)
+        tracer.install()
         try:
             fast16.slice_fields(spec16.packet, 0.0, refine=refine, window_half=4)
         finally:
             tracer.uninstall()
-        assert sum(int(np.prod(shape[:-3])) for shape in per_call) == 5 * fast16.rank
-        entries[refine] = max(int(np.prod(shape)) for shape in per_call)
+        metrics = tracing.layer_metrics(tracer)
+        assert len(steps) == metrics["grids.m2p_calls"]
+        assert sum(steps) == metrics["grids.m2p_transforms"] == 5 * fast16.rank
+        entries[refine] = max(steps) * (2 * 4 * refine) ** 3
     assert entries[2] <= entries[1]
 
 

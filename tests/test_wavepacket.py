@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from achronal.grids import (MomentumGrid, momentum_to_position,
-                            momentum_to_position_direct)
+from achronal.grids import MomentumGrid, momentum_to_position
 from achronal.minkowski import PoincareElement, boost_z, fourvector, rotation
 from achronal.wavepacket import (GridMismatchError, SupportEscapeError,
                                  SupportViolationError, WavePacket,
@@ -10,6 +9,16 @@ from achronal.wavepacket import (GridMismatchError, SupportEscapeError,
                                  inner_product, make_packet)
 
 MASS = 1.0
+
+
+def momentum_to_position_direct(node_values: np.ndarray, nodes: np.ndarray,
+                                points: np.ndarray) -> np.ndarray:
+    """Reference mode sum F(x) = sum_p f(p) exp(i p.x) at arbitrary points.
+
+    nodes: (k, 3) momentum nodes, node_values: (..., k), points: (j, 3).
+    """
+    phases = np.exp(1j * (points @ nodes.T))
+    return node_values @ phases.T
 
 
 def test_energy_at_rest():
@@ -35,9 +44,10 @@ def test_energy_rejects_bad_mass():
 
 
 def test_fft_transform_matches_direct_modes(grid16):
+    # the whole conjugate grid is the centred window of half n/2
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((16,) * 3) + 1j * rng.standard_normal((16,) * 3)
-    F = momentum_to_position(vals, grid16)
+    F = momentum_to_position(vals, grid16, 1, 0, 8)
     ax = grid16.position_axis()
     pts = np.array([[ax[3], ax[7], ax[12]], [ax[0], ax[15], ax[8]]])
     ref = momentum_to_position_direct(vals.reshape(-1), grid16.node_coordinates(), pts)
@@ -46,11 +56,11 @@ def test_fft_transform_matches_direct_modes(grid16):
 
 
 def test_fft_transform_refined_matches_direct_modes(grid16):
-    # refine 2 embeds the n^3 cube in a zero-padded (2n)^3 one; a leading axis
+    # refine 2 evaluates the n^3 cube on the (2n)^3 grid; a leading axis
     # stacks two transforms
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((2,) + (16,) * 3) + 1j * rng.standard_normal((2,) + (16,) * 3)
-    F = momentum_to_position(vals, grid16, refine=2)
+    F = momentum_to_position(vals, grid16, 2, 0, 8)
     assert F.shape == (2,) + (32,) * 3
     ax = grid16.position_axis(refine=2)
     idx = [(3, 7, 12), (0, 31, 8), (16, 15, 27)]
@@ -66,7 +76,7 @@ def test_fft_two_node_packet_analytic(grid16):
     vals[4, 8, 9] = 1.0
     vals[10, 2, 7] = 2.0 - 1.0j
     p1, p2 = grid16.points()[[4, 10], [8, 2], [9, 7]]
-    F = momentum_to_position(vals, grid16)
+    F = momentum_to_position(vals, grid16, 1, 0, 8)
     ax = grid16.position_axis()
     x = np.array([ax[5], ax[6], ax[1]])
     expect = np.exp(1j * p1 @ x) + (2 - 1j) * np.exp(1j * p2 @ x)
