@@ -33,11 +33,14 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 reported in one line without a traceback: an unknown or missing key, a
 malformed value (kernel selector, packet, surface or mask descriptor,
 flattening factor, group element), a value out of range (an odd grid size
-or one below 8, a `refine`, seed or point count that is not an integer
-large enough, a window past half the grid, `times` that is not a
-non-empty list of numbers), a kernel the configured factorization cannot
-truncate or certify, or a group element that moves the packet's support
-off the grid.
+or one below 8, a `p_max` that is not a positive number, a `refine`,
+seed, landmark count, gram point count, logic sample count or point count
+that is not an integer large enough, a factorization `tol` outside (0, 1),
+a gram or logic radius that is not positive, a logic `gamma` of size past
+1 or an `eps_shell` outside [0, 1), a tolerance that is not a number, a
+window past half the grid, `times` that is not a non-empty list of
+numbers), a kernel the configured factorization cannot truncate or
+certify, or a group element that moves the packet's support off the grid.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -155,26 +159,54 @@ def _integer(value, path: str, least: int, most=None) -> int:
     return value
 
 
-# integer keys and their least values; a key absent from the command's
-# config is skipped
-_COUNTS = {"refine": 1, "seed": 0, "current_points": 1, "compare_points": 0}
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
+def _count(least: int):
+    return (lambda v: isinstance(v, int) and _is_number(v) and v >= least,
+            f"an integer >= {least}")
+
+
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+# values by dotted path: a test of the value and what it asks for in words;
+# a key absent from the command's config is skipped
+_RANGES = {
+    "refine": _count(1), "seed": _count(0), "current_points": _count(1),
+    "compare_points": _count(0), "factorization.landmarks": _count(1),
+    "gram.points": _count(1), "logic.samples": _count(1),
+    "grid.p_max": _POSITIVE, "gram.ball_radius_over_mass": _POSITIVE,
+    "logic.radius": _POSITIVE,
+    "factorization.tol": (lambda v: _is_number(v) and 0 < v < 1, "a number between 0 and 1"),
+    "logic.gamma": (lambda v: _is_number(v) and abs(v) <= 1, "a number from -1 to 1"),
+    "logic.eps_shell": (lambda v: _is_number(v) and 0 <= v < 1, "a number from 0 to below 1"),
+    **{f"tolerances.{name}": (_is_number, "a number") for name in _DEFAULT_TOLERANCES},
+    "kernel": (lambda v: isinstance(v, str), "a selector string"),
+    "times": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+              "a non-empty list of numbers"),
+}
+_ABSENT = object()
+
+
+def _lookup(cfg: dict, path: str):
+    """The merged config's value at `path`, a key or "object.key", or _ABSENT."""
+    head, _, key = path.rpartition(".")
+    return (cfg.get(head, {}) if head else cfg).get(key, _ABSENT)
 
 
 def _check_values(cfg: dict) -> None:
-    """Raise ConfigError for a grid size, count or time list out of range,
-    before anything is built."""
+    """Raise ConfigError for a grid size, count, real value, tolerance,
+    kernel selector or time list out of range, before anything is built."""
     for path, n in (("grid.n", cfg["grid"]["n"]), ("refined_grid_n", cfg.get("refined_grid_n"))):
         if n is not None and (_integer(n, path, 8) % 2):
             raise ConfigError(f"{path}: expected an even integer, got {n}")
-    for key, least in _COUNTS.items():
-        if key in cfg:
-            _integer(cfg[key], key, least)
+    for path, (inside, words) in _RANGES.items():
+        value = _lookup(cfg, path)
+        if value is not _ABSENT and not inside(value):
+            raise ConfigError(f"{path}: expected {words}, got {value!r}")
     if cfg["window_half_nodes"] is not None:
         _integer(cfg["window_half_nodes"], "window_half_nodes", 1, cfg["grid"]["n"] // 2)
-    times = cfg.get("times")
-    if "times" in cfg and (not isinstance(times, list) or not times or any(
-            isinstance(t, bool) or not isinstance(t, (int, float)) for t in times)):
-        raise ConfigError(f"times: expected a non-empty list of numbers, got {times!r}")
 
 
 def load_config(path, command: str) -> dict:
@@ -197,8 +229,6 @@ class _Run:
         _check_values(cfg)
         cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
         self.command, self.cfg, self.outdir = command, cfg, outdir
-        if not isinstance(cfg["kernel"], str):
-            raise ConfigError(f"kernel: expected a selector string, got {cfg['kernel']!r}")
         try:
             self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
         except ValueError as exc:

@@ -15,40 +15,36 @@ independent:
   the support nodes as sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then
   one product with the full support matrix and Rayleigh-Ritz), after which
   every current component becomes a rank sum of products of momentum sums
-  that evaluate either at given spacetime points (FastBackend.current_at,
-  through the phase matrix) or on position-grid slices
-  (FastBackend.slice_fields: separable sums from the support's momentum box
-  to a centred window of nodes, the one momentum-to-position transform,
-  whose window of half n/2 is the whole periodic grid; a causal slice of
-  the whole grid bins pairs of support nodes by lattice difference instead).
+  that evaluate at given spacetime points (FastBackend.current_at, through
+  the phase matrix), or a sum over pairs of support nodes binned by lattice
+  difference on position-grid slices (FastBackend.slice_fields).
   Stress-energy kernels are exactly separable and need no factorization:
   four auxiliary fields with weights p_mu/sqrt(eps) plus one with
-  1/sqrt(eps) rebuild the current algebraically, on any window.
+  1/sqrt(eps) rebuild the current algebraically, each field a separable sum
+  from the support's momentum box to a centred window of nodes (the one
+  momentum-to-position transform, whose window of half n/2 is the whole
+  periodic grid).
 
 Component mu of the causal current pairs the 1/sqrt(eps) field B with the
-mu-th of (sqrt(eps), p_i / sqrt(eps)).  A window slice transforms the
-auxiliary fields of each eigenvector, a batch of eigenvectors per stacked
-transform call, and only the fields its first `components` components need:
-J0 alone takes two fields per eigenvector instead of five.  At the CLI
-default config (n=32) the window of a flat flux is 20^3 of the 32^3 nodes
-and the support fills a 20^3 box, so a J0 window slice takes 0.23-0.28
-CPU-s (2-vCPU host).
-
-A whole-grid causal slice transforms no eigenvector.  Every support node
-lies on the momentum lattice, so the regrouped rank sum depends on x only
-through the grid-index difference of a node pair (FastBackend._pair_slice):
-the upper rows of G_R = V diag(mu) V^T, one GEMM of n_sup^2 R / 2
-multiply-adds, are binned into (2s - 1)^3 bins per component by
-np.bincount, with 5 passes over the n_sup^2 / 2 pairs for their common
-weight and code and 5 per component, and three small matrix products take
-the bins to the grid.  Transforming the fields of every eigenvector
-instead takes 5 R transforms of the grid.  At n=32 (3,648 support nodes,
-rank 306) a 4-component slice takes 0.74-0.84 CPU-s against 1.12-1.45 for
-5 R FFTs of (refine n)^3 cubes and 1.81 for the window transform at half
-n/2, and at refine 2 0.75-0.86 against 9.8-13.0 for the FFTs; at n=40
-(7,208 nodes) 2.5-2.8 against 2.6-3.1, and at n=48 (12,568 nodes), where
-pairs grow as n^6, 7.2-7.6 against 5.7-5.9 (2-vCPU host).  The
-paper-check sizes are n <= 32, so no size switch is kept.
+mu-th of (sqrt(eps), p_i / sqrt(eps)).  A causal slice transforms no
+eigenvector.  Every support node lies on the momentum lattice, so the
+regrouped rank sum depends on x only through the grid-index difference of a
+node pair (FastBackend._pair_slice): the upper rows of G_R = V diag(mu) V^T,
+one GEMM of n_sup^2 R / 2 multiply-adds, are binned into (2s - 1)^3 bins
+per component by np.bincount, with 5 passes over the n_sup^2 / 2 pairs for
+their common weight and code and 5 per component, and three small matrix
+products take the bins to the slice's window, the whole grid or a centred
+window alike.  The bins do not depend on the window or on `refine`, and
+the blocks of a slice share one set of buffers.  At n=32 (3,648 support
+nodes, rank 306) a 4-component slice of the whole grid takes 0.57-0.65
+CPU-s, and a J0 slice of a flat flux's window of half 10 0.25-0.29 at
+refine 1 and 0.28-0.32 at refine 2.  Transforming the fields of each
+eigenvector instead took 1.12-1.45 CPU-s for 5 R FFTs of (refine n)^3 cubes
+(9.8-13.0 at refine 2), and 0.15-0.19 and 0.61-0.63 for J0's two fields on
+that window; at n=40 (7,208 nodes) the bins took 2.5-2.8 against 2.6-3.1
+for the FFTs, and at n=48 (12,568 nodes), where pairs grow as n^6, 7.2-7.6
+against 5.7-5.9 (2-vCPU host).  The paper-check sizes are n <= 32, so no
+size switch is kept.
 
 Points need the factorization on the B field alone: the rank-R G goes onto
 the phase-loaded nodes with two real GEMMs, and each component is then one
@@ -71,22 +67,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grids import MomentumGrid, momentum_to_position
+from .grids import MomentumGrid, momentum_to_position, position_window_axis
 from .kernels import CausalKernel, TensorKernel, scalar_block
 from .minkowski import PoincareElement, apply_lorentz
 from .wavepacket import WavePacket, apply_poincare, energy
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
-# eigenvectors per window-slice transform batch (a refined window takes
-# _RANK_BATCH // refine^3 of them, so that no batch holds more output entries
-# than at refine 1; whole-grid causal slices bin node pairs instead and
-# transform no eigenvector); complex entries per phase block (support nodes
-# x points) of current_at, and per field of eval_direct's point blocks;
-# entries per row block of every g-matrix product (_row_blocks: the
-# factorization's and the causal eval_direct oracle's) and per pair block
-# of a whole-grid causal slice (_upper_row_blocks)
-_RANK_BATCH = 24
+# complex entries per phase block (support nodes x points) of current_at, and
+# per field of eval_direct's point blocks; entries per row block of every
+# g-matrix product (_row_blocks: the factorization's and the causal
+# eval_direct oracle's) and per pair block of a causal slice
+# (_upper_row_blocks)
 _PHASE_ENTRIES = 1 << 16
 _G_ENTRIES = 1 << 20
 
@@ -198,18 +190,6 @@ class SupportData:
         lo = int(ijk.min(initial=self.grid.n))
         s = max(0, int(ijk.max(initial=-1)) + 1 - lo)
         return lo, s, np.ravel_multi_index(tuple(ijk - lo), (s, s, s))
-
-    def embed(self, node_values: np.ndarray, cube: np.ndarray, box) -> np.ndarray:
-        """Scatter per-node values (..., n_sup) into the cube `cube`, of shape
-        (..., s^3) and zero off the support nodes, which is reused: the values
-        go into its leading part of their own shape, returned as a
-        (..., s, s, s) view.  The cube spans the bounding box, box() =
-        (lo, s, index)."""
-        _, s, index = box
-        lead = node_values.shape[:-1]
-        cube = cube[tuple(slice(0, k) for k in lead)]
-        cube[..., index] = node_values
-        return cube.reshape(lead + (s, s, s))
 
     def phases(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """exp(-i (eps x0 - p.x)) at points x of shape (m, 4), written into
@@ -438,7 +418,7 @@ class FastBackend:
             scratch = sbuf[:n_sup * m].reshape(n_sup, m)
             Z = self.support.phases(Xb, zbuf[:n_sup * m].reshape(n_sup, m), scratch)
             if self.separable:
-                J[:, i0:i0 + m] = self._current(load, lambda nodes: nodes @ Z)
+                J[:, i0:i0 + m] = _tensor_from_fields(self.kernel, *(weights * load) @ Z)
                 continue
             Z *= load[:, None]
             T = VbT @ Z.view(np.float64)
@@ -461,44 +441,34 @@ class FastBackend:
         `components` of (J0, J1, J2, J3) on the centred window of
         M = 2 window_half refine nodes per axis (position_window_mask); the
         default, window_half = None, is the whole periodic grid: the window
-        of half n/2, M = refine n.  A causal slice of the whole grid bins the
-        pairs of support nodes by lattice difference (_pair_slice):
-        n_sup^2 R / 2 multiply-adds for the upper rows of G_R and
-        5 + 5 `components` passes over the n_sup^2 / 2 pairs, whatever
-        `refine`.  Every other slice transforms each field from the
-        support's bounding box (SupportData.box) with a separable sum that
-        computes no node outside the window (momentum_to_position).
+        of half n/2, M = refine n.  A causal slice bins the pairs of support
+        nodes by lattice difference (_pair_slice): n_sup^2 R / 2
+        multiply-adds for the upper rows of G_R and 5 + 5 `components`
+        passes over the n_sup^2 / 2 pairs, whatever the window and
+        `refine`.  A stress-energy slice transforms its five fields from
+        the support's bounding box (SupportData.box) with a separable sum
+        that computes no node outside the window (momentum_to_position).
         """
         if not 1 <= components <= 4:
             raise ValueError(f"components must be 1 to 4, got {components}")
         if refine < 1:
             raise ValueError(f"refine must be >= 1, got {refine}")
         sup = self.support
-        values = sup.values_of(packet) * packet.grid.weight
-        load = values * np.exp(-1j * sup.eps * x0)
-        if window_half is None and not self.separable:
-            return self._pair_slice(load, refine, components) / TWO_PI_CUBED
+        load = sup.values_of(packet) * packet.grid.weight * np.exp(-1j * sup.eps * x0)
         half = sup.grid.n // 2 if window_half is None else window_half
-        box = sup.box()
-        cube = None
+        if not self.separable:
+            return self._pair_slice(load, refine, components, half) / TWO_PI_CUBED
+        # the five fields on the support's bounding box, zero off the support
+        lo, s, index = sup.box()
+        cube = np.zeros((5, s ** 3), dtype=complex)
+        cube[:, index] = sup.field_weights() * load
+        F = momentum_to_position(cube.reshape(5, s, s, s), sup.grid, refine, lo, half)
+        return _tensor_from_fields(self.kernel, *F)[:components] / TWO_PI_CUBED
 
-        def transform(nodes):
-            nonlocal cube
-            if cube is None:
-                # zeroed once per call and sized by the first (largest) batch:
-                # every batch writes the same support entries
-                cube = np.zeros(nodes.shape[:-1] + (box[1] ** 3,), dtype=complex)
-            return momentum_to_position(sup.embed(nodes, cube, box), sup.grid, refine,
-                                        box[0], half)
-
-        J = self._current(load, transform, components,
-                          batch=max(1, _RANK_BATCH // refine ** 3))
-        return J / TWO_PI_CUBED
-
-    def _pair_slice(self, load, refine, components):
+    def _pair_slice(self, load, refine, components, half):
         """(2 pi)^3 times the causal current (components, M, M, M) on the
-        whole grid, from the pairs k <= p of support nodes binned by lattice
-        difference.
+        centred window of half `half`, M = 2 half refine nodes per axis,
+        from the pairs k <= p of support nodes binned by lattice difference.
 
         With B = load / sqrt(eps), P = (eps, p) and G_R = V diag(mu) V^T,
         sum_r mu_r Re(conj(F_r) B_r) regroups as
@@ -510,11 +480,14 @@ class FastBackend:
         through the grid-index difference i_k - i_p: one bin of (2s - 1)^3
         per component and real or imaginary part, filled block by block of
         the upper rows of G_R (_upper_row_blocks, _bin_pairs), then three
-        products with exp(-i h d x) on the M = refine n nodes per axis.  The
-        cell-centred offsets of both grids cancel in the difference.
+        products with exp(-i h d x) on the window's nodes per axis
+        (position_window_axis).  The cell-centred offsets of both grids
+        cancel in the difference.  The blocks share one set of buffers,
+        sized by the largest block.
         """
         sup = self.support
-        n, M = len(load), refine * sup.grid.n
+        x = position_window_axis(sup.grid, half, refine)
+        n, M = len(load), len(x)
         if n == 0:
             return np.zeros((components, M, M, M))
         lo, s, _ = sup.box()
@@ -525,12 +498,21 @@ class FastBackend:
         P = np.vstack([sup.eps, sup.points.T])[:components]
         Vmu = self.eigvecs * self.eigvals
         bins = np.zeros((components, 2, nb ** 3))
-        for rows in _upper_row_blocks(n):
-            _bin_pairs(Vmu[rows] @ self.eigvecs[rows.start:].T, rows, B, P, code, bins)
+        blocks = _upper_row_blocks(n)
+        size = max((b.stop - b.start) * (n - b.start) for b in blocks)
+        # the G block, the complex weights, the imaginary-part weights and
+        # the bin indices, sized by the largest block
+        work = (np.empty(size), np.empty(size, dtype=complex), np.empty(size),
+                np.empty(size, dtype=np.intp))
+        for rows in blocks:
+            shape = (rows.stop - rows.start, n - rows.start)
+            G, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in work)
+            np.matmul(Vmu[rows], self.eigvecs[rows.start:].T, out=G)
+            _bin_pairs(G, rows, B, P, code, bins, scratch)
         # sum_d D_d exp(-i h d x) axis by axis, the last one first; the
         # first axis's product keeps the real part only
         d = np.arange(nb) - (s - 1)
-        E = np.exp(-1j * sup.grid.spacing * np.outer(d, sup.grid.position_axis(refine)))
+        E = np.exp(-1j * sup.grid.spacing * np.outer(d, x))
         D = bins[:, 0] + 1j * bins[:, 1]
         t = D.reshape(components * nb * nb, nb) @ E
         t = E.T @ t.reshape(components * nb, nb, M)
@@ -538,50 +520,29 @@ class FastBackend:
         J = E.real.T @ t.real - E.imag.T @ t.imag
         return J.reshape(components, M, M, M)
 
-    def _current(self, load, transform, components=4, batch=_RANK_BATCH):
-        """Real current components (components, ...) at the points `transform`
-        reaches.
 
-        `load` holds the per-node packet values (quadrature weight and any
-        common time phase included); `transform` maps node arrays of shape
-        (..., n_sup) to fields (..., *points) at the evaluation points.  Each
-        batch of `batch` eigenvectors makes one transform call.
-        """
-        weights = self.support.field_weights()
-        if self.separable:
-            # every stress-energy component needs all five fields
-            Fv, F0, F1, F2, F3 = transform(weights * load)
-            return _tensor_from_fields(self.kernel, F0, F1, F2, F3, Fv)[:components]
-        # B = 1/sqrt(eps) first, then the partners (A, C1, C2, C3)[:components]
-        wl = (weights[:components + 1] * load)[:, None, :]
-        R = self.rank
-        J = 0.0
-        for r0 in range(0, R, batch):
-            rs = slice(r0, min(r0 + batch, R))
-            J = J + _rank_sum(self.eigvals[rs], transform(self.eigvecs[:, rs].T * wl))
-        return J
-
-
-def _bin_pairs(G, rows, B, P, code, bins):
+def _bin_pairs(G, rows, B, P, code, bins, scratch):
     """Add the pairs of one block of G_R's upper rows to `bins`, of shape
     (components, 2, (2s - 1)^3), real and imaginary parts apart: G holds
     the rows `rows` against the columns rows.start to n_sup, and pair
     (k, p) goes to the bin of code_k - code_p, offset so that the zero
-    difference sits in the middle bin.  The block's arrays are released on
-    return, before the next block is built."""
+    difference sits in the middle bin.  The block's arrays go into
+    `scratch`, three arrays of G's shape (complex, real and integer) that
+    every block of a slice reuses."""
     cols = slice(rows.start, None)
     # the leading square also holds the pairs k > p: drop them and halve
     # the diagonal
     square = G[:, :rows.stop - rows.start]
     square[...] = np.triu(square)
     square[np.diag_indices_from(square)] *= 0.5
+    u, v, idx = scratch
     # the weights conj(B_k) G_kp B_p, the real part in G's buffer
-    u = np.multiply.outer(np.conj(B[rows]), B[cols])
-    parts = (G, u.imag * G)
+    np.multiply.outer(np.conj(B[rows]), B[cols], out=u)
+    parts = (G, np.multiply(u.imag, G, out=v))
     G *= u.real
     # u's buffer then takes P_k + P_p and each weight array
     S, w = u.view(np.float64).reshape((2,) + G.shape)
-    idx = np.subtract.outer(code[rows], code[cols]).ravel()
+    idx = np.subtract.outer(code[rows], code[cols], out=idx).ravel()
     idx += bins.shape[-1] // 2
     for mu, out in enumerate(bins):
         np.add.outer(P[mu, rows], P[mu, cols], out=S)
@@ -590,16 +551,9 @@ def _bin_pairs(G, rows, B, P, code, bins):
             part_bins += np.bincount(idx, weights=w.ravel(), minlength=len(part_bins))
 
 
-def _rank_sum(mu, fields):
-    """sum_r mu_r Re(conj(F) B) for each partner F of B = fields[0]; the
-    batch's fields are released on return, before the next batch is made."""
-    B, *partners = fields
-    mub = mu.reshape((-1,) + (1,) * (B.ndim - 1))
-    return np.stack([np.sum(mub * (np.conj(F) * B).real, axis=0) for F in partners])
-
-
-def _tensor_from_fields(kern: TensorKernel, F0, F1, F2, F3, Fv):
-    """Assemble the stress-energy current (4, ...) from the five auxiliary fields."""
+def _tensor_from_fields(kern: TensorKernel, Fv, F0, F1, F2, F3):
+    """Assemble the stress-energy current (4, ...) from the five auxiliary
+    fields, in the order of SupportData.field_weights."""
     n = kern.n
     m2 = kern.mass ** 2
     nU = n[0] * F0 - n[1] * F1 - n[2] * F2 - n[3] * F3

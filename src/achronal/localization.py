@@ -12,9 +12,11 @@ surface (a partition, say) shares that evaluation, on the union of their
 nodes, and the integrand is then summed per mask.  When tau is constant
 and grad tau exactly zero on those nodes (flat surfaces and their images
 under rotations and translations), the integrand is J0 and one slice at
-that time covers the window: a separable sum from the support's momentum
-box to the window's nodes (FastBackend.slice_fields with window_half) of
-J0's two auxiliary fields, which computes no node outside the window.
+that time covers the window (FastBackend.slice_fields with window_half,
+one component): a causal J0 from the pairs of support nodes binned by
+lattice difference, a stress-energy one from a separable sum of its five
+auxiliary fields from the support's momentum box to the window's nodes;
+neither computes a node outside the window.
 Otherwise the current is evaluated at the nodes themselves with the
 phase-matrix product of FastBackend.current_at.
 

@@ -11,7 +11,8 @@ from achronal.currents import (BackendMismatchError, CurrentSpec,
                                FactorizationError, SupportData, build_fast,
                                check_causal_pointwise, check_continuity,
                                covariance_pair, decay_scan, eval_direct)
-from achronal.grids import MomentumGrid, momentum_to_position, position_window_mask
+from achronal.grids import (MomentumGrid, momentum_to_position, position_window_axis,
+                            position_window_mask)
 from achronal.kernels import (CausalKernel, GFunction, TensorKernel, kernel_K,
                               kernel_Kn, parse_kernel_spec, scalar_block)
 from achronal.localization import Region, _window_nodes, probability
@@ -344,9 +345,11 @@ def window_backends(grid16, kern_basic, kern_tensor):
        st.integers(1, 2), st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(1, 8))
 def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refine,
                                             components, x0, half):
-    # the window slice against the whole-grid slice (pair bins for the causal
-    # kernel, the window of half n/2 for the stress-energy one), cut to the
-    # window that position_window_mask selects
+    # the window slice against the whole-grid slice, cut to the window that
+    # position_window_mask selects: the window transform at half `half` and
+    # at n/2 for the stress-energy kernel, the same pair bins on two sets of
+    # nodes for the causal one (whose independent reference is the rank
+    # contraction, test_whole_grid_slice_is_the_rank_contraction)
     pkt, fb = window_backends[kind, center]
     full = fb.slice_fields(pkt, x0, refine=refine, components=components)
     win = fb.slice_fields(pkt, x0, refine=refine, components=components, window_half=half)
@@ -358,25 +361,30 @@ def test_window_slice_is_the_cut_full_slice(window_backends, kind, center, refin
 
 @pytest.mark.parametrize("components", [1, 2, 3, 4])
 @pytest.mark.parametrize("refine", [1, 2])
-@pytest.mark.parametrize("backend", ["centred", "off_centre", "fast16_loose"])
-def test_whole_grid_slice_is_the_rank_contraction(request, window_backends, backend, refine,
-                                                  components):
-    # a causal slice of the whole grid bins the pairs of support nodes by
-    # lattice difference; the reference transforms every eigenvector's
-    # fields at 200 random nodes and the |J0| peak
+@pytest.mark.parametrize("backend, window_half", [
+    pytest.param(name, half, id=name if half is None else f"{name}-window_{half}")
+    for half in (None, 5) for name in ("centred", "off_centre", "fast16_loose")])
+def test_whole_grid_slice_is_the_rank_contraction(request, window_backends, backend,
+                                                  window_half, refine, components):
+    # a causal slice, of the whole grid (window_half None) or of a window,
+    # bins the pairs of support nodes by lattice difference; the reference
+    # transforms every eigenvector's fields at 200 random nodes of the slice
+    # and the |J0| peak
     if backend == "fast16_loose":
         pkt, fb = request.getfixturevalue("packet16"), request.getfixturevalue(backend)
     else:
         pkt, fb = window_backends["causal", ["centred", "off_centre"].index(backend)]
     rng = np.random.default_rng([refine, components, len(backend)])
     x0 = rng.uniform(-3.0, 3.0)
-    J = fb.slice_fields(pkt, x0, refine=refine, components=components)
-    m = pkt.grid.n * refine
+    J = fb.slice_fields(pkt, x0, refine=refine, components=components,
+                        window_half=window_half)
+    ax = position_window_axis(pkt.grid, window_half or pkt.grid.n // 2, refine)
+    m = len(ax)
     assert J.shape == (components, m, m, m) and J.dtype == np.float64
     assert J.flags.c_contiguous
     peak = np.unravel_index(np.argmax(np.abs(J[0])), J[0].shape)
     nodes = np.vstack([rng.integers(0, m, size=(200, 3)), peak])
-    X = np.column_stack([np.full(len(nodes), x0), pkt.grid.position_axis(refine)[nodes]])
+    X = np.column_stack([np.full(len(nodes), x0), ax[nodes]])
     ref = rank_batched_points(fb, pkt, X)[:components]
     got = J[(slice(None),) + tuple(nodes.T)]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(J).max()

@@ -436,14 +436,37 @@ def test_cli_values_outside_the_merged_keys_are_config_errors(tmp_path, command,
     ("covariance", {"group": {"rapidity": 0.25}, "current_points": 0}),
     ("field-dump", {"compare_points": -1}),
     ("field-dump", {"times": "0"}),
+    ("normalize", {"grid": {"n": 16, "p_max": -3}}),
+    ("normalize", {"grid": {"n": 16, "p_max": "x"}}),
+    ("normalize", {"factorization": {"tol": "x", "landmarks": 480}}),
+    ("normalize", {"factorization": {"tol": -1, "landmarks": 480}}),
+    ("normalize", {"factorization": {"tol": 1e-8, "landmarks": 0}}),
+    ("normalize", {"factorization": {"tol": 1e-8, "landmarks": 1.5}}),
+    ("normalize", {"tolerances": {"normalization": "x"}}),
+    ("kernel-pd", {"gram": {"points": 0}}),
+    ("kernel-pd", {"gram": {"points": -5}}),
+    ("kernel-pd", {"gram": {"points": 20.7}}),
+    ("kernel-pd", {"gram": {"ball_radius_over_mass": -3}}),
+    ("logic", {"logic": {"radius": -1}}),
+    ("logic", {"logic": {"samples": -10}}),
+    ("logic", {"logic": {"samples": 0}}),
+    ("logic", {"logic": {"samples": 12.5}}),
+    ("logic", {"logic": {"gamma": 2}}),
+    ("logic", {"logic": {"eps_shell": -1}}),
 ], ids=["grid_n_odd", "refined_grid_n_odd", "refine_zero", "refine_negative",
         "refine_fraction", "window_zero", "window_negative", "window_past_half_n",
         "seed_negative", "current_points_zero", "compare_points_negative",
-        "times_a_string"])
+        "times_a_string", "p_max_negative", "p_max_a_string", "tol_a_string",
+        "tol_negative", "landmarks_zero", "landmarks_fraction", "tolerance_a_string",
+        "gram_points_zero", "gram_points_negative", "gram_points_fraction",
+        "gram_radius_negative", "logic_radius_negative", "logic_samples_negative",
+        "logic_samples_zero", "logic_samples_fraction", "logic_gamma_past_one",
+        "logic_eps_shell_negative"])
 def test_cli_values_out_of_range_are_config_errors(tmp_path, command, change):
-    # grid sizes, counts, the window and the dump times are checked before
-    # the build: exit 2 with one line, not 1 with a traceback or 0 with the
-    # value truncated or iterated as a string
+    # grid sizes and momentum range, counts, the factorization, tolerances,
+    # the window, the gram and logic values and the dump times are checked
+    # before the build: exit 2 with one line, not 1 with a traceback or 0
+    # with the value truncated, ignored or iterated as a string
     from click.testing import CliRunner
 
     from achronal import cli

@@ -4,14 +4,13 @@ Renaming or removing one of those names, or a value an observer reads,
 breaks only a traced benchmark run.  So one test resolves every entry of
 ``perfbench/tracing.py`` ``TARGETS`` and the others run traced builds,
 direct sums, fluxes, slices and image-surface inversions.  The one
-momentum-to-position transform, which every window slice and every
-stress-energy slice of the whole grid takes, is the tracer's ``grids.m2p``
-target; the tests that count its transforms read that target's counters.
+momentum-to-position transform, which only stress-energy slices take, is the
+tracer's ``grids.m2p`` target; a causal slice, of the whole grid or of a
+window, bins node pairs (``currents._bin_pairs``) and makes no call of it.
 """
 
 import importlib
 import importlib.util
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -116,77 +115,55 @@ def test_partition_takes_one_time_slice(spec16, fast16):
     assert tracing.layer_metrics(tracer)["localization.time_slices"] == 1
 
 
-def test_flat_causal_flux_transforms_only_the_j0_fields(spec16, fast16):
-    # J0 pairs the 1/sqrt(eps) field with the sqrt(eps) field: two window
-    # transforms per eigenvector, not five
+def test_flat_causal_flux_bins_only_j0(spec16, fast16):
+    # a flat flux reads J0 alone, and a causal slice bins node pairs: the
+    # bins hold one component, and no momentum-to-position transform runs
     tracing = _load_tracing()
     tracer = tracing.Tracer()
+    bins = []
+    tracer.wrap(currents, "_bin_pairs", "pairs",
+                lambda tr, args, kwargs, out: bins.append(args[5].shape))
     tracer.install()
     try:
         loc.probability(spec16, loc.Region(FlatSurface(0.0)), backend=fast16, window_half=4)
     finally:
         tracer.uninstall()
-    assert tracing.layer_metrics(tracer)["grids.m2p_transforms"] == 2 * fast16.rank
+    assert tracing.layer_metrics(tracer)["grids.m2p_calls"] == 0
+    assert bins and all(shape[0] == 1 for shape in bins)
 
 
 def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monkeypatch):
-    # a causal slice of the whole grid bins pairs of support nodes and
-    # transforms no eigenvector field: at refine 2 it makes no call of the
-    # momentum-to-position transform, and its blocks of the upper rows of G_R
-    # are those of refine 1, of at most _G_ENTRIES entries, at the default
-    # budget and at one that splits the 480 rows into blocks of 7
+    # a causal slice, of the whole grid or of a window, bins pairs of
+    # support nodes and transforms no eigenvector field: at refine 2 it
+    # makes no call of the momentum-to-position transform, and its blocks of
+    # the upper rows of G_R are those of refine 1, of at most _G_ENTRIES
+    # entries, at the default budget and at one that splits the 480 rows
+    # into blocks of 7
     n = len(fast16.support.eps)
-    whole = fast16.slice_fields(spec16.packet, 0.0, refine=2)
+    whole = {half: fast16.slice_fields(spec16.packet, 0.0, refine=2, window_half=half)
+             for half in (None, 4)}
     for entries in (currents._G_ENTRIES, 7 * n + 5):
         monkeypatch.setattr(currents, "_G_ENTRIES", entries)
-        sizes = {}
-        for refine in (1, 2):
-            tracer = _load_tracing().Tracer()
-            transforms, blocks = [], []
-            tracer.wrap(currents, "momentum_to_position", "grids.m2p",
-                        lambda tr, args, kwargs, out: transforms.append(out.shape))
-            tracer.wrap(currents, "_upper_row_blocks", "pairs",
-                        lambda tr, args, kwargs, out: blocks.extend(out))
-            try:
-                J = fast16.slice_fields(spec16.packet, 0.0, refine=refine)
-            finally:
-                tracer.uninstall()
-            assert not transforms
-            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-            assert blocks[-1].stop == n
-            sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
-        assert sizes[2] == sizes[1] and max(sizes[2]) <= entries
-        assert np.abs(J - whole).max() <= 1e-14 * np.abs(whole).max()
-
-
-def test_refined_window_batches_hold_no_more_entries(spec16, fast16):
-    # a refine-2 window holds 8 times the nodes of a refine-1 window, so its
-    # batches take an eighth of the eigenvectors; the tracer's grids.m2p
-    # observer adds each call's transforms to its counter, one step per call
-    tracing = _load_tracing()
-    entries = {}
-    for refine in (1, 2):
-        tracer = tracing.Tracer()
-        steps = []
-
-        class Counts(defaultdict):
-            def __setitem__(self, key, value):
-                # the first += sets the missing key to 0.0 before its step
-                if key == "grids.m2p_transforms" and key in self:
-                    steps.append(value - self[key])
-                super().__setitem__(key, value)
-
-        tracer.counts = Counts(float)
-        tracer.install()
-        try:
-            fast16.slice_fields(spec16.packet, 0.0, refine=refine, window_half=4)
-        finally:
-            tracer.uninstall()
-        metrics = tracing.layer_metrics(tracer)
-        assert len(steps) == metrics["grids.m2p_calls"]
-        assert sum(steps) == metrics["grids.m2p_transforms"] == 5 * fast16.rank
-        entries[refine] = max(steps) * (2 * 4 * refine) ** 3
-    assert entries[2] <= entries[1]
+        for half, ref in whole.items():
+            sizes = {}
+            for refine in (1, 2):
+                tracer = _load_tracing().Tracer()
+                transforms, blocks = [], []
+                tracer.wrap(currents, "momentum_to_position", "grids.m2p",
+                            lambda tr, args, kwargs, out: transforms.append(out.shape))
+                tracer.wrap(currents, "_upper_row_blocks", "pairs",
+                            lambda tr, args, kwargs, out: blocks.extend(out))
+                try:
+                    J = fast16.slice_fields(spec16.packet, 0.0, refine=refine,
+                                            window_half=half)
+                finally:
+                    tracer.uninstall()
+                assert not transforms
+                assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+                assert blocks[-1].stop == n
+                sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
+            assert sizes[2] == sizes[1] and max(sizes[2]) <= entries
+            assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_tracer_sees_the_image_surface_inversion(spec16):
