@@ -132,38 +132,45 @@ def test_flat_causal_flux_bins_only_j0(spec16, fast16):
     assert bins and all(shape[0] == 1 for shape in bins)
 
 
-def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monkeypatch):
-    # a causal slice, of the whole grid or of a window, bins pairs of
-    # support nodes and transforms no eigenvector field: at refine 2 it
-    # makes no call of the momentum-to-position transform, and its blocks of
-    # the upper rows of G_R are those of refine 1, of at most _G_ENTRIES
-    # entries, at the default budget and at one that splits the 480 rows
-    # into blocks of 7
+def _check_refined_pair_blocks(spec16, fast16, monkeypatch, half):
+    # a causal slice bins pairs of support nodes and transforms no
+    # eigenvector field: at refine 2 it makes no call of the
+    # momentum-to-position transform, and its blocks of the upper rows of G_R
+    # are those of refine 1, of at most _G_ENTRIES entries, at the default
+    # budget and at one that splits the 480 rows into blocks of 7
     n = len(fast16.support.eps)
-    whole = {half: fast16.slice_fields(spec16.packet, 0.0, refine=2, window_half=half)
-             for half in (None, 4)}
+    ref = fast16.slice_fields(spec16.packet, 0.0, refine=2, window_half=half)
     for entries in (currents._G_ENTRIES, 7 * n + 5):
         monkeypatch.setattr(currents, "_G_ENTRIES", entries)
-        for half, ref in whole.items():
-            sizes = {}
-            for refine in (1, 2):
-                tracer = _load_tracing().Tracer()
-                transforms, blocks = [], []
-                tracer.wrap(currents, "momentum_to_position", "grids.m2p",
-                            lambda tr, args, kwargs, out: transforms.append(out.shape))
-                tracer.wrap(currents, "_upper_row_blocks", "pairs",
-                            lambda tr, args, kwargs, out: blocks.extend(out))
-                try:
-                    J = fast16.slice_fields(spec16.packet, 0.0, refine=refine,
-                                            window_half=half)
-                finally:
-                    tracer.uninstall()
-                assert not transforms
-                assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-                assert blocks[-1].stop == n
-                sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
-            assert sizes[2] == sizes[1] and max(sizes[2]) <= entries
-            assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
+        sizes = {}
+        for refine in (1, 2):
+            tracer = _load_tracing().Tracer()
+            transforms, blocks = [], []
+            tracer.wrap(currents, "momentum_to_position", "grids.m2p",
+                        lambda tr, args, kwargs, out: transforms.append(out.shape))
+            tracer.wrap(currents, "_upper_row_blocks", "pairs",
+                        lambda tr, args, kwargs, out: blocks.extend(out))
+            try:
+                J = fast16.slice_fields(spec16.packet, 0.0, refine=refine, window_half=half)
+            finally:
+                tracer.uninstall()
+            assert not transforms
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == n
+            sizes[refine] = [(b.stop - b.start) * (n - b.start) for b in blocks]
+        assert sizes[2] == sizes[1] and max(sizes[2]) <= entries
+        assert np.abs(J - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_refined_slice_bins_pair_blocks_of_the_entry_budget(spec16, fast16, monkeypatch):
+    # the whole grid
+    _check_refined_pair_blocks(spec16, fast16, monkeypatch, None)
+
+
+def test_refined_window_batches_hold_no_more_entries(spec16, fast16, monkeypatch):
+    # a refine-2 window holds 8 times the nodes of a refine-1 window, but it
+    # bins the same pair blocks, so it holds no more entries at a time
+    _check_refined_pair_blocks(spec16, fast16, monkeypatch, 4)
 
 
 def test_tracer_sees_the_image_surface_inversion(spec16):
