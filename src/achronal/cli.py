@@ -17,30 +17,26 @@ and writes to its output directory:
   rank, landmark counts and spectral tail of its first build, and whether
   that tail is certified.
 
-The config is strictly validated: unknown keys are rejected in every
-object except the free-form `packet.params`, tolerances included.  A
-`covariance` region takes a `surface` and a `mask` descriptor, a
-`flatten_sweep` a `surface` and its `gammas`, and `group` any of
-`rapidity`, `rotation` (an `angle` and a unit `axis`, by default z) and
-`translation` (a 4-vector); a missing or unknown key there is an error too.
-The factorization key holds build_fast's `tol` and, as `landmarks`, the
+The config is strictly validated against one table per command
+(`_COMMON_KEYS` and `_COMMAND_KEYS`), which gives every key its default
+and its rule: unknown keys are rejected in every object except the
+free-form `packet.params`, tolerances included.  A `covariance` region
+takes a `surface` and a `mask` descriptor, a `flatten_sweep` a `surface`
+and its `gammas`, and `group` any of `rapidity`, `rotation` (an `angle`
+and a unit `axis`, by default z) and `translation` (a 4-vector).  The
+factorization key holds build_fast's `tol` and, as `landmarks`, the
 largest landmark count a build may use: it starts below that and grows
-only while its spectrum checks fail.  `normalization_mode`
-is "raw", or "energy" for a tensor (stress-energy) kernel; every flux
-command applies it.
+only while its spectrum checks fail.  `normalization_mode` is "raw", or
+"energy" for a tensor (stress-energy) kernel; every flux command applies
+it.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 reported in one line without a traceback: an unknown or missing key, a
-malformed value (kernel selector, packet, surface or mask descriptor,
-flattening factor, group element), a value out of range (an odd grid size
-or one below 8, a `p_max` that is not a positive number, a `refine`,
-seed, landmark count, gram point count, logic sample count or point count
-that is not an integer large enough, a factorization `tol` outside (0, 1),
-a gram or logic radius that is not positive, a logic `gamma` of size past
-1 or an `eps_shell` outside [0, 1), a tolerance that is not a number, a
-window past half the grid, `times` that is not a non-empty list of
-numbers), a kernel the configured factorization cannot truncate or
-certify, or a group element that moves the packet's support off the grid.
+value outside its key's rule in the table, a window past half the grid, a
+malformed kernel selector, packet, surface or mask descriptor, flattening
+factor or group element, a kernel the configured factorization cannot
+truncate or certify, or a group element that moves the packet's support
+off the grid.
 """
 
 from __future__ import annotations
@@ -78,90 +74,13 @@ class ConfigError(ValueError):
     pass
 
 
-_DEFAULT_TOLERANCES = {
-    "normalization": 1e-2,
-    "invariance": 2e-2,
-    "covariance_boost": 3e-2,
-    "covariance_rotation": 1e-3,
-    "covariance_translation": 1e-3,
-    "current_covariance": 3e-2,
-    "gram_min_eigenvalue": -1e-10,
-    "oracle": 1e-6,
-    "logic_band": 2e-2,
-}
-
-_COMMON_KEYS = {
-    "mass": 1.0,
-    "grid": {"n": 32, "p_max": 4.0},
-    "packet": {"kind": "mollified_gaussian", "params": {}, "margin": None},
-    "kernel": "basic:r=1.5",
-    "factorization": {"tol": 1e-6, "landmarks": 3000},
-    "window_half_nodes": None,
-    "refine": 1,
-    "seed": 0,
-    "normalization_mode": "raw",
-    "tolerances": _DEFAULT_TOLERANCES,
-}
-
-_COMMAND_KEYS = {
-    "normalize": {"refined_grid_n": None},
-    "invariance": {"surfaces": [{"type": "flat", "t0": 0.0}],
-                   "flatten_sweep": None},
-    "covariance": {"group": {}, "regions": [], "current_points": 4},
-    "kernel-pd": {"gram": {"points": 200, "ball_radius_over_mass": 3.0}},
-    "logic": {"logic": {"radius": 4.0, "gamma": 0.5, "samples": 10000,
-                        "eps_shell": 1e-3}},
-    "field-dump": {"times": [0.0], "compare_points": 8},
-}
-
-
-def _merge_defaults(defaults: dict, given, path: str = "config") -> dict:
-    """`given` with the keys it lacks taken from `defaults`.  Where the
-    default is an object, so must the given value be; an object with keys
-    admits no others and is merged key by key, an empty one ({}) is
-    free-form."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if not defaults:
-        return given
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, dval in defaults.items():
-        value = given.get(key, dval)
-        out[key] = (_merge_defaults(dval, value, f"{path}.{key}")
-                    if isinstance(dval, dict) else value)
-    return out
-
-
-def _object(value, path: str, required=(), optional=()) -> dict:
-    """`value`, which must be an object with every key of `required` and
-    no key outside `required` and `optional`."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    missing = [k for k in required if k not in value]
-    if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
-    unknown = set(value) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    return value
-
-
-def _integer(value, path: str, least: int, most=None) -> int:
-    """`value`, which must be an integer from `least` to `most` (no upper
-    bound when None)."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < least
-            or (most is not None and value > most)):
-        bounds = f"from {least} to {most}" if most is not None else f">= {least}"
-        raise ConfigError(f"{path}: expected an integer {bounds}, got {value!r}")
-    return value
-
-
 def _is_number(value) -> bool:
     return not isinstance(value, bool) and (
         isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
 
 
 def _count(least: int):
@@ -169,52 +88,123 @@ def _count(least: int):
             f"an integer >= {least}")
 
 
+# rules: a test of a value and what it asks for in words
+_NUMBER = (_is_number, "a number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
-# values by dotted path: a test of the value and what it asks for in words;
-# a key absent from the command's config is skipped
-_RANGES = {
-    "refine": _count(1), "seed": _count(0), "current_points": _count(1),
-    "compare_points": _count(0), "factorization.landmarks": _count(1),
-    "gram.points": _count(1), "logic.samples": _count(1),
-    "grid.p_max": _POSITIVE, "gram.ball_radius_over_mass": _POSITIVE,
-    "logic.radius": _POSITIVE,
-    "factorization.tol": (lambda v: _is_number(v) and 0 < v < 1, "a number between 0 and 1"),
-    "logic.gamma": (lambda v: _is_number(v) and abs(v) <= 1, "a number from -1 to 1"),
-    "logic.eps_shell": (lambda v: _is_number(v) and 0 <= v < 1, "a number from 0 to below 1"),
-    **{f"tolerances.{name}": (_is_number, "a number") for name in _DEFAULT_TOLERANCES},
-    "kernel": (lambda v: isinstance(v, str), "a selector string"),
-    "times": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
-              "a non-empty list of numbers"),
+_GRID_SIZE = (lambda v: _count(8)[0](v) and v % 2 == 0, "an even integer >= 8")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+# defaults of a key that must be given, and of one that may be left out and
+# is then not filled in
+_REQUIRED, _ABSENT = object(), object()
+
+# The config's tables.  A key maps to (default, rule), where the rule is a
+# (test, words) pair, a table for an object, or [table] for a list of such
+# objects; a key that maps to a table alone holds an object whose absent
+# keys take the table's defaults.  A key whose default is None may also be
+# given as null.
+_COMMON_KEYS = {
+    "mass": (1.0, _POSITIVE),
+    "grid": {"n": (32, _GRID_SIZE), "p_max": (4.0, _POSITIVE)},
+    "packet": {"kind": ("mollified_gaussian", _STRING), "params": ({}, _OBJECT),
+               "margin": (None, _count(1))},
+    "kernel": ("basic:r=1.5", _STRING),
+    "factorization": {
+        "tol": (1e-6, (lambda v: _is_number(v) and 0 < v < 1, "a number between 0 and 1")),
+        "landmarks": (3000, _count(1))},
+    "window_half_nodes": (None, _count(1)),
+    "refine": (1, _count(1)),
+    "seed": (0, _count(0)),
+    "normalization_mode": ("raw", (lambda v: v in ("raw", "energy"), "'raw' or 'energy'")),
+    "tolerances": {
+        "normalization": (1e-2, _NUMBER), "invariance": (2e-2, _NUMBER),
+        "covariance_boost": (3e-2, _NUMBER), "covariance_rotation": (1e-3, _NUMBER),
+        "covariance_translation": (1e-3, _NUMBER), "current_covariance": (3e-2, _NUMBER),
+        "gram_min_eigenvalue": (-1e-10, _NUMBER), "oracle": (1e-6, _NUMBER),
+        "logic_band": (2e-2, _NUMBER)},
 }
-_ABSENT = object()
+
+_COMMAND_KEYS = {
+    "normalize": {"refined_grid_n": (None, _GRID_SIZE)},
+    "invariance": {
+        "surfaces": ([{"type": "flat", "t0": 0.0}],
+                     (lambda v: isinstance(v, list), "a list of surface descriptors")),
+        "flatten_sweep": (None, {"surface": (_REQUIRED, _OBJECT),
+                                 "gammas": (_REQUIRED, (_is_number_list, "a list of numbers"))})},
+    "covariance": {
+        "group": {
+            "rapidity": (_ABSENT, _NUMBER),
+            "rotation": (_ABSENT, {
+                "angle": (_REQUIRED, _NUMBER),
+                "axis": (_ABSENT, (lambda v: _is_number_list(v) and len(v) == 3,
+                                   "a list of 3 numbers"))}),
+            "translation": (_ABSENT, (lambda v: _is_number_list(v) and len(v) == 4,
+                                      "a list of 4 numbers"))},
+        "regions": ([], [{"surface": (_REQUIRED, _OBJECT), "mask": (_REQUIRED, _OBJECT)}]),
+        "current_points": (4, _count(1))},
+    "kernel-pd": {"gram": {"points": (200, _count(1)),
+                           "ball_radius_over_mass": (3.0, _POSITIVE)}},
+    "logic": {"logic": {
+        "radius": (4.0, _POSITIVE),
+        "gamma": (0.5, (lambda v: _is_number(v) and abs(v) <= 1, "a number from -1 to 1")),
+        "samples": (10000, _count(1)),
+        "eps_shell": (1e-3, (lambda v: _is_number(v) and 0 <= v < 1,
+                             "a number from 0 to below 1"))}},
+    "field-dump": {
+        "times": ([0.0], (lambda v: _is_number_list(v) and len(v) > 0,
+                          "a non-empty list of numbers")),
+        "compare_points": (8, _count(0))},
+}
 
 
-def _lookup(cfg: dict, path: str):
-    """The merged config's value at `path`, a key or "object.key", or _ABSENT."""
-    head, _, key = path.rpartition(".")
-    return (cfg.get(head, {}) if head else cfg).get(key, _ABSENT)
+def _merge(keys: dict, given, path: str = "") -> dict:
+    """`given` checked against the table `keys` and completed from its
+    defaults.  An unknown key, a missing required one or a value outside
+    its key's rule raises ConfigError naming the key."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, entry in keys.items():
+        name = f"{path}.{key}" if path else key
+        default, rule = entry if isinstance(entry, tuple) else ({}, entry)
+        value = given.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{name}: missing")
+        if value is _ABSENT:
+            continue
+        if value is None and default is None:
+            out[key] = None
+        elif isinstance(rule, dict):
+            out[key] = _merge(rule, value, name)
+        elif isinstance(rule, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{name}: expected a list, got {value!r}")
+            out[key] = [_merge(rule[0], item, f"{name}[{i}]") for i, item in enumerate(value)]
+        elif rule[0](value):
+            out[key] = value
+        else:
+            raise ConfigError(f"{name}: expected {rule[1]}, got {value!r}")
+    return out
 
 
-def _check_values(cfg: dict) -> None:
-    """Raise ConfigError for a grid size, count, real value, tolerance,
-    kernel selector or time list out of range, before anything is built."""
-    for path, n in (("grid.n", cfg["grid"]["n"]), ("refined_grid_n", cfg.get("refined_grid_n"))):
-        if n is not None and (_integer(n, path, 8) % 2):
-            raise ConfigError(f"{path}: expected an even integer, got {n}")
-    for path, (inside, words) in _RANGES.items():
-        value = _lookup(cfg, path)
-        if value is not _ABSENT and not inside(value):
-            raise ConfigError(f"{path}: expected {words}, got {value!r}")
-    if cfg["window_half_nodes"] is not None:
-        _integer(cfg["window_half_nodes"], "window_half_nodes", 1, cfg["grid"]["n"] // 2)
-
-
-def load_config(path, command: str) -> dict:
+def load_config(path, command: str, seed=None) -> dict:
+    """The config file at `path` for `command`, checked against the tables
+    and completed from them; a `seed` given overrides the file's."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    return _merge_defaults({**_COMMON_KEYS, **_COMMAND_KEYS[command]}, raw)
+    if seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed}
+    cfg = _merge({**_COMMON_KEYS, **_COMMAND_KEYS[command]}, raw)
+    half, n = cfg["window_half_nodes"], cfg["grid"]["n"]
+    if half is not None and half > n // 2:
+        raise ConfigError(f"window_half_nodes: expected at most grid.n / 2 = {n // 2}, "
+                          f"got {half}")
+    return cfg
 
 
 class _Run:
@@ -223,10 +213,7 @@ class _Run:
 
     def __init__(self, command, config_path, seed, tolerance_scale, outdir):
         self.start = time.perf_counter()
-        cfg = load_config(config_path, command)
-        if seed is not None:
-            cfg["seed"] = seed
-        _check_values(cfg)
+        cfg = load_config(config_path, command, seed)
         cfg["tolerances"] = {k: v * tolerance_scale for k, v in cfg["tolerances"].items()}
         self.command, self.cfg, self.outdir = command, cfg, outdir
         try:
@@ -234,9 +221,9 @@ class _Run:
         except ValueError as exc:
             raise ConfigError(f"kernel: {exc}")
         mode = cfg["normalization_mode"]
-        if mode != "raw" and not (mode == "energy" and isinstance(self.kernel, TensorKernel)):
-            raise ConfigError(f"normalization_mode {mode!r}: 'energy' applies to "
-                              f"tensor kernels only, otherwise use 'raw'")
+        if mode == "energy" and not isinstance(self.kernel, TensorKernel):
+            raise ConfigError("normalization_mode 'energy' applies to tensor kernels only, "
+                              "otherwise use 'raw'")
         self.quad = {"window_half": cfg["window_half_nodes"], "refine": cfg["refine"],
                      "normalization": mode}
         self.checks, self.backend, self.build_s = [], None, 0.0
@@ -380,7 +367,6 @@ def invariance(run):
     surfaces = [AchronalSurface.from_descriptor(d) for d in run.cfg["surfaces"]]
     sw = run.cfg["flatten_sweep"]
     if sw:
-        _object(sw, "config.flatten_sweep", ("surface", "gammas"))
         base = AchronalSurface.from_descriptor(sw["surface"])
         try:
             swept = [(gamma, flatten(base, float(gamma))) for gamma in sw["gammas"]]
@@ -411,9 +397,6 @@ def invariance(run):
 def _group_elements(gcfg):
     """The config's group elements as (name, element): a boost along z, a
     rotation and a translation, those that `group` names."""
-    _object(gcfg, "config.group", optional=("rapidity", "rotation", "translation"))
-    if "rotation" in gcfg:
-        _object(gcfg["rotation"], "config.group.rotation", ("angle",), ("axis",))
     out = []
     try:
         if "rapidity" in gcfg:
@@ -438,13 +421,8 @@ def covariance(run):
     elements = _group_elements(cfg["group"])
     if not elements:
         raise ConfigError("covariance needs at least one group element")
-    if not isinstance(cfg["regions"], list):
-        raise ConfigError("config.regions: expected a list")
-    regions = []
-    for i, rd in enumerate(cfg["regions"]):
-        _object(rd, f"config.regions[{i}]", ("surface", "mask"))
-        regions.append(Region(AchronalSurface.from_descriptor(rd["surface"]),
-                              Mask.from_descriptor(rd["mask"])))
+    regions = [Region(AchronalSurface.from_descriptor(rd["surface"]),
+                      Mask.from_descriptor(rd["mask"])) for rd in cfg["regions"]]
     spec = run.spec()
     backend = run.build(spec)
     norm2 = spec.packet.norm_squared()

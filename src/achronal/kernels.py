@@ -84,12 +84,12 @@ class GFunction:
         return f"basic r={self.r}" + (" (printed)" if self.printed else "")
 
     def __call__(self, t):
+        if self.func is None:
+            return g_basic(self.r, t, self.mass, printed=self.printed)
         t = np.asarray(t, dtype=float)
         if np.any(t < self.mass ** 2 - 1e-12):
             raise KernelDomainError(f"t below m^2 = {self.mass ** 2}")
-        if self.func is not None:
-            return self.func(t)
-        return g_basic(self.r, t, self.mass, printed=self.printed)
+        return self.func(t)
 
     @classmethod
     def basic(cls, r: float, mass: float, printed: bool = False) -> "GFunction":

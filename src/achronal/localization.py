@@ -166,6 +166,27 @@ class ImageMask(Mask):
 
 
 @dataclass(frozen=True)
+class ShadowMask(Mask):
+    """The influence region of the flat ball `inner` at time t0 on the graph
+    surface `target`: |y - c| <= r + |tau(y) - t0|."""
+
+    inner: Mask
+    t0: float
+    target: AchronalSurface
+    kind = "causal_shadow"
+
+    def __post_init__(self):
+        if not isinstance(self.inner, BallMask):
+            raise UnsupportedGeometryError(
+                f"no closed-form causal shadow for mask {self.inner.label()}")
+
+    def contains(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        reach = self.inner.radius + np.abs(self.target.tau(pts) - self.t0)
+        return np.linalg.norm(pts - np.asarray(self.inner.center, dtype=float), axis=-1) <= reach
+
+
+@dataclass(frozen=True)
 class Region:
     surface: AchronalSurface
     mask: Mask = field(default_factory=FullMask)
@@ -379,8 +400,8 @@ def covariance_check(spec: CurrentSpec, g: PoincareElement, region: Region,
     rhs_spec = covariant_spec(spec, ginv)
     rhs_backend = _covering_backend(rhs_spec, [backend, lhs_backend])
     transform = SurfaceTransformResult(g, region.surface)
-    rhs = probability_transformed(rhs_spec, transform, region.mask,
-                                  backend=rhs_backend, **quad)
+    rhs = probability(rhs_spec, Region(transform, ImageMask(region.mask, transform)),
+                      backend=rhs_backend, **quad)
     return lhs, rhs
 
 
@@ -445,35 +466,12 @@ def matrix_element(spec: CurrentSpec, psi: WavePacket, region: Region,
     return out / 4.0
 
 
-def causal_shadow_on_surface(mask: BallMask, t0: float,
-                             target: AchronalSurface):
-    """Pointwise membership of the influence region of a flat ball on a
-    graph target: |y - c| <= r + |tau(y) - t0|."""
-    if not isinstance(mask, BallMask):
-        raise UnsupportedGeometryError(
-            f"no closed-form causal shadow for mask {mask.label()}")
-
-    center = np.asarray(mask.center, dtype=float)
-
-    class _Shadow(Mask):
-        def contains(self, pts):
-            pts = np.asarray(pts, dtype=float)
-            t = target.tau(pts)
-            return np.linalg.norm(pts - center, axis=-1) <= mask.radius + np.abs(t - t0)
-
-        def descriptor(self):
-            return {"type": "causal_shadow", "of": mask.descriptor(), "t0": t0,
-                    "target": target.descriptor()}
-
-    return _Shadow()
-
-
 def causal_monotonicity_check(spec: CurrentSpec, ball: BallMask, t0: float,
                               target: AchronalSurface,
                               backend: Optional[FastBackend] = None, **quad):
     """p(ball at t0) versus p(influence region on the target surface)."""
     backend = backend or build_fast(spec)
     p_src = probability(spec, Region(FlatSurface(t0), ball), backend=backend, **quad)
-    shadow = causal_shadow_on_surface(ball, t0, target)
-    p_dst = probability(spec, Region(target, shadow), backend=backend, **quad)
+    p_dst = probability(spec, Region(target, ShadowMask(ball, t0, target)), backend=backend,
+                        **quad)
     return p_src, p_dst

@@ -453,6 +453,15 @@ def test_cli_values_outside_the_merged_keys_are_config_errors(tmp_path, command,
     ("logic", {"logic": {"samples": 12.5}}),
     ("logic", {"logic": {"gamma": 2}}),
     ("logic", {"logic": {"eps_shell": -1}}),
+    ("normalize", {"mass": True}),
+    ("normalize", {"mass": "x"}),
+    ("normalize", {"packet": {**BASE_CONFIG["packet"], "margin": True}}),
+    ("normalize", {"packet": {**BASE_CONFIG["packet"], "margin": 1.7}}),
+    ("covariance", {"group": {"translation": [True, 0, 0, 0]}}),
+    ("covariance", {"group": {"rotation": {"angle": True}}}),
+    ("covariance", {"group": {"rapidity": True}}),
+    ("invariance", {"flatten_sweep": {"surface": {"type": "flat"}, "gammas": [True]}}),
+    ("invariance", {"surfaces": {"type": "flat"}}),
 ], ids=["grid_n_odd", "refined_grid_n_odd", "refine_zero", "refine_negative",
         "refine_fraction", "window_zero", "window_negative", "window_past_half_n",
         "seed_negative", "current_points_zero", "compare_points_negative",
@@ -461,12 +470,15 @@ def test_cli_values_outside_the_merged_keys_are_config_errors(tmp_path, command,
         "gram_points_zero", "gram_points_negative", "gram_points_fraction",
         "gram_radius_negative", "logic_radius_negative", "logic_samples_negative",
         "logic_samples_zero", "logic_samples_fraction", "logic_gamma_past_one",
-        "logic_eps_shell_negative"])
+        "logic_eps_shell_negative", "mass_a_bool", "mass_a_string", "margin_a_bool",
+        "margin_fraction", "translation_with_a_bool", "rotation_angle_a_bool",
+        "rapidity_a_bool", "sweep_gamma_a_bool", "surfaces_an_object"])
 def test_cli_values_out_of_range_are_config_errors(tmp_path, command, change):
-    # grid sizes and momentum range, counts, the factorization, tolerances,
-    # the window, the gram and logic values and the dump times are checked
-    # before the build: exit 2 with one line, not 1 with a traceback or 0
-    # with the value truncated, ignored or iterated as a string
+    # grid sizes and momentum range, the mass, counts, the packet margin, the
+    # factorization, tolerances, the window, group elements, surfaces and
+    # sweeps, the gram and logic values and the dump times are checked before
+    # the build: exit 2 with one line naming the key, not 1 with a traceback
+    # or 0 with the value truncated, ignored, read as a number or iterated
     from click.testing import CliRunner
 
     from achronal import cli
@@ -476,8 +488,51 @@ def test_cli_values_out_of_range_are_config_errors(tmp_path, command, change):
                                       "--out", str(tmp_path / "o")])
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit)
-    assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
+    assert r.stderr.startswith(tuple(f"config error: {key}" for key in change))
+    assert r.stderr.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_seed_override_is_checked(tmp_path):
+    # --seed replaces the config's seed, so its rule applies before the build
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIG))
+    r = CliRunner().invoke(cli.main, ["normalize", "--config", str(path),
+                                      "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith("config error: seed: ") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _table_rules(table, path=""):
+    """(dotted key, default, rule) for every key of a config table, nested
+    tables included."""
+    for key, entry in table.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            yield from _table_rules(entry, name)
+            continue
+        default, rule = entry
+        yield name, default, rule
+        if isinstance(rule, (dict, list)):
+            yield from _table_rules(rule if isinstance(rule, dict) else rule[0], name)
+
+
+def test_cli_config_table_gives_every_key_a_rule_its_default_keeps():
+    from achronal import cli
+    for table in (cli._COMMON_KEYS, *cli._COMMAND_KEYS.values()):
+        for name, default, rule in _table_rules(table):
+            if isinstance(rule, tuple):
+                test, words = rule
+                assert callable(test) and isinstance(words, str) and words, name
+            else:
+                assert isinstance(rule, dict) or (len(rule) == 1 and isinstance(rule[0], dict))
+            if default is not cli._REQUIRED and default is not cli._ABSENT:
+                # the default, given explicitly, passes its key's rule unchanged
+                assert cli._merge({name: (default, rule)}, {name: default}) == {name: default}
 
 
 def test_cli_kernel_pd_and_oscillatory(tmp_path):

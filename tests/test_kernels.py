@@ -35,6 +35,14 @@ def test_g_basic_domain_error():
         g_basic(1.5, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("g", [GFunction.basic(1.5, M), GFunction.oscillatory(5.0, M)],
+                         ids=["basic", "custom"])
+def test_profile_domain_error(g):
+    assert g(np.array([M * M, 4.0])).shape == (2,)
+    with pytest.raises(KernelDomainError):
+        g(np.array([4.0, M * M - 1e-6]))
+
+
 def test_g_basic_dominance():
     t = np.linspace(1.0, 60.0, 1000)
     g32 = g_basic(1.5, t, 1.0)

@@ -11,7 +11,7 @@ from achronal.grids import MomentumGrid, position_window_mask
 from achronal.kernels import TensorKernel
 from achronal.localization import (BallMask, BoxMask, ComplementMask, FullMask,
                                    HalfSpaceMask, ImageMask, IntersectionMask,
-                                   MaskOverlapError, Region, UnionMask,
+                                   MaskOverlapError, Region, ShadowMask, UnionMask,
                                    UnsupportedGeometryError, additivity_check,
                                    causal_monotonicity_check, covariance_check,
                                    Mask, flux_invariance_report, matrix_element,
@@ -232,6 +232,20 @@ def test_causal_monotonicity_rejects_box(spec16, fast16):
     with pytest.raises(UnsupportedGeometryError):
         causal_monotonicity_check(spec16, BoxMask((-1, -1, -1), (1, 1, 1)),
                                   0.0, FlatSurface(0.3), backend=fast16)
+
+
+def test_causal_shadow_reads_back_from_its_descriptor():
+    ball, target = BallMask((0.5, 0, 0), 1.0), BumpSurface(0.6, 1.5)
+    m = ShadowMask(ball, 0.25, target)
+    assert m.descriptor() == {"type": "causal_shadow", "of": ball.descriptor(),
+                              "t0": 0.25, "target": target.descriptor()}
+    back = Mask.from_descriptor(json.loads(json.dumps(m.descriptor())))
+    assert isinstance(back, ShadowMask) and back == m and back.label() == m.label()
+    pts = np.random.default_rng(4).uniform(-3, 3, (200, 3))
+    inside = m.contains(pts)
+    assert np.array_equal(back.contains(pts), inside) and 0 < inside.sum() < len(pts)
+    with pytest.raises(UnsupportedGeometryError):
+        ShadowMask(BoxMask((-1, -1, -1), (1, 1, 1)), 0.25, target)
 
 
 def test_stress_energy_normalization_mode(tspec16, tfast16):
