@@ -17,26 +17,46 @@ and writes to its output directory:
   rank, landmark counts and spectral tail of its first build, and whether
   that tail is certified.
 
-The config is strictly validated against one table per command
-(`_COMMON_KEYS` and `_COMMAND_KEYS`), which gives every key its default
-and its rule: unknown keys are rejected in every object except the
-free-form `packet.params`, tolerances included.  A `covariance` region
-takes a `surface` and a `mask` descriptor, a `flatten_sweep` a `surface`
-and its `gammas`, and `group` any of `rapidity`, `rotation` (an `angle`
-and a unit `axis`, by default z) and `translation` (a 4-vector).  The
-factorization key holds build_fast's `tol` and, as `landmarks`, the
-largest landmark count a build may use: it starts below that and grows
-only while its spectrum checks fail.  `normalization_mode` is "raw", or
-"energy" for a tensor (stress-energy) kernel; every flux command applies
-it.
+The config is strictly validated against its command's table
+(`_COMMAND_KEYS`), which holds exactly the keys the command reads and gives
+each its default and its rule: unknown keys are rejected in every object
+except the free-form `packet.params`, tolerances included.  The keys of the
+commands:
+
+* all: `mass`, `kernel`, `seed` and `tolerances`, which holds the command's
+  own tolerances;
+* all but kernel-pd: `grid`, `packet`, `factorization` and `refine`;
+* normalize, invariance, covariance and logic: `window_half_nodes` and
+  `normalization_mode`;
+* normalize: `refined_grid_n`; tolerance `normalization`;
+* invariance: `surfaces` and `flatten_sweep`; tolerance `invariance`;
+* covariance: `group`, `regions` and `current_points`; tolerances
+  `covariance_boost`, `covariance_rotation`, `covariance_translation` and
+  `current_covariance`;
+* kernel-pd: `gram`; tolerance `gram_min_eigenvalue`;
+* logic: `logic`; tolerance `logic_band`;
+* field-dump: `times` and `compare_points`; tolerance `oracle`.
+
+So one config file shared across commands must leave out the keys a
+command does not read: kernel-pd rejects a `grid`, field-dump a
+`window_half_nodes`.  A `covariance` region takes a `surface` and a `mask`
+descriptor, and `regions`, a non-empty list, defaults to the ball of
+radius 4 about the origin on the flat surface t = 0.  A `flatten_sweep`
+takes a `surface` and its `gammas`, and `group` any of `rapidity`,
+`rotation` (an `angle` and a unit `axis`, by default [0, 0, 1]) and
+`translation` (a 4-vector).  The factorization key holds build_fast's
+`tol` and, as `landmarks`, the largest landmark count a build may use: it
+starts below that and grows only while its spectrum checks fail.
+`normalization_mode` is "raw", or "energy" for a tensor (stress-energy)
+kernel.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-reported in one line without a traceback: an unknown or missing key, a
-value outside its key's rule in the table, a window past half the grid, a
-malformed kernel selector, packet, surface or mask descriptor, flattening
-factor or group element, a kernel the configured factorization cannot
-truncate or certify, or a group element that moves the packet's support
-off the grid.
+reported in one line without a traceback: an unknown key (one the command
+does not read) or a missing one, a value outside its key's rule in the
+table, a window past half the grid, a malformed kernel selector, packet,
+surface or mask descriptor, flattening factor or group element, a kernel
+the configured factorization cannot truncate or certify, or a group element
+that moves the packet's support off the grid.
 """
 
 from __future__ import annotations
@@ -98,59 +118,61 @@ _OBJECT = (lambda v: isinstance(v, dict), "an object")
 # is then not filled in
 _REQUIRED, _ABSENT = object(), object()
 
-# The config's tables.  A key maps to (default, rule), where the rule is a
-# (test, words) pair, a table for an object, or [table] for a list of such
-# objects; a key that maps to a table alone holds an object whose absent
-# keys take the table's defaults.  A key whose default is None may also be
-# given as null.
-_COMMON_KEYS = {
-    "mass": (1.0, _POSITIVE),
+# The config's tables, one per command, built from the groups of keys its
+# body reads.  A key maps to (default, rule), where the rule is a (test,
+# words) pair, a table for an object, or [table] for a non-empty list of
+# such objects; a key that maps to a table alone holds an object whose
+# absent keys take the table's defaults.  A key whose default is None may
+# also be given as null.
+_BASE_KEYS = {"mass": (1.0, _POSITIVE), "kernel": ("basic:r=1.5", _STRING),
+              "seed": (0, _count(0))}
+# the keys of a command that builds the packet's current
+_STATE_KEYS = {
+    **_BASE_KEYS,
     "grid": {"n": (32, _GRID_SIZE), "p_max": (4.0, _POSITIVE)},
     "packet": {"kind": ("mollified_gaussian", _STRING), "params": ({}, _OBJECT),
                "margin": (None, _count(1))},
-    "kernel": ("basic:r=1.5", _STRING),
     "factorization": {
         "tol": (1e-6, (lambda v: _is_number(v) and 0 < v < 1, "a number between 0 and 1")),
         "landmarks": (3000, _count(1))},
-    "window_half_nodes": (None, _count(1)),
-    "refine": (1, _count(1)),
-    "seed": (0, _count(0)),
-    "normalization_mode": ("raw", (lambda v: v in ("raw", "energy"), "'raw' or 'energy'")),
-    "tolerances": {
-        "normalization": (1e-2, _NUMBER), "invariance": (2e-2, _NUMBER),
-        "covariance_boost": (3e-2, _NUMBER), "covariance_rotation": (1e-3, _NUMBER),
-        "covariance_translation": (1e-3, _NUMBER), "current_covariance": (3e-2, _NUMBER),
-        "gram_min_eigenvalue": (-1e-10, _NUMBER), "oracle": (1e-6, _NUMBER),
-        "logic_band": (2e-2, _NUMBER)},
-}
+    "refine": (1, _count(1))}
+# the keys of a command that integrates fluxes (_Run.quad)
+_FLUX_KEYS = {
+    **_STATE_KEYS, "window_half_nodes": (None, _count(1)),
+    "normalization_mode": ("raw", (lambda v: v in ("raw", "energy"), "'raw' or 'energy'"))}
 
 _COMMAND_KEYS = {
-    "normalize": {"refined_grid_n": (None, _GRID_SIZE)},
-    "invariance": {
+    "normalize": {**_FLUX_KEYS, "tolerances": {"normalization": (1e-2, _NUMBER)},
+                  "refined_grid_n": (None, _GRID_SIZE)},
+    "invariance": {**_FLUX_KEYS, "tolerances": {"invariance": (2e-2, _NUMBER)},
         "surfaces": ([{"type": "flat", "t0": 0.0}],
                      (lambda v: isinstance(v, list), "a list of surface descriptors")),
         "flatten_sweep": (None, {"surface": (_REQUIRED, _OBJECT),
                                  "gammas": (_REQUIRED, (_is_number_list, "a list of numbers"))})},
-    "covariance": {
+    "covariance": {**_FLUX_KEYS, "tolerances": {
+            "covariance_boost": (3e-2, _NUMBER), "covariance_rotation": (1e-3, _NUMBER),
+            "covariance_translation": (1e-3, _NUMBER), "current_covariance": (3e-2, _NUMBER)},
         "group": {
             "rapidity": (_ABSENT, _NUMBER),
             "rotation": (_ABSENT, {
                 "angle": (_REQUIRED, _NUMBER),
-                "axis": (_ABSENT, (lambda v: _is_number_list(v) and len(v) == 3,
-                                   "a list of 3 numbers"))}),
+                "axis": ([0, 0, 1], (lambda v: _is_number_list(v) and len(v) == 3,
+                                     "a list of 3 numbers"))}),
             "translation": (_ABSENT, (lambda v: _is_number_list(v) and len(v) == 4,
                                       "a list of 4 numbers"))},
-        "regions": ([], [{"surface": (_REQUIRED, _OBJECT), "mask": (_REQUIRED, _OBJECT)}]),
+        "regions": ([{"surface": {"type": "flat", "t0": 0.0},
+                      "mask": {"type": "ball", "center": [0, 0, 0], "radius": 4.0}}],
+                    [{"surface": (_REQUIRED, _OBJECT), "mask": (_REQUIRED, _OBJECT)}]),
         "current_points": (4, _count(1))},
-    "kernel-pd": {"gram": {"points": (200, _count(1)),
-                           "ball_radius_over_mass": (3.0, _POSITIVE)}},
-    "logic": {"logic": {
+    "kernel-pd": {**_BASE_KEYS, "tolerances": {"gram_min_eigenvalue": (-1e-10, _NUMBER)},
+                  "gram": {"points": (200, _count(1)), "ball_radius_over_mass": (3.0, _POSITIVE)}},
+    "logic": {**_FLUX_KEYS, "tolerances": {"logic_band": (2e-2, _NUMBER)}, "logic": {
         "radius": (4.0, _POSITIVE),
         "gamma": (0.5, (lambda v: _is_number(v) and abs(v) <= 1, "a number from -1 to 1")),
         "samples": (10000, _count(1)),
         "eps_shell": (1e-3, (lambda v: _is_number(v) and 0 <= v < 1,
                              "a number from 0 to below 1"))}},
-    "field-dump": {
+    "field-dump": {**_STATE_KEYS, "tolerances": {"oracle": (1e-6, _NUMBER)},
         "times": ([0.0], (lambda v: _is_number_list(v) and len(v) > 0,
                           "a non-empty list of numbers")),
         "compare_points": (8, _count(0))},
@@ -180,8 +202,8 @@ def _merge(keys: dict, given, path: str = "") -> dict:
         elif isinstance(rule, dict):
             out[key] = _merge(rule, value, name)
         elif isinstance(rule, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{name}: expected a list, got {value!r}")
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{name}: expected a non-empty list, got {value!r}")
             out[key] = [_merge(rule[0], item, f"{name}[{i}]") for i, item in enumerate(value)]
         elif rule[0](value):
             out[key] = value
@@ -199,11 +221,11 @@ def load_config(path, command: str, seed=None) -> dict:
         raise ConfigError(f"cannot read config: {exc}")
     if seed is not None and isinstance(raw, dict):
         raw = {**raw, "seed": seed}
-    cfg = _merge({**_COMMON_KEYS, **_COMMAND_KEYS[command]}, raw)
-    half, n = cfg["window_half_nodes"], cfg["grid"]["n"]
-    if half is not None and half > n // 2:
-        raise ConfigError(f"window_half_nodes: expected at most grid.n / 2 = {n // 2}, "
-                          f"got {half}")
+    cfg = _merge(_COMMAND_KEYS[command], raw)
+    half = cfg.get("window_half_nodes")
+    if half is not None and half > cfg["grid"]["n"] // 2:
+        raise ConfigError(f"window_half_nodes: expected at most grid.n / 2 = "
+                          f"{cfg['grid']['n'] // 2}, got {half}")
     return cfg
 
 
@@ -220,12 +242,13 @@ class _Run:
             self.kernel = parse_kernel_spec(cfg["kernel"], float(cfg["mass"]))
         except ValueError as exc:
             raise ConfigError(f"kernel: {exc}")
-        mode = cfg["normalization_mode"]
-        if mode == "energy" and not isinstance(self.kernel, TensorKernel):
-            raise ConfigError("normalization_mode 'energy' applies to tensor kernels only, "
-                              "otherwise use 'raw'")
-        self.quad = {"window_half": cfg["window_half_nodes"], "refine": cfg["refine"],
-                     "normalization": mode}
+        if "normalization_mode" in cfg:
+            mode = cfg["normalization_mode"]
+            if mode == "energy" and not isinstance(self.kernel, TensorKernel):
+                raise ConfigError("normalization_mode 'energy' applies to tensor kernels "
+                                  "only, otherwise use 'raw'")
+            self.quad = {"window_half": cfg["window_half_nodes"], "refine": cfg["refine"],
+                         "normalization": mode}
         self.checks, self.backend, self.build_s = [], None, 0.0
 
     def spec(self, n=None) -> CurrentSpec:
@@ -404,8 +427,7 @@ def _group_elements(gcfg):
         if "rotation" in gcfg:
             rc = gcfg["rotation"]
             out.append(("rotation", PoincareElement.from_lorentz(
-                rotation(np.asarray(rc.get("axis", [0, 0, 1]), dtype=float),
-                         float(rc["angle"])))))
+                rotation(np.asarray(rc["axis"], dtype=float), float(rc["angle"])))))
         if "translation" in gcfg:
             out.append(("translation",
                         PoincareElement.translation(np.asarray(gcfg["translation"], dtype=float))))
@@ -428,7 +450,7 @@ def covariance(run):
     norm2 = spec.packet.norm_squared()
     rows = [["element", "region", "lhs", "rhs", "relative"]]
     for name, g in elements:
-        for region in regions or [Region(FlatSurface(0.0), BallMask((0, 0, 0), 4.0))]:
+        for region in regions:
             lhs, rhs = covariance_check(spec, g, region, backend=backend, **run.quad)
             rel = abs(lhs.probability - rhs.probability) / norm2
             run.check(f"covariance_{name}", rel, f"covariance_{name}")

@@ -35,16 +35,21 @@ per component by np.bincount, with 5 passes over the n_sup^2 / 2 pairs for
 their common weight and code and 5 per component, and three small matrix
 products take the bins to the slice's window, the whole grid or a centred
 window alike.  The bins do not depend on the window or on `refine`, and
-the blocks of a slice share one set of buffers.  At n=32 (3,648 support
-nodes, rank 306) a 4-component slice of the whole grid takes 0.57-0.65
-CPU-s, and a J0 slice of a flat flux's window of half 10 0.25-0.29 at
-refine 1 and 0.28-0.32 at refine 2.  Transforming the fields of each
-eigenvector instead took 1.12-1.45 CPU-s for 5 R FFTs of (refine n)^3 cubes
-(9.8-13.0 at refine 2), and 0.15-0.19 and 0.61-0.63 for J0's two fields on
-that window; at n=40 (7,208 nodes) the bins took 2.5-2.8 against 2.6-3.1
-for the FFTs, and at n=48 (12,568 nodes), where pairs grow as n^6, 7.2-7.6
-against 5.7-5.9 (2-vCPU host).  The paper-check sizes are n <= 32, so no
-size switch is kept.
+the blocks of a slice share one set of buffers.  A block holds at most an
+eighth of its row length in rows (_upper_row_blocks), so little of it is
+the lower square that the binning drops: at n=16 (480 support nodes) a J0
+window slice peaks at 2.9 MB of Python allocations against 12.7 MB for one
+480 x 480 block.  At n=32 (3,648 support nodes, rank 306) a 4-component
+slice of the whole grid takes 0.66-0.83 CPU-s, and a J0 slice of a flat
+flux's window of half 10 0.30-0.41 at refine 1 and 0.29-0.42 at refine 2
+(0.68-1.29, 0.33-0.47 and 0.31-0.50 in the same runs when a block's rows
+grew until it was one square).  In earlier runs transforming the fields
+of each eigenvector instead took 1.12-1.45 CPU-s for 5 R FFTs of
+(refine n)^3 cubes (9.8-13.0 at refine 2), and 0.15-0.19 and 0.61-0.63 for
+J0's two fields on that window; at n=40 (7,208 nodes) the bins took
+2.5-2.8 against 2.6-3.1 for the FFTs, and at n=48 (12,568 nodes), where
+pairs grow as n^6, 7.2-7.6 against 5.7-5.9 (2-vCPU host).  The paper-check
+sizes are n <= 32, so no size switch is kept.
 
 Points need the factorization on the B field alone: the rank-R G goes onto
 the phase-loaded nodes with two real GEMMs, and each component is then one
@@ -242,11 +247,13 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 def _upper_row_blocks(n: int):
     """Row slices of the upper triangle of an (n, n) matrix: rows i0 to i1
-    against the columns i0 to n, in blocks of at most _G_ENTRIES entries
-    (one row at least)."""
+    against the columns i0 to n, in blocks of at most _G_ENTRIES entries and
+    at most an eighth of their row length n - i0 in rows (one row at least),
+    so that the leading square of a block, whose lower half _bin_pairs
+    drops, stays small."""
     blocks, i0 = [], 0
     while i0 < n:
-        i1 = min(n, i0 + max(1, _G_ENTRIES // (n - i0)))
+        i1 = min(n, i0 + max(1, min(_G_ENTRIES // (n - i0), (n - i0) // 8)))
         blocks.append(slice(i0, i1))
         i0 = i1
     return blocks

@@ -25,7 +25,7 @@ equation (`SurfaceTransformResult.s_inverse`).
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -290,14 +290,12 @@ class SampledSurface(AchronalSurface):
 
     values[i, j, k] = tau(origin + (i, j, k) * spacing).  Gradients are
     centered differences, one-sided at the edges.  Construction validates
-    the discrete 1-Lipschitz bound over the 26-neighborhood unless
-    `validate=False` (used only to probe failure paths).
+    the discrete 1-Lipschitz bound over the 26-neighborhood.
     """
 
     values: np.ndarray
     origin: tuple
     spacing: float
-    validate: bool = field(default=True, compare=False)
     kind = "sampled"
 
     def __post_init__(self):
@@ -306,8 +304,6 @@ class SampledSurface(AchronalSurface):
             raise ValueError("sampled surface needs a 3-d value cube")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        if not self.validate:
-            return
         for d in _NEIGHBOR_DIRS:
             sl_from = tuple(slice(max(di, 0), v.shape[i] + min(di, 0))
                             for i, di in enumerate(d))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import achronal
 from achronal import io as achio
 from achronal.currents import CurrentSpec, build_fast
 from achronal.grids import MomentumGrid
-from achronal.localization import Region, probability
+from achronal.localization import BallMask, Region, covariance_check, probability
+from achronal.minkowski import PoincareElement, rotation
 from achronal.surfaces import FlatSurface, SampledSurface
 from achronal.wavepacket import make_packet
 
@@ -118,6 +120,14 @@ BASE_CONFIG = {
     "window_half_nodes": 7,
     "factorization": {"tol": 1e-8, "landmarks": 480},
 }
+
+
+def base_config(command):
+    """BASE_CONFIG without the keys `command` does not read: kernel-pd builds
+    no current, and field-dump integrates no flux."""
+    unread = {"kernel-pd": ("grid", "packet", "factorization", "window_half_nodes"),
+              "field-dump": ("window_half_nodes",)}.get(command, ())
+    return {k: v for k, v in BASE_CONFIG.items() if k not in unread}
 
 
 # The directory that holds the imported package (``src`` in a checkout,
@@ -483,7 +493,7 @@ def test_cli_values_out_of_range_are_config_errors(tmp_path, command, change):
 
     from achronal import cli
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**BASE_CONFIG, **change}))
+    path.write_text(json.dumps({**base_config(command), **change}))
     r = CliRunner().invoke(cli.main, [command, "--config", str(path),
                                       "--out", str(tmp_path / "o")])
     assert r.exit_code == 2, r.output
@@ -507,6 +517,65 @@ def test_cli_seed_override_is_checked(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, change, key", [
+    ("kernel-pd", {"grid": {"n": 8, "p_max": 3.0}}, "grid"),
+    ("kernel-pd", {"packet": {"params": {"sigma": 100.0}}}, "packet"),
+    ("kernel-pd", {"factorization": {"tol": 0.5, "landmarks": 1}}, "factorization"),
+    ("kernel-pd", {"window_half_nodes": 3}, "window_half_nodes"),
+    ("kernel-pd", {"refine": 2}, "refine"),
+    ("field-dump", {"kernel": "tensor:n=(1,0,0,0)", "normalization_mode": "energy"},
+     "normalization_mode"),
+    ("field-dump", {"window_half_nodes": 3}, "window_half_nodes"),
+    ("normalize", {"tolerances": {"oracle": 1e-6}}, "oracle"),
+    ("covariance", {"group": {"rapidity": 0.25}, "regions": []}, "regions"),
+], ids=["pd_grid", "pd_packet", "pd_factorization", "pd_window", "pd_refine",
+        "dump_normalization_mode", "dump_window", "normalize_oracle_tolerance",
+        "covariance_no_regions"])
+def test_cli_keys_a_command_does_not_read_are_config_errors(tmp_path, command, change, key):
+    # a command accepts only the keys its body reads: a key it would ignore,
+    # or an empty region list, exits 2 with one line naming the key
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**base_config(command), **change}))
+    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith("config error: ") and r.stderr.count("\n") == 1
+    assert key in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_covariance_writes_its_default_region_and_axis(tmp_path, kern_basic):
+    # with no regions and a rotation without an axis, the table's defaults
+    # run, the resolved config states them, and the rotation's flux row is
+    # the covariance check on the flat t = 0 surface's ball of radius 4
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, group={"rotation": {"angle": np.pi / 2}})))
+    out = tmp_path / "cov"
+    r = CliRunner().invoke(cli.main, ["covariance", "--config", str(path), "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    ball = BallMask((0, 0, 0), 4.0)
+    assert resolved["regions"] == [{"surface": FlatSurface(0.0).descriptor(),
+                                    "mask": ball.descriptor()}]
+    assert resolved["group"]["rotation"] == {"angle": np.pi / 2, "axis": [0, 0, 1]}
+    packet = make_packet(MomentumGrid(16, 3.0), M, "mollified_gaussian",
+                         **BASE_CONFIG["packet"]["params"])
+    spec = CurrentSpec(kern_basic, packet)
+    g = PoincareElement.from_lorentz(rotation(np.array([0.0, 0.0, 1.0]), np.pi / 2))
+    lhs, rhs = covariance_check(spec, g, Region(FlatSurface(0.0), ball),
+                                backend=build_fast(spec, tol=1e-8, n_landmarks=480, seed=0),
+                                window_half=7, refine=1, normalization="raw")
+    rows = list(csv.reader((out / "report.csv").read_text().splitlines()))
+    assert rows[1][:4] == ["rotation", ball.label(), repr(lhs.probability),
+                           repr(rhs.probability)]
+
+
 def _table_rules(table, path=""):
     """(dotted key, default, rule) for every key of a config table, nested
     tables included."""
@@ -523,7 +592,7 @@ def _table_rules(table, path=""):
 
 def test_cli_config_table_gives_every_key_a_rule_its_default_keeps():
     from achronal import cli
-    for table in (cli._COMMON_KEYS, *cli._COMMAND_KEYS.values()):
+    for table in cli._COMMAND_KEYS.values():
         for name, default, rule in _table_rules(table):
             if isinstance(rule, tuple):
                 test, words = rule
@@ -537,12 +606,12 @@ def test_cli_config_table_gives_every_key_a_rule_its_default_keeps():
 
 def test_cli_kernel_pd_and_oscillatory(tmp_path):
     path = tmp_path / "pd.json"
-    path.write_text(json.dumps(BASE_CONFIG))
+    path.write_text(json.dumps(base_config("kernel-pd")))
     out = tmp_path / "pd"
     r = run_cli(["kernel-pd", "--config", str(path), "--out", str(out)], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert (out / "gram.csv").exists()
-    bad = dict(BASE_CONFIG)
+    bad = base_config("kernel-pd")
     bad["kernel"] = "oscillatory:omega=50"
     path2 = tmp_path / "pd_bad.json"
     path2.write_text(json.dumps(bad))
@@ -559,7 +628,7 @@ def test_cli_kernel_pd_and_oscillatory(tmp_path):
 def test_cli_kernel_pd_at_large_momenta(tmp_path):
     # momenta up to 300 m: the on-shell products cancel below m^2 unless clamped
     path = tmp_path / "pd.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG,
+    path.write_text(json.dumps(dict(base_config("kernel-pd"),
                                     gram={"points": 200, "ball_radius_over_mass": 300})))
     out = tmp_path / "pd"
     r = run_cli(["kernel-pd", "--config", str(path), "--out", str(out)], tmp_path)
@@ -581,7 +650,7 @@ def test_cli_logic(tmp_path):
 
 
 def test_cli_field_dump_roundtrip(tmp_path):
-    cfg = dict(BASE_CONFIG)
+    cfg = base_config("field-dump")
     cfg["times"] = [0.0, 0.4]
     path = tmp_path / "fd.json"
     path.write_text(json.dumps(cfg))

@@ -295,14 +295,22 @@ def test_transformed_surface_stays_achronal():
     assert np.all(dt <= dx + 1e-10)
 
 
+class _Steep(AchronalSurface):
+    """tau = 1.8 |x_3|: slope 1.8, so not achronal."""
+
+    def tau(self, x):
+        return 1.8 * np.abs(x[..., 2])
+
+    def gradient(self, x):
+        out = np.zeros_like(x)
+        out[..., 2] = 1.8 * np.sign(x[..., 2])
+        return out
+
+
 def test_fold_over_on_invalid_input():
     # a non-achronal "surface" (slope > 1) breaks bijectivity of the graph map
-    ax = np.linspace(-2, 2, 17)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    bad = SampledSurface(1.8 * np.abs(Z), (-2, -2, -2), ax[1] - ax[0],
-                         validate=False)
     g = PoincareElement.from_lorentz(boost_z(0.8))
-    res = SurfaceTransformResult(g, bad)
+    res = SurfaceTransformResult(g, _Steep())
     with pytest.raises((FoldOverError, SurfaceDomainError)):
         res.s_inverse(np.array([[0.0, 0.0, -1.0]]))
 
