@@ -13,9 +13,11 @@ and writes to its output directory:
   per check and `timings_s` (`build_s`, the time spent in the command's
   own backend builds, not counting those covariance_check makes for a
   moved state, and `total_s`, from loading the config to writing the
-  results); a command that factorizes the current adds `backend`: the
-  rank, landmark counts and spectral tail of its first build, and whether
-  that tail is certified.
+  results); a command that builds a backend adds `backend`, from its
+  first build: the `route` ("exact" when the build kept the g-matrix G
+  itself, "factorized" when it kept eigenpairs of G, "separable" for a
+  stress-energy kernel), the rank, the spectral tail and whether that tail
+  is certified, and a factorized build's landmark counts.
 
 The config is strictly validated against its command's table
 (`_COMMAND_KEYS`), which holds exactly the keys the command reads and gives
@@ -46,7 +48,11 @@ takes a `surface` and its `gammas`, and `group` any of `rapidity`,
 `rotation` (an `angle` and a unit `axis`, by default [0, 0, 1]) and
 `translation` (a 4-vector).  The factorization key holds build_fast's
 `tol` and, as `landmarks`, the largest landmark count a build may use: it
-starts below that and grows only while its spectrum checks fail.
+starts below that and grows only while its spectrum checks fail.  Both act
+only on factorized builds: supports above 512 nodes, or `landmarks` below
+the support size.  A smaller support that fits in `landmarks` keeps the
+exact G, so at the test config (n=16: 480 support nodes, 480 landmarks)
+neither key changes a result.
 `normalization_mode` is "raw", or "energy" for a tensor (stress-energy)
 kernel.
 
@@ -307,9 +313,9 @@ class _Run:
         if self.backend is not None:
             b = self.backend
             manifest["backend"] = {
-                "rank": b.rank, "spectral_tail": b.spectral_tail,
-                **{k: b.meta.get(k)
-                   for k in ("n_landmarks", "landmark_attempts", "tail_certified")}}
+                "route": b.meta["route"], "rank": b.rank, "spectral_tail": b.spectral_tail,
+                **{k: b.meta[k] for k in ("n_landmarks", "landmark_attempts", "tail_certified")
+                   if k in b.meta}}
         achio.write_json(self.outdir / "manifest.json", manifest)
         for c in self.checks:
             click.echo(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "

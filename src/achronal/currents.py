@@ -11,12 +11,15 @@ independent:
 
 * the direct route materializes the kernel in row blocks and contracts the
   literal double sum (the oracle; arbitrary spacetime points);
-* the fast route factorizes the scalar profile g(eps(k) eps(p) - k.p) over
-  the support nodes as sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then
-  one product with the full support matrix and Rayleigh-Ritz), after which
-  every current component becomes a rank sum of products of momentum sums
-  that evaluate at given spacetime points (FastBackend.current_at, through
-  the phase matrix), or a sum over pairs of support nodes binned by lattice
+* the fast route holds the scalar profile's matrix G_kp = g(eps(k) eps(p)
+  - k.p) over the support nodes, exact when the support fits in the first
+  landmark attempt (at most 512 nodes and the landmark cap: no
+  eigendecomposition and no truncation), otherwise factorized as
+  sum_r mu_r psi_r(k) psi_r(p) (landmark seed, then one product with the
+  full support matrix and Rayleigh-Ritz; build_fast).  Every current
+  component then becomes a sum of products of momentum sums that evaluate
+  at given spacetime points (FastBackend.current_at, through the phase
+  matrix), or a sum over pairs of support nodes binned by lattice
   difference on position-grid slices (FastBackend.slice_fields).
   Stress-energy kernels are exactly separable and need no factorization:
   four auxiliary fields with weights p_mu/sqrt(eps) plus one with
@@ -28,31 +31,36 @@ independent:
 Component mu of the causal current pairs the 1/sqrt(eps) field B with the
 mu-th of (sqrt(eps), p_i / sqrt(eps)).  A causal slice transforms no
 eigenvector.  Every support node lies on the momentum lattice, so the
-regrouped rank sum depends on x only through the grid-index difference of a
-node pair (FastBackend._pair_slice): the upper rows of G_R = V diag(mu) V^T,
-one GEMM of n_sup^2 R / 2 multiply-adds, are binned into (2s - 1)^3 bins
-per component by np.bincount, with 5 passes over the n_sup^2 / 2 pairs for
-their common weight and code and 5 per component, and three small matrix
-products take the bins to the slice's window, the whole grid or a centred
-window alike.  The bins do not depend on the window or on `refine`, and
-the blocks of a slice share one set of buffers.  A block holds at most an
-eighth of its row length in rows (_upper_row_blocks), so little of it is
-the lower square that the binning drops: at n=16 (480 support nodes) a J0
-window slice peaks at 2.9 MB of Python allocations against 12.7 MB for one
-480 x 480 block.  At n=32 (3,648 support nodes, rank 306) a 4-component
-slice of the whole grid takes 0.66-0.83 CPU-s, and a J0 slice of a flat
-flux's window of half 10 0.30-0.41 at refine 1 and 0.29-0.42 at refine 2
-(0.68-1.29, 0.33-0.47 and 0.31-0.50 in the same runs when a block's rows
-grew until it was one square).  In earlier runs transforming the fields
-of each eigenvector instead took 1.12-1.45 CPU-s for 5 R FFTs of
-(refine n)^3 cubes (9.8-13.0 at refine 2), and 0.15-0.19 and 0.61-0.63 for
-J0's two fields on that window; at n=40 (7,208 nodes) the bins took
-2.5-2.8 against 2.6-3.1 for the FFTs, and at n=48 (12,568 nodes), where
-pairs grow as n^6, 7.2-7.6 against 5.7-5.9 (2-vCPU host).  The paper-check
-sizes are n <= 32, so no size switch is kept.
+double sum depends on x only through the grid-index difference of a node
+pair (FastBackend._pair_slice): the upper rows of G, copied from the exact
+G or formed as G_R = V diag(mu) V^T by one GEMM of n_sup^2 R / 2
+multiply-adds, are binned into (2s - 1)^3 bins per component by
+np.bincount, with 5 passes over the n_sup^2 / 2 pairs for their common
+weight and code and 5 per component, and three small matrix products take
+the bins to the slice's window, the whole grid or a centred window alike.
+The bins do not depend on the window or on `refine`, and the blocks of a
+slice share one set of buffers.  A block holds at most an eighth of its
+row length in rows, so little of it is the lower square that the binning
+drops, but at least 1/64 of _G_ENTRIES entries, so that the last rows do
+not go one or two per block, each paying full-length bincounts
+(_upper_row_blocks: 24 blocks at n=32, 8 at n=16).  At n=16 (480 support
+nodes) a J0 window slice of the exact G peaks at 1.6 MB of Python
+allocations against 12.7 MB for one 480 x 480 block.  At n=32 (3,648
+support nodes, rank 306) a 4-component slice of the whole grid takes
+0.66-0.83 CPU-s, and a J0 slice of a flat flux's window of half 10
+0.30-0.41 at refine 1 and 0.29-0.42 at refine 2 (0.68-1.29, 0.33-0.47 and
+0.31-0.50 in the same runs when a block's rows grew until it was one
+square).  In earlier runs transforming the fields of each eigenvector
+instead took 1.12-1.45 CPU-s for 5 R FFTs of (refine n)^3 cubes (9.8-13.0
+at refine 2), and 0.15-0.19 and 0.61-0.63 for J0's two fields on that
+window; at n=40 (7,208 nodes) the bins took 2.5-2.8 against 2.6-3.1 for
+the FFTs, and at n=48 (12,568 nodes), where pairs grow as n^6, 7.2-7.6
+against 5.7-5.9 (2-vCPU host).  The paper-check sizes are n <= 32, so no
+size switch is kept.
 
-Points need the factorization on the B field alone: the rank-R G goes onto
-the phase-loaded nodes with two real GEMMs, and each component is then one
+Points apply G to the B field alone: the exact G goes onto the
+phase-loaded nodes with one real GEMM, n_sup^2 multiply-adds per point and
+real part, the rank-R G with two, 2 R n_sup, and each component is then one
 weighted node sum.  Their phase blocks come from separable tables
 (SupportData.phases): the support nodes lie on the momentum grid, so a
 block takes one exp per point and distinct energy or axis value, not one
@@ -87,9 +95,9 @@ TWO_PI_CUBED = (2.0 * np.pi) ** 3
 _PHASE_ENTRIES = 1 << 16
 _G_ENTRIES = 1 << 20
 
-# landmark count of a causal build's first attempt: smaller supports are
-# factorized whole; at the CLI default config (3,648 support nodes, rank 306
-# at tol 1e-6) the first attempt succeeds
+# landmark count of a causal build's first attempt: a support that fits in it
+# and in the landmark cap keeps the exact G; at the CLI default config (3,648
+# support nodes, rank 306 at tol 1e-6) the first attempt succeeds
 _LANDMARK_START = 512
 
 # the decay scan's rays: the six coordinate half-axes
@@ -250,10 +258,14 @@ def _upper_row_blocks(n: int):
     against the columns i0 to n, in blocks of at most _G_ENTRIES entries and
     at most an eighth of their row length n - i0 in rows (one row at least),
     so that the leading square of a block, whose lower half _bin_pairs
-    drops, stays small."""
+    drops, stays small; but a block grows to at least _G_ENTRIES // 64
+    entries, or to the rest of the triangle, so that the short last rows do
+    not go one or two per block, each block paying full-length bincounts."""
     blocks, i0 = [], 0
     while i0 < n:
-        i1 = min(n, i0 + max(1, min(_G_ENTRIES // (n - i0), (n - i0) // 8)))
+        width = n - i0
+        i1 = min(n, i0 + max(1, min(_G_ENTRIES // width, width // 8),
+                             -(-(_G_ENTRIES // 64) // width)))
         blocks.append(slice(i0, i1))
         i0 = i1
     return blocks
@@ -355,18 +367,23 @@ def _direct_tensor(kern, support, values, X):
 
 @dataclass(frozen=True)
 class FastBackend:
-    """Stored factorization enabling pointwise and whole-slice evaluation.
+    """The support's g-matrix G, stored for pointwise and whole-slice
+    evaluation, exact or factorized (`meta["route"]`; see build_fast).
 
     `support` holds the node data that every evaluation reads (coordinates,
-    energies, grid indices and phase blocks; see SupportData).  Every
-    evaluation uses all `rank` stored eigenpairs.  `spectral_tail`
-    bounds the eigenvalue weight of the g-matrix that they leave out,
-    relative to the top eigenvalue: (n_sup g(m^2) - sum of the kept
-    eigenvalues) / mu_0, from the exact trace, covering eigenvalues the
-    build never resolved (see build_fast).  It is 0 for separable kernels
-    and nan when meta["tail_certified"] is False.  `meta["build"]` holds
-    the `tol`, `n_landmarks` and `seed` it was built with, so that a backend
-    for another support can be built alike.  For causal kernels `meta`
+    energies, grid indices and phase blocks; see SupportData).  An exact
+    backend ("exact") keeps G itself in `gmatrix`, and its eigvals and
+    eigvecs are None: its `rank` is n_sup and its `spectral_tail` 0, as
+    nothing is truncated.  A factorized backend ("factorized") keeps `rank`
+    eigenpairs, and every evaluation uses all of them; its `spectral_tail`
+    bounds the eigenvalue weight of G that they leave out, relative to the
+    top eigenvalue: (n_sup g(m^2) - sum of the kept eigenvalues) / mu_0,
+    from the exact trace, covering eigenvalues the build never resolved.
+    A stress-energy kernel's backend ("separable") holds no G, with rank 0
+    and tail 0.  The tail is nan when meta["tail_certified"] is False: G is
+    not positive semi-definite on the support.  `meta["build"]` holds the
+    `tol`, `n_landmarks` and `seed` it was built with, so that a backend for
+    another support can be built alike.  A factorized backend's `meta` also
     records the landmark counts tried (`landmark_attempts`; n_lm grows while
     n_lm < 1.5 R0 + 16), the one used (`n_landmarks`) and the largest exact
     eigenpair residual (`eig_residual_max`), which with `spectral_tail`
@@ -379,14 +396,17 @@ class FastBackend:
     eigvecs: Optional[np.ndarray]
     spectral_tail: float
     meta: dict = field(default_factory=dict, compare=False)
+    gmatrix: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def rank(self) -> int:
+        if self.gmatrix is not None:
+            return len(self.gmatrix)
         return 0 if self.eigvals is None else len(self.eigvals)
 
     @property
     def separable(self) -> bool:
-        return self.eigvals is None
+        return isinstance(self.kernel, TensorKernel)
 
     # -- pointwise -------------------------------------------------------
 
@@ -395,14 +415,14 @@ class FastBackend:
         (..., 4), flattened to m points; another last axis raises ValueError.
 
         The points go in blocks whose phase matrix Z (support nodes x points)
-        holds at most _PHASE_ENTRIES complex entries.  A causal current needs
-        the factorization on the B field alone: with Y = load Z and
-        b = 1/sqrt(eps),
+        holds at most _PHASE_ENTRIES complex entries.  A causal current
+        applies G to the B field alone: with Y = load Z and b = 1/sqrt(eps),
+        component mu is the weighted node sum
 
-            sum_r mu_r conj(F_r) B_r = sum_k w_k conj(Y_k) (G_R (b Y))_k,
+            sum_k w_k Re(conj(Y_k) H_k),  H = G diag(b) Y,
 
-        so H = V (mu (V^T b Y)) takes two real GEMMs on Y's real view, and
-        every component is one weighted sum of conj(Y) H.  Z is gathered by
+        so H takes one real GEMM on Y's real view with the exact G, and two,
+        V (mu (V^T b Y)), with G_R = V diag(mu) V^T.  Z is gathered by
         SupportData.phases, about 0.8 ms per 2^16-entry block against 3 ms
         for the exp of every entry.  Each block is updated in place, in two
         buffers allocated once per call, so the traced peak stays near a few
@@ -413,7 +433,10 @@ class FastBackend:
         n_sup = len(load)
         step = max(1, _PHASE_ENTRIES // max(n_sup, 1))
         weights = self.support.field_weights()
-        VbT = None if self.separable else self.eigvecs.T * weights[0]
+        if self.gmatrix is not None:
+            Gb = self.gmatrix * weights[0]
+        elif not self.separable:
+            VbT = self.eigvecs.T * weights[0]
         # the phase block and a scratch block, which takes the gathered axis
         # factors and then H; a short last block uses a leading part of each
         zbuf = np.empty(n_sup * min(step, len(X)), dtype=complex)
@@ -428,10 +451,14 @@ class FastBackend:
                 J[:, i0:i0 + m] = _tensor_from_fields(self.kernel, *(weights * load) @ Z)
                 continue
             Z *= load[:, None]
-            T = VbT @ Z.view(np.float64)
-            T *= self.eigvals[:, None]
-            H = np.matmul(self.eigvecs, T, out=scratch.view(np.float64)).view(complex)
-            del T
+            if self.gmatrix is not None:
+                H = np.matmul(Gb, Z.view(np.float64), out=scratch.view(np.float64))
+            else:
+                T = VbT @ Z.view(np.float64)
+                T *= self.eigvals[:, None]
+                H = np.matmul(self.eigvecs, T, out=scratch.view(np.float64))
+                del T
+            H = H.view(complex)
             np.conj(Z, out=Z)
             Z *= H
             # Re(w conj(Y) H) for the real weights (sqrt eps, p_i / sqrt eps)
@@ -449,10 +476,10 @@ class FastBackend:
         M = 2 window_half refine nodes per axis (position_window_mask); the
         default, window_half = None, is the whole periodic grid: the window
         of half n/2, M = refine n.  A causal slice bins the pairs of support
-        nodes by lattice difference (_pair_slice): n_sup^2 R / 2
-        multiply-adds for the upper rows of G_R and 5 + 5 `components`
-        passes over the n_sup^2 / 2 pairs, whatever the window and
-        `refine`.  A stress-energy slice transforms its five fields from
+        nodes by lattice difference (_pair_slice): a copy of the exact G's
+        upper rows, or n_sup^2 R / 2 multiply-adds for those of G_R, and
+        5 + 5 `components` passes over the n_sup^2 / 2 pairs, whatever the
+        window and `refine`.  A stress-energy slice transforms its five fields from
         the support's bounding box (SupportData.box) with a separable sum
         that computes no node outside the window (momentum_to_position).
         """
@@ -477,16 +504,17 @@ class FastBackend:
         centred window of half `half`, M = 2 half refine nodes per axis,
         from the pairs k <= p of support nodes binned by lattice difference.
 
-        With B = load / sqrt(eps), P = (eps, p) and G_R = V diag(mu) V^T,
-        sum_r mu_r Re(conj(F_r) B_r) regroups as
+        With B = load / sqrt(eps), P = (eps, p) and G the exact G or
+        G_R = V diag(mu) V^T, the current regroups as
 
             (2 pi)^3 J^mu(x) = Re sum_{k <= p} c_kp (P^mu_k + P^mu_p)
-                               conj(B_k) (G_R)_kp B_p exp(-i h (i_k - i_p).x)
+                               conj(B_k) G_kp B_p exp(-i h (i_k - i_p).x)
 
         with c = 1 off the diagonal and 1/2 on it, so it depends on x only
         through the grid-index difference i_k - i_p: one bin of (2s - 1)^3
         per component and real or imaginary part, filled block by block of
-        the upper rows of G_R (_upper_row_blocks, _bin_pairs), then three
+        the upper rows of G, copied or formed by one GEMM of G_R
+        (_upper_row_blocks, _bin_pairs), then three
         products with exp(-i h d x) on the window's nodes per axis
         (position_window_axis).  The cell-centred offsets of both grids
         cancel in the difference.  The blocks share one set of buffers,
@@ -503,7 +531,7 @@ class FastBackend:
         code = np.ravel_multi_index(tuple(sup._grid_idx - lo), (nb, nb, nb))
         B = load / np.sqrt(sup.eps)
         P = np.vstack([sup.eps, sup.points.T])[:components]
-        Vmu = self.eigvecs * self.eigvals
+        Vmu = None if self.gmatrix is not None else self.eigvecs * self.eigvals
         bins = np.zeros((components, 2, nb ** 3))
         blocks = _upper_row_blocks(n)
         size = max((b.stop - b.start) * (n - b.start) for b in blocks)
@@ -514,7 +542,10 @@ class FastBackend:
         for rows in blocks:
             shape = (rows.stop - rows.start, n - rows.start)
             G, *scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in work)
-            np.matmul(Vmu[rows], self.eigvecs[rows.start:].T, out=G)
+            if Vmu is None:
+                G[...] = self.gmatrix[rows, rows.start:]
+            else:
+                np.matmul(Vmu[rows], self.eigvecs[rows.start:].T, out=G)
             _bin_pairs(G, rows, B, P, code, bins, scratch)
         # sum_d D_d exp(-i h d x) axis by axis, the last one first; the
         # first axis's product keeps the real part only
@@ -529,7 +560,7 @@ class FastBackend:
 
 
 def _bin_pairs(G, rows, B, P, code, bins, scratch):
-    """Add the pairs of one block of G_R's upper rows to `bins`, of shape
+    """Add the pairs of one block of G's upper rows to `bins`, of shape
     (components, 2, (2s - 1)^3), real and imaginary parts apart: G holds
     the rows `rows` against the columns rows.start to n_sup, and pair
     (k, p) goes to the bin of code_k - code_p, offset so that the zero
@@ -577,10 +608,28 @@ def _tensor_from_fields(kern: TensorKernel, Fv, F0, F1, F2, F3):
 def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
                seed: int = 0, support: Optional[SupportData] = None,
                rank: Optional[int] = None) -> FastBackend:
-    """Factorize the current for fast evaluation.
+    """Prepare the current for fast evaluation.
 
     Stress-energy currents are exactly separable and return immediately.
-    Causal-kernel currents get the scalar profile's support-node matrix G
+    Causal-kernel currents need the scalar profile's support-node matrix G.
+
+    A build whose first landmark attempt would be the whole support, n_sup
+    <= min(`n_landmarks`, _LANDMARK_START = 512) with no `rank` given (the
+    n=16 test config: 480 nodes), keeps G itself: no eigendecomposition and
+    no truncation, so `tol` and `seed` do not act.  One Cholesky
+    factorization of G + n_sup eps_mach max|G| I certifies that G is
+    positive semi-definite (14 ms CPU against 47 ms for eigh at 480 nodes);
+    the backend's rank is n_sup and its spectral_tail 0, or nan with
+    meta["tail_certified"] False when the factorization fails.  A point
+    then costs n_sup^2 multiply-adds against 2 R n_sup for a rank-R
+    factorization, which a heavy mass makes small: at n=16 (tol 1e-8) a
+    BumpSurface(0.5) flux took 0.16 CPU-s exact against 0.20 factorized at
+    m = 1 (R = 319), 0.12 against 0.09 at m = 2 (R = 110) and 0.12 against
+    0.08 at m = 4 (R = 46), with builds of 0.02 against 0.05-0.08 (2-vCPU
+    host).  The paper's checks run at m = 1, so no mass switch is kept.
+
+    Every other causal build, a support above 512 nodes (the CLI default
+    config), `landmarks` below the support size or a given `rank`, gets G
     eigendecomposed: oversampled landmark eigenvectors, Nystrom-extended to
     the support, span a basis that one product with G and Rayleigh-Ritz turn
     into eigenpairs whose exact residuals certify the truncation.
@@ -610,12 +659,20 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     support = support or SupportData.from_packets([spec.packet])
     if spec.is_stress_energy:
         return FastBackend(support, spec.kernel, None, None, 0.0,
-                           {"separable": True, "build": build})
+                           {"route": "separable", "build": build})
     kern = spec.kernel
     n = len(support.eps)
-    if n == 0:
-        return FastBackend(support, kern, np.array([1.0]), np.zeros((0, 1)), 0.0,
-                           {"empty_support": True, "build": build})
+    if n == 0 or rank is None and n <= min(n_landmarks, _LANDMARK_START):
+        G = _gmatrix_block(kern, support, slice(0, n))
+        try:
+            np.linalg.cholesky(G + n * np.finfo(float).eps * np.abs(G).max(initial=0.0)
+                               * np.eye(n))
+            certified = True
+        except np.linalg.LinAlgError:
+            certified = False
+        return FastBackend(support, kern, None, None, 0.0 if certified else float("nan"),
+                           {"route": "exact", "tail_certified": certified, "build": build},
+                           gmatrix=G)
     rng = np.random.default_rng(seed)
     cap = min(n_landmarks, n)
     n_lm = cap if rank is not None else min(cap, _LANDMARK_START)
@@ -637,7 +694,7 @@ def build_fast(spec: CurrentSpec, tol: float = 1e-6, n_landmarks: int = 3000,
     tail = max(0.0, (trace - float(mu.sum())) / np.abs(mu[0])) if certified else float("nan")
     return FastBackend(
         support, kern, mu, V, tail,
-        {"n_landmarks": n_lm, "landmark_attempts": attempts,
+        {"route": "factorized", "n_landmarks": n_lm, "landmark_attempts": attempts,
          "eig_residual_max": float(eig_res.max(initial=0.0)),
          "tail_certified": certified, "build": build},
     )

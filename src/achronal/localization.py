@@ -25,7 +25,9 @@ meta:
 
 * err_spectral: the absolute flux times the backend's spectral_tail, the
   trace bound on the relative eigenvalue weight its factorization leaves
-  out (nan when the profile is not positive semi-definite on the support);
+  out: 0 for a backend that keeps the exact G (supports of at most 512
+  nodes that fit in the landmark cap, build_fast), nan when the profile is
+  not positive semi-definite on the support;
 * err_window: the absolute flux through the window's outermost node layer,
   which stands for what the window cuts off (flux_invariance_report's
   boundary_flux_fraction is the largest err_window / |probability|);

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from achronal.currents import CurrentSpec, build_fast
+from achronal.currents import CurrentSpec, SupportData, build_fast
 from achronal.grids import MomentumGrid
-from achronal.kernels import CausalKernel, GFunction, TensorKernel
+from achronal.kernels import CausalKernel, GFunction, TensorKernel, scalar_block
 from achronal.wavepacket import make_packet
 
 MASS = 1.0
@@ -40,15 +40,41 @@ def tspec16(kern_tensor, packet16):
     return CurrentSpec(kern_tensor, packet16)
 
 
+def _factorize(spec, tol, seed=0):
+    """The whole support's factorization truncated at `tol`: every support
+    node a landmark, and `rank` the number of g-matrix eigenvalues above
+    `tol` of the top, the pairs that a build at `tol` keeps.  A build given
+    `rank` never keeps the exact G."""
+    sup = SupportData.from_packets([spec.packet])
+    lam = np.abs(np.linalg.eigvalsh(scalar_block(spec.kernel, sup.points, sup.eps,
+                                                 sup.points, sup.eps)))
+    rank = int(np.count_nonzero(lam > tol * lam.max()))
+    return build_fast(spec, rank=rank, n_landmarks=len(sup.eps), seed=seed)
+
+
+@pytest.fixture(scope="session")
+def factorize():
+    """_factorize(spec, tol, seed=0), for builds inside a test."""
+    return _factorize
+
+
 @pytest.fixture(scope="session")
 def fast16(spec16):
+    """The CLI test config's build: the 480-node support is its own landmark
+    set, so the backend keeps the exact G."""
     return build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1)
 
 
 @pytest.fixture(scope="session")
+def fast16_factorized(spec16):
+    """fast16's support factorized at its tolerance, 1e-8."""
+    return _factorize(spec16, 1e-8, seed=1)
+
+
+@pytest.fixture(scope="session")
 def fast16_loose(spec16):
-    """fast16's factorization truncated at 1e-5 instead of 1e-8."""
-    return build_fast(spec16, tol=1e-5, n_landmarks=480, seed=1)
+    """fast16_factorized truncated at 1e-5 instead of 1e-8."""
+    return _factorize(spec16, 1e-5, seed=1)
 
 
 @pytest.fixture(scope="session")

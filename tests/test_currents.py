@@ -144,9 +144,11 @@ def rank_batched_points(backend, packet, x):
     return J / (2 * np.pi) ** 3
 
 
-@pytest.fixture(scope="module", params=["fast16", "fast16_loose"])
+@pytest.fixture(scope="module", params=[pytest.param("fast16_factorized", id="fast16"),
+                                        "fast16_loose"])
 def point_backend(request):
-    """A causal backend and its field scale, |J| at the packet's centre."""
+    """A factorized causal backend, at fast16's tolerance or a looser one,
+    and its field scale, |J| at the packet's centre."""
     fb = request.getfixturevalue(request.param)
     packet = request.getfixturevalue("packet16")
     return fb, packet, np.abs(rank_batched_points(fb, packet, np.zeros(4))).max()
@@ -330,13 +332,15 @@ _WINDOW_CENTERS = [(0.0, 0.0, 0.0), (0.9, -0.6, 1.2)]
 
 
 @pytest.fixture(scope="module")
-def window_backends(grid16, kern_basic, kern_tensor):
+def window_backends(grid16, kern_basic, kern_tensor, factorize):
+    # the causal backends are factorized, so that the rank contraction is a
+    # reference for their slices
     out = {}
     for c, center in enumerate(_WINDOW_CENTERS):
         pkt = make_packet(grid16, M, sigma=0.6, center=center, core_radius=0.5,
                           support_radius=1.0, margin=1)
-        for name, kern in (("causal", kern_basic), ("tensor", kern_tensor)):
-            out[name, c] = (pkt, build_fast(CurrentSpec(kern, pkt), tol=1e-8))
+        out["causal", c] = (pkt, factorize(CurrentSpec(kern_basic, pkt), 1e-8))
+        out["tensor", c] = (pkt, build_fast(CurrentSpec(kern_tensor, pkt)))
     return out
 
 
@@ -526,12 +530,12 @@ def test_trace_tail_covers_any_cap_and_tolerance(spec16, gram16_spectrum, cap,
     assert fb.spectral_tail >= _dropped_weight(gram16_spectrum, fb) * (1 - _ROUNDOFF)
 
 
-def test_trace_tail_of_full_support_is_dropped_weight(fast16, gram16_spectrum):
+def test_trace_tail_of_full_support_is_dropped_weight(fast16_factorized, gram16_spectrum):
     # the whole support is the landmark set: the tail is the exact dropped
     # weight, and the first count is the only one
-    assert fast16.meta["landmark_attempts"] == [480]
-    assert fast16.spectral_tail == pytest.approx(
-        _dropped_weight(gram16_spectrum, fast16), rel=1e-6)
+    assert fast16_factorized.meta["landmark_attempts"] == [480]
+    assert fast16_factorized.spectral_tail == pytest.approx(
+        _dropped_weight(gram16_spectrum, fast16_factorized), rel=1e-6)
 
 
 @pytest.mark.parametrize("n_landmarks", [400, 480], ids=["nystrom", "full"])
@@ -584,18 +588,89 @@ def test_capped_build_keeps_the_whole_support_rank(spec16, gram16_spectrum, cap)
 
 
 @pytest.mark.parametrize("mass", [0.25, 0.5])
-def test_whole_support_build_keeps_every_pair(grid16, mass):
+def test_whole_support_build_keeps_every_pair(grid16, mass, monkeypatch):
     # at light mass every eigenvalue of the 480-node g-matrix lies above
     # 1e-8 of the top; landmarks that are the whole support hold them all
-    # exactly, so the build keeps them instead of raising
+    # exactly, so the build keeps them instead of raising.  A first landmark
+    # count below the support, as for supports above 512 nodes, puts the
+    # build on the factorized route, which grows its landmarks to the support
+    monkeypatch.setattr(currents, "_LANDMARK_START", 479)
     packet = make_packet(grid16, mass, "mollified_gaussian",
                          sigma=1.0, core_radius=0.9, support_radius=1.8)
     kern = CausalKernel(GFunction.basic(1.5, mass), mass)
     fb = build_fast(CurrentSpec(kern, packet), tol=1e-8, n_landmarks=480)
-    assert fb.meta["landmark_attempts"] == [480]
+    assert fb.meta["landmark_attempts"] == [479, 480]
     assert fb.rank == len(fb.support.eps) == 480
     assert fb.meta["tail_certified"]
     assert fb.spectral_tail < 1e-12
+
+
+def test_exact_build_keeps_the_gmatrix(spec16, support16):
+    # the 480-node support is its own landmark set: the backend holds G
+    # itself, computes no eigenpair and certifies G by one Cholesky factor
+    dense = scalar_block(spec16.kernel, support16.points, support16.eps,
+                         support16.points, support16.eps)
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError):
+        fb = build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1)
+    assert np.array_equal(fb.gmatrix, dense)
+    assert fb.eigvals is None and fb.eigvecs is None
+    assert fb.rank == 480 and fb.spectral_tail == 0.0
+    assert fb.meta["route"] == "exact" and fb.meta["tail_certified"]
+
+
+def test_exact_build_of_indefinite_profile_is_uncertified(packet16):
+    # the oscillatory profile's G has large negative eigenvalues: its
+    # Cholesky factorization fails, and the tail is nan
+    kern = parse_kernel_spec("oscillatory:omega=50", M)
+    fb = build_fast(CurrentSpec(kern, packet16))
+    assert fb.meta["route"] == "exact"
+    assert fb.meta["tail_certified"] is False
+    assert np.isnan(fb.spectral_tail)
+
+
+@pytest.mark.parametrize("kwargs, start", [
+    ({"rank": 300}, 512), ({"n_landmarks": 479}, 512), ({}, 479),
+], ids=["rank", "landmarks_below_support", "support_above_start"])
+def test_factorized_build_route(spec16, monkeypatch, kwargs, start):
+    # G is kept exact only when the first landmark attempt would be the
+    # whole support and no rank is asked for
+    monkeypatch.setattr(currents, "_LANDMARK_START", start)
+    fb = build_fast(spec16, tol=1e-8, seed=1, **kwargs)
+    assert fb.meta["route"] == "factorized"
+    assert fb.gmatrix is None and fb.rank == len(fb.eigvals)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("x0", [0.0, 0.4])
+def test_exact_whole_torus_slice_is_the_norm(spec16, fast16, x0, refine):
+    # with the exact G the J0 of the whole position torus sums to the
+    # squared norm, at any time and refinement
+    packet = spec16.packet
+    J = fast16.slice_fields(packet, x0, refine=refine, components=1)
+    total = J[0].sum() * (packet.grid.position_spacing / refine) ** 3
+    assert abs(total - packet.norm_squared()) <= 1e-13 * packet.norm_squared()
+
+
+def test_exact_current_at_matches_direct(spec16, fast16):
+    rng = np.random.default_rng(8)
+    pts = np.column_stack([rng.uniform(-2, 2, 30), rng.uniform(-5, 5, (30, 3))])
+    direct = np.array([s.value for s in eval_direct(spec16, pts)]).T
+    got = fast16.current_at(spec16.packet, pts)
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_exact_slice_matches_direct_at_grid_nodes(spec16, fast16, refine):
+    # 30 random nodes of the whole-grid slice and its |J0| peak
+    x0 = -1.3
+    J = fast16.slice_fields(spec16.packet, x0, refine=refine)
+    ax = spec16.packet.grid.position_axis(refine)
+    peak = np.unravel_index(np.argmax(np.abs(J[0])), J[0].shape)
+    nodes = np.vstack([np.random.default_rng(refine).integers(0, len(ax), (30, 3)), peak])
+    X = np.column_stack([np.full(len(nodes), x0), ax[nodes]])
+    direct = np.array([s.value for s in eval_direct(spec16, X)]).T
+    got = J[(slice(None),) + tuple(nodes.T)]
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(J).max()
 
 
 def test_backend_rejects_foreign_packet(fast16, grid16):

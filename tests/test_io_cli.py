@@ -153,22 +153,42 @@ def cfg_file(tmp_path_factory):
     return path
 
 
-def test_cli_normalize_passes(cfg_file, tmp_path):
+def test_cli_normalize_passes(tmp_path):
+    # 400 landmarks, below the 480-node support: a factorized build
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG,
+                                    factorization={"tol": 1e-8, "landmarks": 400})))
     out = tmp_path / "norm"
-    r = run_cli(["normalize", "--config", str(cfg_file), "--out", str(out)],
-                cfg_file.parent)
+    r = run_cli(["normalize", "--config", str(path), "--out", str(out)], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     results = json.loads((out / "results.json").read_text())
     assert results["checks"][0]["pass"]
     assert (out / "resolved_config.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     backend = manifest["backend"]
-    assert set(backend) == {"rank", "n_landmarks", "landmark_attempts",
+    assert set(backend) == {"route", "rank", "n_landmarks", "landmark_attempts",
                             "spectral_tail", "tail_certified"}
-    # the whole 480-node support fits in the first landmark count
-    assert backend["n_landmarks"] == 480 and backend["landmark_attempts"] == [480]
+    assert backend["route"] == "factorized"
+    # the landmark cap is below the first landmark count
+    assert backend["n_landmarks"] == 400 and backend["landmark_attempts"] == [400]
     assert backend["tail_certified"] and backend["spectral_tail"] > 0
     assert (out / "report.csv").exists()
+
+
+def test_cli_manifest_states_the_exact_route(tmp_path):
+    # the test config's 480-node support is its own landmark set: the build
+    # keeps the exact G, with no landmarks and no truncation
+    from click.testing import CliRunner
+
+    from achronal import cli
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASE_CONFIG))
+    r = CliRunner().invoke(cli.main, ["normalize", "--config", str(path),
+                                      "--out", str(tmp_path / "norm")])
+    assert r.exit_code == 0, r.output
+    manifest = json.loads((tmp_path / "norm" / "manifest.json").read_text())
+    assert manifest["backend"] == {"route": "exact", "rank": 480, "spectral_tail": 0.0,
+                                   "tail_certified": True}
 
 
 def test_cli_refined_normalization_keeps_refine(tmp_path, kern_basic):
@@ -328,7 +348,7 @@ def test_cli_covariance_builds_from_its_config(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_fast", counting_build)
     monkeypatch.setattr(localization, "build_fast", counting_build)
-    cfg = dict(BASE_CONFIG, seed=3,
+    cfg = dict(BASE_CONFIG, seed=3, factorization={"tol": 1e-8, "landmarks": 400},
                group={"rapidity": 0.25, "translation": [0.0, 0.4, 0.0, 0.0],
                       "rotation": {"axis": [0, 0, 1], "angle": np.pi / 2}},
                tolerances={"covariance_translation": 2e-2})
@@ -339,12 +359,13 @@ def test_cli_covariance_builds_from_its_config(tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
     assert len(builds) == 2
     # the boosted state's 508-node support needs a build of its own, with
-    # the same options as the config's
+    # the same options as the config's; 400 landmarks, below either support,
+    # make both builds factorized
     for build in builds:
-        assert build["n_landmarks"] == 480 and build["seed"] == 3
+        assert build["n_landmarks"] == 400 and build["seed"] == 3
         assert build["tol"] == 1e-8
     manifest = json.loads((tmp_path / "cov" / "manifest.json").read_text())
-    assert manifest["backend"]["n_landmarks"] == 480
+    assert manifest["backend"]["n_landmarks"] == 400
     assert set(manifest["timings_s"]) == {"build_s", "total_s"}
 
 

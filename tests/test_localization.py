@@ -416,11 +416,13 @@ def test_region_term_only_for_boundaries_inside_cells(spec16, fast16):
 
 
 @pytest.mark.parametrize("surface", FULL_SURFACES, ids=lambda s: s.kind)
-def test_spectral_term_covers_rank_truncation(spec16, fast16, fast16_loose, surface):
-    # backends built at a looser tolerance drop more of fast16's spectrum;
-    # the eigenvalue weight they drop must cover how far their flux moves
-    full = probability(spec16, Region(surface), backend=fast16, **WPAR)
-    coarse = build_fast(spec16, tol=1e-3, n_landmarks=480, seed=1)
+def test_spectral_term_covers_rank_truncation(spec16, fast16_factorized, fast16_loose,
+                                             factorize, surface):
+    # backends built at a looser tolerance drop more of fast16_factorized's
+    # spectrum; the eigenvalue weight they drop must cover how far their
+    # flux moves
+    full = probability(spec16, Region(surface), backend=fast16_factorized, **WPAR)
+    coarse = factorize(spec16, 1e-3, seed=1)
     for backend in (fast16_loose, coarse):
         cut = probability(spec16, Region(surface), backend=backend, **WPAR)
         assert abs(cut.probability - full.probability) <= cut.meta["err_spectral"]
@@ -430,8 +432,10 @@ def test_spectral_term_covers_rank_truncation(spec16, fast16, fast16_loose, surf
 @settings(max_examples=10, deadline=None, database=None)
 @given(st.floats(np.log(1e-6), np.log(1e-2)),
        st.sampled_from([FlatSurface(0.0), TiltedSurface((0, 0, 0.4)), BumpSurface(0.5)]))
-def test_spectral_term_covers_any_build_tolerance(spec16, fast16, log_tol, surface):
-    backend = build_fast(spec16, tol=float(np.exp(log_tol)), n_landmarks=480, seed=1)
+def test_spectral_term_covers_any_build_tolerance(spec16, fast16, factorize, log_tol,
+                                                  surface):
+    # the factorized flux against the exact G's (fast16)
+    backend = factorize(spec16, float(np.exp(log_tol)), seed=1)
     cut = probability(spec16, Region(surface), backend=backend, **WPAR)
     full = probability(spec16, Region(surface), backend=fast16, **WPAR)
     assert abs(cut.probability - full.probability) <= cut.meta["err_spectral"]

@@ -47,14 +47,17 @@ def test_tracer_targets_resolve():
     assert not missing, f"tracer targets that no longer resolve: {missing}"
 
 
-def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16):
+def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16,
+                                                            fast16_factorized):
     # the build observer reads FastBackend.rank, .support.eps and .meta, the
-    # direct-sum observer spec.packet.amplitudes
+    # direct-sum observer spec.packet.amplitudes; `rank` puts the build on
+    # the factorized route, with every support node a landmark
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        fast = currents.build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1)
+        fast = currents.build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1,
+                                   rank=fast16_factorized.rank)
         currents.build_fast(tspec16)
         currents.eval_direct(spec16, np.zeros((3, 4)))
     finally:
@@ -66,6 +69,23 @@ def test_traced_builds_and_direct_sums_feed_their_observers(spec16, tspec16):
     assert metrics["currents.eig_residual_max"] == fast.meta["eig_residual_max"]
     assert metrics["currents.eval_direct_points"] == 3
     assert metrics["currents.eval_direct_node_points"] == 3 * 480
+
+
+def test_traced_exact_build_counts_no_landmarks(spec16):
+    # the CLI test config's build keeps the exact G: one g-matrix of the
+    # whole support, no landmarks and no eigenpairs, and the support as rank
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fast = currents.build_fast(spec16, tol=1e-8, n_landmarks=480, seed=1)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert fast.meta["route"] == "exact"
+    assert metrics["currents.landmarks"] == metrics["currents.eig_residual_max"] == 0
+    assert metrics["currents.rank"] == metrics["currents.support_nodes"] == 480
+    assert metrics["kernels.scalar_entries"] == 480 ** 2
 
 
 def test_traced_nystrom_build_counts_its_gmatrix_entries(spec16):
